@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Renewal density and the analytic law of the tracking error.
 
-Detection epochs form a renewal process whose density m solves m = f + f*m.
+Detection epochs form a renewal process whose density m solves m = f + f*m;
+in rescaled time u = t/eta^2 it has the closed form
+
+    m(u) = 2/(sigma sqrt(2 pi) u^{3/2}) sum_{n>=1} n^2 exp(-n^2/(2 sigma^2 u)).
+
 The tracking error Z_t = X_t - (last anchor), normalized by eta, has density
 
     f(z) = p1(T, z) + int_0^T p1(T - v, z) m(v) dv,      T = t/eta^2,
 
-and the integral converges to the triangular profile (1 - |z|)^+ as T grows.
+which also has a closed image series, and the integral converges to the
+triangular profile (1 - |z|)^+ as T grows.
 Convergence is startlingly fast here: the band's spectral decay modes cancel
 against the renewal equation, so by T = 2 the density is already triangular
 to within numerical noise.
@@ -26,6 +31,8 @@ from exitgrid import (
 )
 
 law1 = FirstPassageLaw(ModelParams(sigma=1.0, eta=1.0))
+# m tabulated from its closed form; the grid also fixes sigma and the largest
+# rescaled time that the error-density calls below accept
 rg = solve_renewal_density(law1, h=0.005, horizon=52.5)
 
 print("== renewal density ==")

@@ -56,6 +56,6 @@ print("limit: triangular-limit ladder + Monte Carlo cross-check")
 # the cross-check gate is d_W < 0.01, and the empirical noise floor scales
 # like 1/sqrt(paths); 2500 paths sit right at the gate, so use more here
 limit_scale = {**scale, "paths": 8000}
-files = run_limit_check(ExperimentConfig(experiment="limit", eta=0.5, renewal_h=0.005, **limit_scale))
+files = run_limit_check(ExperimentConfig(experiment="limit", eta=0.5, **limit_scale))
 print("  " + "\n  ".join(str(f) for f in files))
 print("done; outputs in", out.resolve())

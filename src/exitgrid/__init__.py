@@ -47,7 +47,6 @@ from .errors import (
     NoConvergenceError,
     ToleranceNotMetError,
     UnboundedIntegralError,
-    UnstableStepError,
 )
 from .first_passage import FirstPassageLaw
 from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
@@ -96,7 +95,6 @@ __all__ = [
     "TriangularLaw",
     "TriangularLimitReport",
     "UnboundedIntegralError",
-    "UnstableStepError",
     "absorbed_density",
     "absorbed_density_images",
     "absorbed_density_spectral",

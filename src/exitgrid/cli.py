@@ -9,7 +9,9 @@ Subcommands: density, tau, limit, simulate, fig1, fig2, fig3.
 
 Options may also come from a plain-text configuration file of ``key = value``
 lines (``#`` comments allowed); command-line flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+tolerance not met, a renewal grid too short for the requested time, or a
+series past its term cap).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     InvalidDomainError,
     NoConvergenceError,
     ToleranceNotMetError,
-    UnstableStepError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -71,7 +72,6 @@ _FILE_KEYS = {
     "t": float,
     "t-end": float,
     "t-eval": _parse_float_list,
-    "renewal-h": float,
     "sample-cap": int,
     "out": str,
     "svg": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
@@ -107,12 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="exitgrid",
         description="First-exit discretization of the Wiener process: "
         "tables, simulations and verification figures.",
+        epilog="exit codes: 0 success, 2 configuration error, 3 numerical failure "
+        "(a tolerance not met, a renewal grid too short for the requested time, "
+        "or a series past its term cap)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="subcommand")
     for name, helptext in (
         ("density", "tabulate the absorbed transition density to CSV"),
         ("tau", "tabulate exit-time survival/density/quantiles to CSV"),
-        ("limit", "triangular-limit convergence ladder + Monte Carlo cross-check"),
+        ("limit", "closed-form triangular-limit ladder + Monte Carlo cross-check"),
         ("simulate", "raw tracking-error samples, moments and renewal histograms"),
         ("fig1", "kernel density estimates vs the two reference laws"),
         ("fig2", "Wasserstein distances to both laws across thresholds"),
@@ -130,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=float, help="observation time (default 0.5)")
         sp.add_argument("--t-end", dest="t_end", type=float, help="simulation horizon (default 0.5)")
         sp.add_argument("--t-eval", dest="t_eval", type=str, help="comma list of evaluation times")
-        sp.add_argument("--renewal-h", dest="renewal_h", type=float, help="renewal grid step (default 0.0025)")
-        sp.add_argument("--sample-cap", dest="sample_cap", type=int, help="max emitted sample rows (default 50000)")
+        sp.add_argument("--sample-cap", dest="sample_cap", type=int, help="max emitted sample rows, >= 1 (default 50000)")
         sp.add_argument("--out", type=str, help="output directory (default .)")
         sp.add_argument("--svg", action="store_true", default=None, help="also emit SVG plots")
         sp.add_argument(
@@ -177,7 +179,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             paths=int(pick(args.paths, "paths", default_paths)),
             steps=int(pick(args.steps, "steps", default_steps)),
             seed=int(pick(args.seed, "seed", 987654321)),
-            renewal_h=float(pick(args.renewal_h, "renewal-h", 0.0025)),
             sample_cap=int(pick(args.sample_cap, "sample-cap", 50000)),
             out_dir=str(pick(args.out, "out", ".")),
             emit_svg=bool(pick(args.svg, "svg", False)),
@@ -202,7 +203,6 @@ def main(argv=None) -> int:
     except (
         ToleranceNotMetError,
         NoConvergenceError,
-        UnstableStepError,
         HorizonTooShortError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

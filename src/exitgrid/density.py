@@ -165,55 +165,6 @@ def absorbed_density_images(
     return float(out) if scalar else out
 
 
-def _density_scalar(
-    sigma: float,
-    eta: float,
-    t: float,
-    x: float,
-    term_tol: float,
-    max_terms: int,
-    switch_ratio: float,
-) -> float:
-    """Pure-scalar density evaluation (t > 0, x = |x| <= eta), for hot loops."""
-    if sigma * sigma * t < switch_ratio * eta * eta:
-        var = sigma * sigma * t
-        inv2v = 0.5 / var
-        d = x - 2.0 * eta
-        acc = math.exp(-x * x * inv2v) - math.exp(-d * d * inv2v)
-        norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-        k = 1
-        while True:
-            dmin = (4.0 * k - 2.0) * eta
-            if 4.0 * norm * math.exp(-dmin * dmin * inv2v) < term_tol:
-                break
-            if 2 * k + 1 > max_terms:
-                raise NoConvergenceError("image series hit its term cap")
-            c = 4.0 * k * eta
-            acc += math.exp(-((x - c) ** 2) * inv2v) + math.exp(-((x + c) ** 2) * inv2v)
-            acc -= math.exp(-((x - 2.0 * eta + c) ** 2) * inv2v)
-            acc -= math.exp(-((x - 2.0 * eta - c) ** 2) * inv2v)
-            k += 1
-        return max(acc * norm, 0.0)
-
-    if x >= eta:
-        return 0.0  # sine factor vanishes identically on the barrier
-    lam = (math.pi * sigma / (2.0 * eta)) ** 2 / 2.0
-    arg = math.pi * (x + eta) / (2.0 * eta)
-    acc = 0.0
-    k = 1
-    sign = 1.0
-    while True:
-        e = math.exp(-lam * k * k * t)
-        if e / eta < term_tol:
-            break
-        if k > 2 * max_terms:
-            raise NoConvergenceError("spectral series hit its term cap")
-        acc += sign * e * math.sin(k * arg)
-        sign = -sign
-        k += 2
-    return max(acc / eta, 0.0)
-
-
 def absorbed_density(
     params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES, t=0.0, x=0.0
 ) -> float | np.ndarray | _Atom:
@@ -223,29 +174,14 @@ def absorbed_density(
     the spectral form otherwise.  Returns ``ATOM`` for the scalar corner
     ``t = 0, x = 0``.
     """
-    if np.ndim(t) == 0 and np.ndim(x) == 0:
-        ts, xs = float(t), abs(float(x))
-        if ts < 0.0:
-            raise InvalidDomainError("density needs t >= 0")
-        if xs > params.eta * (1.0 + 1e-12):
-            raise InvalidDomainError(f"position outside [-eta, eta] with eta={params.eta}")
-        if ts == 0.0:
-            return ATOM if xs == 0.0 else 0.0
-        return _density_scalar(
-            params.sigma,
-            params.eta,
-            ts,
-            min(xs, params.eta),
-            cfg.term_tol,
-            cfg.max_terms,
-            cfg.switch_ratio,
-        )
-
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise InvalidDomainError("density needs t >= 0")
     xa = _check_space(x, params.eta)
-    t, xa = np.broadcast_arrays(t, xa)
+    scalar = t.ndim == 0 and xa.ndim == 0
+    if scalar and t == 0.0 and xa == 0.0:
+        return ATOM
+    t, xa = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(xa))
     ratio = params.sigma**2 / params.eta**2
 
     out = np.empty(t.shape)
@@ -254,7 +190,7 @@ def absorbed_density(
         out[small] = absorbed_density_images(params, cfg, t[small], xa[small])
     if np.any(~small):
         out[~small] = absorbed_density_spectral(params, cfg, t[~small], xa[~small])
-    return out
+    return float(out[0]) if scalar else out
 
 
 def _gauss_time_integral(h: float, c: float, sigma: float) -> float:

@@ -17,10 +17,6 @@ class ToleranceNotMetError(ExitgridError):
     """A quadrature or root-finding routine could not reach the requested tolerance."""
 
 
-class UnstableStepError(ExitgridError):
-    """The renewal solver's time step is too coarse for the kernel."""
-
-
 class HorizonTooShortError(ExitgridError):
     """A renewal grid does not extend far enough for the requested evaluation time."""
 

@@ -29,7 +29,7 @@ from .distributions import (
     triangular_pdf,
     wasserstein1,
 )
-from .errors import ToleranceNotMetError
+from .errors import ConfigError, ToleranceNotMetError
 from .first_passage import FirstPassageLaw
 from .params import ModelParams
 from .path_sim import PathConfig, SimulationBatch, simulate_batch
@@ -83,11 +83,14 @@ class ExperimentConfig:
     paths: int = 20000
     steps: int = 100000
     seed: int = 987654321
-    renewal_h: float = 0.0025
     sample_cap: int = 50000
     out_dir: str = "."
     emit_svg: bool = False
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.sample_cap < 1:
+            raise ConfigError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
     def path_config(self, etas) -> PathConfig:
         return PathConfig(
@@ -106,7 +109,7 @@ class ExperimentConfig:
         """
         keys = (
             "experiment", "sigma", "eta", "etas", "t", "t_eval", "t_end",
-            "paths", "steps", "seed", "renewal_h", "sample_cap",
+            "paths", "steps", "seed", "sample_cap",
         )
         parts = []
         for k in keys:
@@ -459,7 +462,7 @@ def run_limit_check(cfg: ExperimentConfig) -> list[Path]:
     sigma = cfg.sigma
     law1 = FirstPassageLaw(ModelParams(sigma, 1.0))
     horizon = max(LIMIT_LADDER) * 1.05
-    rg = solve_renewal_density(law1, h=cfg.renewal_h, horizon=horizon)
+    rg = solve_renewal_density(law1, horizon=horizon)
     z = np.linspace(-1.0, 1.0, 1001)
     tri_vals = triangular_pdf(z)
     tri = TriangularLaw()

@@ -2,16 +2,28 @@
 
 Working in rescaled time ``u = t / eta^2`` reduces every threshold to the
 unit-band law (Brownian scaling), so one renewal grid per ``sigma`` serves
-all thresholds.  The renewal density ``m`` solves the Volterra equation
-``m = f + f * m`` with ``f`` the unit-band exit-time density; the density of
-the normalized tracking error at time ``t`` is then
+all thresholds.  The unit-band exit time has Laplace transform ``1 / cosh b``
+with ``b = sqrt(2 s) / sigma``, so the renewal density ``m = f + f * m`` has
+transform ``1 / (cosh b - 1) = 2 sum_n n exp(-n b)``.  Inverting term by term
+gives the image series
+
+    m(u) = 2 / (sigma sqrt(2 pi) u^{3/2}) sum_{n>=1} n^2 exp(-n^2 / (2 sigma^2 u)).
+
+The density of the normalized tracking error at time ``t`` is
 
     f_Z(z) = p1(T, z) + int_0^T p1(T - v, z) m(v) dv,        T = t / eta^2,
 
 where ``p1`` is the absorbed density for a unit band.  The first summand is
-the atom of ``T - (last detection time)`` at ``T`` (no detection yet); it is
-kept analytic rather than represented as a spike on the grid.  As T grows
-the integral converges to the triangular profile ``(1 - |z|)^+``.
+the atom of ``T - (last detection time)`` at ``T`` (no detection yet).  The
+killed Green's function times ``1 + m_hat`` is
+``sinh(b (1 - |z|)) / (sigma^2 b (cosh b - 1))``, which inverts to
+
+    f_Z(z) = sum_{n>=1} n [phi_v(n - 1 + |z|) - phi_v(n + 1 - |z|)],   v = sigma^2 T,
+
+with ``phi_v`` the centred normal density of variance ``v``.  As T grows the
+integral converges to the triangular profile ``(1 - |z|)^+``.  Both series
+need about ``sqrt(v)`` terms, so past ``SeriesConfig.max_terms`` (very large
+``T``) they raise ``NoConvergenceError``.
 """
 
 from __future__ import annotations
@@ -20,16 +32,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
-from .density import _density_scalar, absorbed_density
+from .density import absorbed_density
 from .distributions import DensityGrid, GridLaw, TriangularLaw, wasserstein1
 from .errors import (
     HorizonTooShortError,
     InvalidDomainError,
+    NoConvergenceError,
     ToleranceNotMetError,
-    UnstableStepError,
 )
 from .first_passage import FirstPassageLaw
 from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
@@ -60,82 +70,93 @@ class RenewalGrid:
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.values.size)
 
-    def spline(self) -> CubicSpline:
-        return CubicSpline(self.times, self.values)
+
+def _renewal_series(sigma: float, u: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    """Image series for ``m(u)`` at positive ``u``, summed one term at a time.
+
+    As a function of ``u``, term ``n`` peaks at ``u = n^2 / (3 sigma^2)``, and
+    at fixed ``u`` the terms fall in ``n`` once ``n^2 > 2 sigma^2 u``.  So from
+    ``n^2 >= 3 sigma^2 max(u)`` on, the value at ``max(u)`` bounds the term
+    everywhere and decreases in ``n``: summing stops at the first such ``n``
+    whose bound is below ``cfg.term_tol``.
+    """
+    umax = float(np.max(u))
+    vmax = sigma * sigma * umax
+    coeff = 2.0 / (sigma * _SQRT_2PI * umax**1.5)
+
+    def needed(n: int) -> bool:
+        if n * n < 3.0 * vmax:
+            return True
+        return coeff * n * n * math.exp(-n * n / (2.0 * vmax)) >= cfg.term_tol
+
+    if needed(cfg.max_terms + 1):
+        raise NoConvergenceError(
+            f"renewal series: more than {cfg.max_terms} terms at u = {umax:.4g}"
+        )
+    inv2v = 0.5 / (sigma * sigma * u)
+    acc = np.zeros(u.shape)
+    n = 1
+    while needed(n):
+        acc += n * n * np.exp(-n * n * inv2v)
+        n += 1
+    return 2.0 * acc / (sigma * _SQRT_2PI * u**1.5)
 
 
-def _volterra(f: np.ndarray, h: float) -> np.ndarray:
-    # trapezoid stepping for m = f + f*m; both endpoint weights vanish
-    # because f(0) = 0 and m(0) = 0, so every step is explicit
-    n = f.size
-    m = np.empty(n)
-    m[0] = 0.0
-    for i in range(1, n):
-        m[i] = f[i] + h * float(np.dot(f[1:i][::-1], m[1:i]))
-    return m
+def _error_density_series(
+    sigma: float, T: float, za: np.ndarray, cfg: SeriesConfig
+) -> np.ndarray:
+    """Image series for ``f_Z(T, z)`` at ``za = |z|``, summed one term at a time.
+
+    Term ``n`` lies in ``[0, n phi_v(n - 1)]``, a bound that decreases in ``n``
+    once ``n (n - 1) > v``; summing stops at the first such ``n`` whose bound
+    is below ``cfg.term_tol``.
+    """
+    v = sigma * sigma * T
+    norm = 1.0 / math.sqrt(2.0 * math.pi * v)
+
+    def needed(n: int) -> bool:
+        if n * (n - 1) <= v:
+            return True
+        return n * norm * math.exp(-((n - 1) ** 2) / (2.0 * v)) >= cfg.term_tol
+
+    if needed(cfg.max_terms + 1):
+        raise NoConvergenceError(
+            f"error-density series: more than {cfg.max_terms} terms at T = {T:.4g}"
+        )
+    inv2v = 0.5 / v
+    acc = np.zeros(za.shape)
+    n = 1
+    while needed(n):
+        near = np.exp(-((n - 1.0 + za) ** 2) * inv2v)
+        far = np.exp(-((n + 1.0 - za) ** 2) * inv2v)
+        acc += n * (near - far)
+        n += 1
+    return norm * acc
 
 
 def solve_renewal_density(
     law: FirstPassageLaw,
     h: float = 0.005,
     horizon: float = 50.0,
-    refine: bool = True,
 ) -> RenewalGrid:
-    """Solve ``m = f + f*m`` on a uniform grid for the unit-band law.
+    """Tabulate the renewal density ``m`` of a unit-band law at ``h * arange(n + 1)``.
 
-    ``law`` must be a unit-band (eta = 1) law: the solver works in rescaled
-    time.  With ``refine`` the grid is solved at h and h/2 and Richardson
-    combined, promoting the trapezoid's O(h^2) error to O(h^4).
+    ``law`` must be a unit-band (eta = 1) law: the grid is in rescaled time.
+    ``n = round(horizon / h)``; ``m(0) = 0`` and every other node comes from
+    the closed-form image series, truncated by ``law.cfg``.
     """
     if law.params.eta != 1.0:
         raise InvalidDomainError("renewal grid is built in rescaled time; pass an eta=1 law")
-    mean = law.mean()
-    if h <= 0.0 or horizon <= 0.0:
-        raise InvalidDomainError("h and horizon must be positive")
-    if h > 0.02 * mean:
-        raise UnstableStepError(
-            f"h={h} too coarse for the exit-time kernel (need h <= {0.02 * mean:.4g})"
-        )
-    if horizon < mean:
+    if not (0.0 < h < math.inf and 0.0 < horizon < math.inf):
+        raise InvalidDomainError("h and horizon must be positive and finite")
+    if horizon < law.mean():
         raise InvalidDomainError("horizon shorter than one mean inter-detection time")
 
-    def _grid_density(step: float, npts: int) -> np.ndarray:
-        t = step * np.arange(npts)
-        f = np.empty(npts)
-        f[0] = 0.0
-        f[1:] = law.density(t[1:])
-        return f
-
-    n = int(round(horizon / h))
-    m = _volterra(_grid_density(h, n + 1), h)
-    if refine:
-        m_fine = _volterra(_grid_density(h / 2.0, 2 * n + 1), h / 2.0)
-        m = (4.0 * m_fine[::2] - m) / 3.0
-
-    limit = law.params.sigma**2  # 1/mean for the unit band
-    if float(np.min(m)) < -1e-8 * limit:
-        raise UnstableStepError(f"negative renewal density at h={h}; reduce the step")
-    np.maximum(m, 0.0, out=m)
-    return RenewalGrid(h=h, values=m, horizon=n * h, sigma=law.params.sigma)
-
-
-def _fast_spline_eval(rg: RenewalGrid):
-    """Scalar cubic evaluation of the renewal grid without scipy call overhead."""
-    c = rg.spline().c
-    c0, c1, c2, c3 = (c[i].tolist() for i in range(4))
-    n = len(c0)
-    h = rg.h
-
-    def m_at(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        i = int(v / h)
-        if i >= n:
-            i = n - 1
-        dv = v - i * h
-        return ((c0[i] * dv + c1[i]) * dv + c2[i]) * dv + c3[i]
-
-    return m_at
+    sigma = law.params.sigma
+    n = max(1, int(round(horizon / h)))
+    m = np.zeros(n + 1)
+    m[1:] = _renewal_series(sigma, h * np.arange(1, n + 1), law.cfg)
+    return RenewalGrid(h=h, values=m, horizon=n * h, sigma=sigma)
 
 
 def convolution_term(
@@ -144,59 +165,28 @@ def convolution_term(
     t: float,
     z_grid,
     cfg: SeriesConfig = DEFAULT_SERIES,
-    quad_tol: float = 1e-9,
 ) -> np.ndarray:
     """``int_0^T p1(T - v, z) m(v) dv`` for each z, with ``T = t / eta^2``.
 
-    The integral is evaluated in the substituted variable ``w = sqrt(T - v)``,
-    which removes the 1/sqrt singularity of ``p1`` at the upper end (the
-    small-time corner near z = 0) and leaves a smooth integrand for adaptive
-    quadrature.  ``m`` between grid nodes comes from a cubic spline.
+    Evaluated as the closed-form ``f_Z`` minus the atom ``p1(T, z)``, clipped
+    at 0.  ``rg`` must belong to ``params.sigma`` and reach ``T``.
     """
-    eta, sigma = params.eta, params.sigma
-    T = t / eta**2
+    sigma = params.sigma
+    T = t / params.eta**2
     if T <= 0.0:
         raise InvalidDomainError("need t > 0")
+    if rg.sigma != sigma:
+        raise InvalidDomainError(f"renewal grid has sigma={rg.sigma}, params have sigma={sigma}")
     if rg.horizon < T - 1e-9:
         raise HorizonTooShortError(f"renewal horizon {rg.horizon} < rescaled time {T}")
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.abs(z_grid) > 1.0 + 1e-12):
         raise InvalidDomainError("z grid must lie in [-1, 1]")
 
-    m_at = _fast_spline_eval(rg)
-    sqrtT = math.sqrt(T)
-    w_switch = math.sqrt(cfg.switch_ratio) / sigma  # representation handover
-    term_tol, max_terms, switch = cfg.term_tol, cfg.max_terms, cfg.switch_ratio
-
-    out = np.empty(z_grid.shape)
-    cache: dict[float, float] = {}
-    for i, z in enumerate(z_grid):
-        za = abs(float(z))
-        if za in cache:
-            out[i] = cache[za]
-            continue
-
-        def g(w: float, _z=za) -> float:
-            u = w * w
-            if u == 0.0:
-                return 0.0 if _z > 0.0 else 2.0 * m_at(T) / (sigma * _SQRT_2PI)
-            return (
-                2.0
-                * w
-                * _density_scalar(sigma, 1.0, u, _z, term_tol, max_terms, switch)
-                * m_at(T - u)
-            )
-
-        pts = sorted(
-            {p for p in (0.3 * za / sigma, za / sigma, 3.0 * za / sigma, w_switch) if 0.0 < p < sqrtT}
-        )
-        val, err = quad(
-            g, 0.0, sqrtT, points=pts or None, epsabs=quad_tol, epsrel=1e-10, limit=400
-        )
-        if err > 50.0 * quad_tol:
-            raise ToleranceNotMetError(f"convolution quadrature error {err:.2e} at z={za}")
-        out[i] = cache[za] = max(val, 0.0)
-    return out
+    za = np.minimum(np.abs(z_grid), 1.0)
+    f_z = _error_density_series(sigma, T, za, cfg)
+    atom = absorbed_density(ModelParams(sigma, 1.0), cfg, T, za)
+    return np.maximum(f_z - atom, 0.0)
 
 
 @dataclass(frozen=True)
@@ -250,7 +240,6 @@ def triangular_limit_check(
     t: float,
     rg: RenewalGrid | None = None,
     cfg: SeriesConfig = DEFAULT_SERIES,
-    h: float = 0.0025,
     z_grid=None,
 ) -> TriangularLimitReport:
     """Compare the analytic error density at time ``t`` to ``(1 - |z|)^+``."""
@@ -259,7 +248,7 @@ def triangular_limit_check(
     T = t / params.eta**2
     if rg is None:
         law1 = FirstPassageLaw(ModelParams(params.sigma, 1.0), cfg)
-        rg = solve_renewal_density(law1, h=h, horizon=max(20.0, 1.05 * T))
+        rg = solve_renewal_density(law1, horizon=max(20.0, 1.05 * T))
     ed = tracking_error_density(params, rg, t, z_grid, cfg)
 
     atom = np.asarray(absorbed_density(ModelParams(params.sigma, 1.0), cfg, T, z_grid))

@@ -32,7 +32,7 @@ from exitgrid import (
 from exitgrid.cli import main
 
 from conftest import BUILD_TIMES, DESK_T_EVAL
-from test_renewal import brute_force_renewal_density
+from test_renewal import brute_force_renewal_density, volterra_renewal_density
 
 P11 = ModelParams(1.0, 1.0)
 
@@ -194,15 +194,22 @@ def test_criterion_09_key_renewal_convergence(renewal_grid):
 
 def test_criterion_10_renewal_density(unit_law, renewal_grid):
     h = 0.005
-    rg = solve_renewal_density(unit_law, h=h, horizon=10.0, refine=False)
+    rg = solve_renewal_density(unit_law, h=h, horizon=10.0)
     oracle = brute_force_renewal_density(unit_law, h, 10.0, k_max=50)
     worst = float(np.max(np.abs(rg.values - oracle)))
     assert worst < 1e-4
+    stepped = volterra_renewal_density(unit_law, h, 10.0)
+    worst_stepped = float(np.max(np.abs(rg.values - stepped)))
+    assert worst_stepped < 1e-4
 
     idx = int(round(20.0 / renewal_grid.h))
     m20 = float(renewal_grid.values[idx])
     assert abs(m20 - 1.0) < 0.01
-    _report(10, f"Volterra vs 50-fold convolution sum: {worst:.2e}; m(20) = {m20:.6f}")
+    _report(
+        10,
+        f"closed form vs 50-fold convolution sum: {worst:.2e}, "
+        f"vs Volterra stepping: {worst_stepped:.2e}; m(20) = {m20:.6f}",
+    )
 
 
 def test_criterion_11_engineering_determinism(tmp_path):

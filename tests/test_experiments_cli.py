@@ -46,6 +46,9 @@ class TestConfigHandling:
         assert "paths=200" in meta["config"]
         assert meta["seed"] == "5"
 
+    def test_zero_sample_cap_exits_2(self, tmp_path):
+        assert main(["simulate", *SMALL, "--sample-cap", "0", "--out", str(tmp_path)]) == 2
+
     def test_off_grid_time_exits_2(self, tmp_path):
         code = main(
             ["fig3", "--paths", "50", "--steps", "1000", "--t-eval", "0.1234567",
@@ -157,7 +160,7 @@ class TestRunners:
         # far too few paths for the Monte Carlo cross-check tolerance
         code = main(
             ["limit", "--paths", "60", "--steps", "1500", "--seed", "7",
-             "--renewal-h", "0.01", "--out", str(tmp_path)]
+             "--out", str(tmp_path)]
         )
         assert code == 3
 
@@ -177,7 +180,7 @@ class TestRunners:
     def test_limit_passes_at_moderate_scale(self, tmp_path):
         code = main(
             ["limit", "--paths", "4000", "--steps", "20000", "--seed", "7",
-             "--renewal-h", "0.01", "--workers", "2", "--out", str(tmp_path)]
+             "--workers", "2", "--out", str(tmp_path)]
         )
         assert code == 0
         _, cols, data = read_csv(tmp_path / "limit_report.csv")

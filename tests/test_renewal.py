@@ -1,14 +1,20 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from exitgrid import (
     FirstPassageLaw,
     HorizonTooShortError,
     InvalidDomainError,
     ModelParams,
+    NoConvergenceError,
     ScaledNormalLaw,
     TriangularLaw,
-    UnstableStepError,
+    absorbed_density,
     convolution_term,
     solve_renewal_density,
     tracking_error_density,
@@ -37,6 +43,53 @@ def brute_force_renewal_density(law, h: float, t_max: float, k_max: int) -> np.n
     return total
 
 
+def volterra_renewal_density(law, h: float, t_max: float) -> np.ndarray:
+    """Independent oracle: trapezoid stepping for ``m = f + f*m``.
+
+    Both endpoint weights vanish because f(0) = 0 and m(0) = 0, so every step
+    is explicit.
+    """
+    n = int(round(t_max / h))
+    t = h * np.arange(n + 1)
+    f = np.empty(n + 1)
+    f[0] = 0.0
+    f[1:] = law.density(t[1:])
+    m = np.empty(n + 1)
+    m[0] = 0.0
+    for i in range(1, n + 1):
+        m[i] = f[i] + h * float(np.dot(f[1:i][::-1], m[1:i]))
+    return m
+
+
+def quadrature_convolution(sigma: float, rg, T: float, z) -> np.ndarray:
+    """Independent oracle: ``int_0^T p1(T - v, z) m(v) dv`` by adaptive quadrature.
+
+    The integral is taken in ``w = sqrt(T - v)``, which removes the 1/sqrt
+    singularity of ``p1`` at the upper end (the small-time corner near
+    z = 0); ``m`` between grid nodes comes from a cubic spline.
+    """
+    p1 = ModelParams(sigma, 1.0)
+    m_at = CubicSpline(rg.times, rg.values)
+    sqrtT = math.sqrt(T)
+    out = []
+    for za in np.abs(np.asarray(z, dtype=float)):
+
+        def g(w: float, _z=za) -> float:
+            u = w * w
+            if u == 0.0:
+                return 0.0 if _z > 0.0 else 2.0 * float(m_at(T)) / (sigma * math.sqrt(2.0 * math.pi))
+            return 2.0 * w * absorbed_density(p1, t=u, x=_z) * float(m_at(T - u))
+
+        pts = sorted(
+            {p for p in (0.3 * za / sigma, za / sigma, 3.0 * za / sigma, math.sqrt(0.5) / sigma)
+             if 0.0 < p < sqrtT}
+        )
+        val, err = quad(g, 0.0, sqrtT, points=pts or None, epsabs=1e-9, epsrel=1e-10, limit=400)
+        assert err < 5e-8
+        out.append(val)
+    return np.array(out)
+
+
 class TestSolver:
     def test_matches_kernel_at_small_times(self, unit_law, renewal_grid):
         # for t well below one mean the higher convolutions are negligible:
@@ -59,23 +112,34 @@ class TestSolver:
         assert rg.values[-1] == pytest.approx(1.0, abs=1e-6)  # converges much faster
         assert np.all(rg.values >= 0.0)
 
-    def test_brute_force_series_agreement(self, unit_law):
+    def test_brute_force_series_agreement(self):
         h = 0.005
-        rg = solve_renewal_density(unit_law, h=h, horizon=10.0, refine=False)
-        oracle = brute_force_renewal_density(unit_law, h, 10.0, k_max=50)
-        assert np.max(np.abs(rg.values - oracle)) < 1e-4
+        for sigma in (1.0, 1.7):
+            law = FirstPassageLaw(ModelParams(sigma, 1.0))
+            rg = solve_renewal_density(law, h=h, horizon=10.0)
+            for oracle in (
+                brute_force_renewal_density(law, h, 10.0, k_max=50),
+                volterra_renewal_density(law, h, 10.0),
+            ):
+                assert np.max(np.abs(rg.values - oracle)) < 1e-4
 
     def test_cumulative_is_nondecreasing(self, renewal_grid):
         M = np.cumsum(renewal_grid.values) * renewal_grid.h
         assert np.all(np.diff(M) >= 0.0)
 
     def test_rejects_bad_inputs(self, unit_law):
-        with pytest.raises(UnstableStepError):
-            solve_renewal_density(unit_law, h=0.1, horizon=20.0)
         with pytest.raises(InvalidDomainError):
             solve_renewal_density(FirstPassageLaw(ModelParams(1.0, 2.0)), h=0.005)
         with pytest.raises(InvalidDomainError):
             solve_renewal_density(unit_law, h=0.005, horizon=0.5)
+
+    def test_term_cap_fails_fast(self, unit_law):
+        # u = 1e6 needs about 8 000 image terms, past max_terms = 1000; the
+        # cap is checked from the tail bound before any term is summed
+        t0 = time.monotonic()
+        with pytest.raises(NoConvergenceError):
+            solve_renewal_density(unit_law, h=50.0, horizon=1e6)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestErrorDensity:
@@ -103,6 +167,23 @@ class TestErrorDensity:
         rg = solve_renewal_density(unit_law, h=0.005, horizon=5.0)
         with pytest.raises(HorizonTooShortError):
             tracking_error_density(ModelParams(1.0, 1.0), rg, 8.0)
+
+    def test_rejects_grid_of_another_sigma(self, renewal_grid):
+        params = ModelParams(1.7, 1.0)
+        with pytest.raises(InvalidDomainError):
+            convolution_term(params, renewal_grid, 0.5, np.linspace(-1.0, 1.0, 21))
+        with pytest.raises(InvalidDomainError):
+            tracking_error_density(params, renewal_grid, 0.5)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.7])
+    def test_matches_quadrature_convolution(self, sigma):
+        law = FirstPassageLaw(ModelParams(sigma, 1.0))
+        rg = solve_renewal_density(law, h=0.0025, horizon=10.5)
+        p1 = ModelParams(sigma, 1.0)
+        z = np.linspace(-1.0, 1.0, 21)
+        for T in (0.5, 2.0, 10.0):
+            oracle = quadrature_convolution(sigma, rg, T, z)
+            assert np.max(np.abs(convolution_term(p1, rg, T, z) - oracle)) < 1e-6
 
     def test_uses_rescaled_time(self, renewal_grid):
         # same t/eta^2 must give the same normalized density
