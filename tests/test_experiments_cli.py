@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from exitgrid import FirstPassageLaw, ModelParams, solve_renewal_density
 from exitgrid.cli import main
-from exitgrid.experiments import ExperimentConfig, read_csv, run_fig2, svg_from_csv
+from exitgrid.experiments import (
+    LIMIT_LADDER,
+    ExperimentConfig,
+    _convergence_ladder,
+    read_csv,
+    run_fig2,
+    svg_from_csv,
+)
 
 
 def body(path):
@@ -48,6 +56,23 @@ class TestConfigHandling:
 
     def test_zero_sample_cap_exits_2(self, tmp_path):
         assert main(["simulate", *SMALL, "--sample-cap", "0", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t-end", "inf"],
+            ["--t-end", "nan"],
+            ["--etas", "inf"],
+            ["--etas", "nan"],
+            ["--etas", "0.5,0.5"],
+            ["--t-eval", "0.25,0.5,0.25"],
+            ["--t-eval", "nan"],
+        ],
+    )
+    def test_unservable_simulation_exits_2(self, tmp_path, capsys, extra):
+        assert main(["simulate", *SMALL, *extra, "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_off_grid_time_exits_2(self, tmp_path):
         code = main(
@@ -176,6 +201,15 @@ class TestRunners:
         assert wasserstein1(near_tri, TriangularLaw()) < 0.02
         near_norm = GridLaw(kde(desk_batch.sample(4.0, 0.5), z).grid)
         assert wasserstein1(near_norm, ScaledNormalLaw(1.0, 0.5, 4.0)) < 0.02
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_convergence_ladder_gate(self, sigma):
+        # for sigma >= 1.8 the last gaps sit at the ~1e-14 series truncation
+        # floor, where a strict decrease would compare rounding noise
+        law = FirstPassageLaw(ModelParams(sigma, 1.0))
+        rg = solve_renewal_density(law, horizon=max(LIMIT_LADDER) * 1.05)
+        rows = _convergence_ladder(sigma, rg, np.linspace(-1.0, 1.0, 1001))
+        assert [row[0] for row in rows] == list(LIMIT_LADDER)
 
     def test_limit_passes_at_moderate_scale(self, tmp_path):
         code = main(
