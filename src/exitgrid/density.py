@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .errors import InvalidDomainError, NoConvergenceError, ToleranceNotMetError
@@ -247,6 +246,7 @@ def integrate_density_over_time(
     x = 0), adaptive quadrature on ``[eps, t_max]``, and a spectral tail
     bound beyond ``t_max`` kept below ``quad_tol/4``.
     """
+    from scipy.integrate import quad  # the package's only quad; kept off the import path
     xa = float(_check_space(x, params.eta))
     eta, sigma = params.eta, params.sigma
     if xa >= eta:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidDomainError
@@ -14,18 +15,25 @@ class ModelParams:
     sigma : diffusion coefficient of ``X_t = sigma * W_t`` (space/sqrt(time)).
     eta   : half-width of the detection band (space).
 
-    Both must be strictly positive; ``eta**2 / sigma**2`` is the natural
-    time scale of the scheme.
+    Both must be finite and strictly positive, and so must ``sigma**2``,
+    ``eta**2`` and ``eta**2 / sigma**2``, the natural time scale of the
+    scheme, in double precision.
     """
 
     sigma: float
     eta: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise InvalidDomainError(f"sigma must be > 0, got {self.sigma}")
-        if not (self.eta > 0.0):
-            raise InvalidDomainError(f"eta must be > 0, got {self.eta}")
+        sigma, eta = float(self.sigma), float(self.eta)
+        sigma2, eta2 = sigma * sigma, eta * eta
+        if not (
+            all(0.0 < v < math.inf for v in (sigma, eta, sigma2, eta2))
+            and 0.0 < eta2 / sigma2 < math.inf
+        ):
+            raise InvalidDomainError(
+                "sigma, eta, their squares and eta**2 / sigma**2 must be finite and > 0,"
+                f" got sigma={self.sigma}, eta={self.eta}"
+            )
 
     @property
     def timescale(self) -> float:

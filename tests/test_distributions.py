@@ -9,8 +9,10 @@ from exitgrid import (
     DegenerateSampleError,
     DensityGrid,
     EmpiricalSample,
+    FirstPassageLaw,
     GridLaw,
     InvalidDomainError,
+    ModelParams,
     ScaledNormalLaw,
     TriangularLaw,
     kde,
@@ -20,6 +22,80 @@ from exitgrid import (
     triangular_quantile,
     wasserstein1,
 )
+from exitgrid.renewal import solve_renewal_density, tracking_error_density
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _quantile_range(law, tail=1e-14):
+    lo, hi = law.support()
+    return (
+        lo if np.isfinite(lo) else float(law.ppf(tail)),
+        hi if np.isfinite(hi) else float(law.ppf(1.0 - tail)),
+    )
+
+
+def brute_force_w1(f, g, kinks=(), cells=400_000):
+    """Independent oracle for ``int |F - G|`` between two laws.
+
+    16-point Gauss-Legendre of ``|F - G|`` on ``cells`` uniform cells over the
+    union of both quantile ranges, plus the closed-form tails beyond it.  The
+    CDFs' kinks are added as cell edges: across a kink the rule converges only
+    as the square of the cell width.
+    """
+    (lo1, hi1), (lo2, hi2) = _quantile_range(f), _quantile_range(g)
+    lo, hi = min(lo1, lo2), max(hi1, hi2)
+    kinks = np.asarray(kinks, dtype=float)
+    edges = np.union1d(np.linspace(lo, hi, cells + 1), kinks[(kinks > lo) & (kinks < hi)])
+    total = 0.0
+    for start in range(0, edges.size - 1, 50_000):  # bounded memory
+        e = edges[start : start + 50_001]
+        mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
+        x = mid[:, None] + half[:, None] * _GL_X
+        total += float(np.sum(half[:, None] * _GL_W * np.abs(f.cdf(x) - g.cdf(x))))
+    total += abs(float(f.sf_integral_upper(hi)) - float(g.sf_integral_upper(hi)))
+    total += abs(float(f.cdf_antideriv(lo)) - float(g.cdf_antideriv(lo)))
+    return total
+
+
+# law pairs for the oracle test: the analytic error density against the
+# triangular limit and the wide-threshold normal, plus pairs of reference laws
+_W1_SIGMAS = (1.0, 1.7)
+_W1_TIMES = (0.05, 0.2, 1.0, 2.0, 5.0, 10.0, 50.0)
+_W1_PAIRS = [
+    f"error-density-s{sigma}-T{T}-vs-{ref}"
+    for sigma in _W1_SIGMAS
+    for T in _W1_TIMES
+    for ref in ("triangular", "normal")
+] + ["triangular-vs-triangular", "normal-vs-normal", "grid201-vs-triangular"]
+_TRI_KINKS = (-1.0, 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def law_pairs():
+    """Name -> (f, g, CDF kinks of f and g)."""
+    tri = TriangularLaw()
+    z = np.linspace(-1.0, 1.0, 1001)
+    tri_kinks = np.union1d(z, _TRI_KINKS)
+    pairs = {}
+    for sigma in _W1_SIGMAS:
+        p1 = ModelParams(sigma, 1.0)
+        rg = solve_renewal_density(FirstPassageLaw(p1), horizon=52.5)
+        for T in _W1_TIMES:
+            law = tracking_error_density(p1, rg, T, z).law()
+            pairs[f"error-density-s{sigma}-T{T}-vs-triangular"] = (law, tri, tri_kinks)
+            pairs[f"error-density-s{sigma}-T{T}-vs-normal"] = (
+                law, ScaledNormalLaw(sigma, T, 1.0), z
+            )
+    pairs["triangular-vs-triangular"] = (tri, tri, _TRI_KINKS)
+    pairs["normal-vs-normal"] = (
+        ScaledNormalLaw(1.0, 0.25, 1.0), ScaledNormalLaw(1.0, 1.0, 1.0), ()
+    )
+    zg = np.linspace(-1.0, 1.0, 201)
+    pairs["grid201-vs-triangular"] = (
+        GridLaw(DensityGrid(zg, triangular_pdf(zg))), tri, np.union1d(zg, _TRI_KINKS)
+    )
+    return pairs
 
 
 class TestTriangular:
@@ -172,12 +248,29 @@ class TestWasserstein:
                 better += 1
         assert better >= 18
 
+    @pytest.mark.parametrize("name", _W1_PAIRS)
+    def test_law_pair_matches_brute_force(self, law_pairs, name):
+        f, g, kinks = law_pairs[name]
+        d = wasserstein1(f, g)
+        assert d == pytest.approx(brute_force_w1(f, g, kinks), abs=1e-12)
+        assert d == pytest.approx(wasserstein1(g, f), abs=1e-15)
+
+    def test_law_pair_with_cdfs_equal_at_a_probe(self):
+        # regression case for exact-zero probes: both CDFs are exactly 0.5 at
+        # the probe x = 0, so no sign-change bracket contains that crossing
+        tri, normal = TriangularLaw(), ScaledNormalLaw(1.0, 0.5, 2.0)
+        assert tri.cdf(0.0) == normal.cdf(0.0) == 0.5
+        d = wasserstein1(tri, normal)
+        assert d == pytest.approx(brute_force_w1(tri, normal, _TRI_KINKS), abs=1e-12)
+        assert d == pytest.approx(wasserstein1(normal, tri), abs=1e-15)
+        assert d == pytest.approx(5.30e-2, abs=1e-4)
+
     def test_normal_pair_closed_form(self):
         # d_W between two centred normals is |s1 - s2| * sqrt(2/pi)
         a = ScaledNormalLaw(1.0, 0.25, 1.0)
         b = ScaledNormalLaw(1.0, 1.0, 1.0)
         expected = (1.0 - 0.5) * np.sqrt(2.0 / np.pi)
-        assert wasserstein1(a, b) == pytest.approx(expected, abs=1e-9)
+        assert wasserstein1(a, b) == pytest.approx(expected, abs=1e-14)
 
 
 class TestContainers:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import exitgrid
 from exitgrid import FirstPassageLaw, ModelParams, solve_renewal_density
 from exitgrid.cli import main
 from exitgrid.experiments import (
@@ -24,6 +30,17 @@ def meta_block(path):
 
 
 SMALL = ["--paths", "250", "--steps", "2500", "--seed", "7"]
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(exitgrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, exitgrid, exitgrid.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigHandling:
@@ -71,6 +88,23 @@ class TestConfigHandling:
     )
     def test_unservable_simulation_exits_2(self, tmp_path, capsys, extra):
         assert main(["simulate", *SMALL, *extra, "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--sigma", "inf"],
+            ["tau", "--eta", "inf"],
+            ["tau", "--eta", "1e-200"],
+            ["tau", "--sigma", "1e-300"],
+            ["density", "--sigma", "1e300"],
+            ["density", "--eta", "1e300"],
+        ],
+    )
+    def test_unusable_model_params_exit_2(self, tmp_path, capsys, argv):
+        # sigma or eta is infinite, or a square or eta^2/sigma^2 leaves double range
+        assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
