@@ -4,8 +4,9 @@ The distance used throughout is ``d_W(F, G) = int |F(x) - G(x)| dx``.  For an
 empirical distribution against a smooth law it is computed by exact piecewise
 integration between consecutive sample points (closed-form CDF
 antiderivatives), for two empirical distributions by the classic merge over
-the pooled sample, and for two laws exactly from their CDF antiderivatives
-between the sign changes of ``F - G``.
+the pooled sample, and for two laws exactly: by Simpson's rule between the
+roots of ``F - G`` when both CDFs are piecewise quadratic, otherwise from
+their CDF antiderivatives between the sign changes of ``F - G``.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class EmpiricalSample:
 # reference laws
 #
 # Law objects expose: support() -> (lo, hi); breaks() -> the points where the
-# CDF is not smooth; cdf(x); ppf(p); cdf_antideriv(x) = int_{-inf}^x F du
-# (zero at -inf);
+# CDF is not smooth; quadratic_cdf -> whether the CDF is a polynomial of degree
+# <= 2 between breaks(), which then include both ends of the support; cdf(x);
+# ppf(p); cdf_antideriv(x) = int_{-inf}^x F du (zero at -inf);
 # sf_integral_upper(a) = int_a^inf (1 - F) du.  Both integrals are finite for
 # every law here, which is what makes d_W integrable.
 
@@ -135,6 +137,7 @@ class TriangularLaw:
     """Triangular law on [-1, 1], the small-threshold limit of the scheme."""
 
     variance = 1.0 / 6.0
+    quadratic_cdf = True
 
     def support(self):
         return (-1.0, 1.0)
@@ -179,6 +182,8 @@ def scaled_normal_pdf(z, sigma: float, t: float, eta: float) -> float | np.ndarr
 
 class ScaledNormalLaw:
     """Centred normal with sd = sigma*sqrt(t)/eta (kept untruncated)."""
+
+    quadratic_cdf = False
 
     def __init__(self, sigma: float, t: float, eta: float):
         if sigma <= 0 or t <= 0 or eta <= 0:
@@ -226,6 +231,8 @@ class GridLaw:
     ``raw_mass``), and the CDF is treated as piecewise linear between knots,
     which is exact to O(spacing^2) of the underlying density.
     """
+
+    quadratic_cdf = True
 
     def __init__(self, grid: DensityGrid):
         self.grid = grid
@@ -352,6 +359,38 @@ def _finite_range(law, tail: float = 1e-14):
     return lo, hi
 
 
+def _w1_quadratic_pieces(f, g) -> float:
+    """Exact ``int |F - G|`` for two laws whose CDFs are quadratics between breaks.
+
+    On each piece between consecutive merged breaks ``D = F - G`` is the
+    quadratic through its values at the ends and the midpoint.  Its roots
+    split the piece into parts where ``D`` keeps one sign, and Simpson's
+    rule, exact for a quadratic, integrates ``D`` on each part.  Only
+    differences of CDF values enter, never differences of O(1)
+    antiderivatives.  Outside the merged breaks both CDFs are 0 or both 1.
+    """
+    x = np.union1d(f.breaks(), g.breaks())
+    a, b = x[:-1], x[1:]
+    m = 0.5 * (a + b)
+    d0, dm, d1 = (f.cdf(t) - g.cdf(t) for t in (a, m, b))
+    # D(a + s (b - a)) = d0 + c1 s + c2 s^2 for 0 <= s <= 1
+    c1 = 4.0 * dm - 3.0 * d0 - d1
+    c2 = 2.0 * (d0 + d1) - 4.0 * dm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stable pair of quadratic roots; NaN or inf where there is none
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * d0), c1))
+        roots = np.stack((q / c2, d0 / q), axis=1)
+    roots = np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
+    s = np.sort(np.column_stack((np.zeros(a.size), roots, np.ones(a.size))), axis=1)
+    lo, hi = s[:, :-1], s[:, 1:]
+
+    def d(t):
+        return d0[:, None] + t * (c1[:, None] + t * c2[:, None])
+
+    parts = (hi - lo) / 6.0 * np.abs(d(lo) + 4.0 * d(0.5 * (lo + hi)) + d(hi))
+    return float(np.sum((b - a) * parts.sum(axis=1)))
+
+
 def _w1_law_pair(f, g) -> float:
     """Exact ``int |F - G|`` from ``|V_F - V_G|`` increments between sign changes.
 
@@ -391,4 +430,6 @@ def wasserstein1(f, g) -> float:
         return _w1_empirical_law(f, g)
     if ge:
         return _w1_empirical_law(g, f)
+    if f.quadratic_cdf and g.quadratic_cdf:
+        return _w1_quadratic_pieces(f, g)
     return _w1_law_pair(f, g)

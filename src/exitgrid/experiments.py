@@ -144,10 +144,12 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     buf.write(f"# seed = {cfg.seed}\n")
     buf.write(f"# config = {payload}\n")
     buf.write(f"# content-hash = {_content_hash(payload)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    buf.write(",".join(columns) + "\n")
+    # floats (numpy float64 included) take the f-string; _fmt handles the rest
+    buf.write("".join([
+        ",".join([f"{v:.17g}" if isinstance(v, float) else _fmt(v) for v in row]) + "\n"
+        for row in rows
+    ]))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(buf.getvalue())
@@ -340,8 +342,7 @@ def run_simulate(cfg: ExperimentConfig) -> list[Path]:
     for e in etas:
         for t in t_eval:
             s = batch.sample(e, t)
-            for v in s.values[::stride]:
-                sample_rows.append((e, t, v))
+            sample_rows.extend([(e, t, v) for v in s.values[::stride].tolist()])
             moment_rows.append(
                 (e, t, s.n, s.mean(), s.variance(), float(s.values[0]), float(s.values[-1]))
             )

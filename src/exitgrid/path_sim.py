@@ -5,17 +5,27 @@ deterministic random substream per path index, so results are bit-identical
 for a given (seed, path index) regardless of how paths are distributed over
 workers.
 
-The engine advances a group of ``_GROUP`` paths in lockstep, one time chunk
-at a time.  A chunk ends every ``_CHUNK`` grid steps and at every evaluation
-time, so the anchor in force at an evaluation time is the anchor at the end
-of its chunk.  Each chunk is drawn into one reused ``(group, 1 + chunk +
-pad)`` buffer whose column 0 carries the previous chunk's last value, which
-bounds the working memory at about ``64 x 4609 x 8`` bytes (2.4 MB) per
-worker; full path matrices are never held.  Within a chunk the scan finds
-one crossing per live path per numpy round: every live path looks at a
-short window after its last crossing.  Exact extrema over cells of
-``_CELL`` grid points decide which paths can still cross, so most windows
-that would find nothing are never read.
+A worker splits its paths into equal groups of at most ``_GROUP`` (150)
+paths, so 300 paths make two groups of 150, not 128 + 128 + 44; every group
+costs a full set of scan rounds.  A group advances in lockstep, one time
+chunk at a time.  A chunk ends every ``_CHUNK`` (2048) grid steps and at
+every evaluation time, so the anchor in force at an evaluation time is the
+anchor at the end of its chunk.  Each chunk is drawn into one reused
+``(group, 1 + chunk + window)`` buffer whose column 0 carries the previous
+chunk's last value; with the widest window (512) that bounds it at
+``150 x 2561 x 8`` bytes (3.1 MB) per worker, and full path matrices are
+never held.
+
+The scan state is flat over (threshold, path) rows, so one loop of numpy
+rounds serves every threshold of a group: a chunk costs the largest number
+of rounds over its thresholds, not their sum.  Each round finds at most one
+crossing per live row in a window after its last crossing; the window is
+the smallest over the batch's thresholds (about twice the mean gap between
+crossings), so a round gathers at most ``rows x window`` doubles (at most
+``n_eta x 150 x 512 x 8`` bytes, 1.8 MB for three thresholds).  A row whose
+window found nothing, or that is new to the chunk, first jumps to the first
+cell of ``_CELL`` grid points whose exact extrema can hold a crossing, and
+leaves the loop when no cell can.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -48,8 +58,8 @@ __all__ = [
     "simulate_batch",
 ]
 
-_GROUP = 64  # paths advanced in lockstep
-_CHUNK = 4096  # grid steps drawn per path between scans
+_GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equal groups
+_CHUNK = 2048  # grid steps drawn per path between scans
 _CELL = 512  # width of the cells whose extrema decide which paths can cross
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
 
@@ -148,9 +158,15 @@ def _window(eta: float, sigma: float, dt: float) -> int:
     return int(min(max(gap, _WINDOW[0]), _WINDOW[1]))
 
 
-def _buffer(rows: int, n: int) -> np.ndarray:
+def _buffer(rows: int, n: int, width: int) -> np.ndarray:
     """Room for a carry column, ``n`` steps rounded up to whole cells, and a window pad."""
-    return np.empty((rows, 1 + -(-n // _CELL) * _CELL + _WINDOW[1]))
+    return np.empty((rows, 1 + -(-n // _CELL) * _CELL + width))
+
+
+def _groups(n: int) -> np.ndarray:
+    """Bounds of the equal groups, of at most ``_GROUP`` paths each, of ``n`` paths."""
+    k = -(-n // _GROUP)
+    return np.arange(k + 1) * n // k
 
 
 def _pad_and_extrema(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,62 +192,77 @@ def _may_cross(hi, lo, anchor, eta):
 
 
 class _Tracks:
-    """Scan state of a group for every threshold; arrays are (n_eta, paths)."""
+    """Scan state of a group: flat arrays over rows ``e * paths + p`` (threshold e, path p)."""
 
-    def __init__(self, n_eta: int, n: int) -> None:
-        self.anchor = np.zeros((n_eta, n))
-        self.count = np.zeros((n_eta, n), dtype=np.int64)
-        self.ups = np.zeros((n_eta, n), dtype=np.int64)
-        self.over = np.zeros((n_eta, n))
-        self.first = np.full((n_eta, n), -1, dtype=np.int64)
+    def __init__(self, etas: np.ndarray, n: int) -> None:
+        self.n = n
+        self.eta = np.repeat(etas, n)
+        self.path = np.tile(np.arange(n), etas.size)
+        self.anchor = np.zeros(self.eta.size)
+        self.count = np.zeros(self.eta.size, dtype=np.int64)
+        self.ups = np.zeros(self.eta.size, dtype=np.int64)
+        self.over = np.zeros(self.eta.size)
+        self.first = np.full(self.eta.size, -1, dtype=np.int64)
+
+    def by_path(self, a: np.ndarray) -> np.ndarray:
+        """A per-row array as a (path, threshold) view."""
+        return a.reshape(-1, self.n).T
 
 
-def _first_touches(buf, win, hi, lo, n, eta, snap, tr, e, rows, offset, log=None) -> None:
-    """First-touch scan of columns 1..n of ``buf`` for threshold ``eta`` (index ``e``).
+def _first_touches(buf, win, hi, lo, n, snap, tr, rows, offset, log=None) -> None:
+    """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
-    ``rows`` are the paths to scan; ``win`` is a sliding-window view of
-    ``buf``; column ``j`` is grid index ``offset + j``.  Each round moves
-    every live path to the first cell that may hold a crossing, finds the
-    first crossing in its window, and updates the anchors and counters in
-    ``tr``.  ``log`` collects (grid indices, new anchors) per round.
+    ``win`` is a sliding-window view of ``buf``; column ``j`` is grid index
+    ``offset + j``.  Each round tests every live row's window after its last
+    crossing and updates the anchors and counters of the rows that found one.
+    A row that is new to the chunk, or whose last window found nothing, first
+    jumps to the first cell that may hold a crossing, or leaves the loop if
+    there is none.  ``log`` collects (grid indices, new anchors) per round.
     """
-    anchor, count, ups, over, first = (tr.anchor[e], tr.count[e], tr.ups[e], tr.over[e],
-                                       tr.first[e])
-    pending = bool((count[rows] == 0).any())  # some path still lacks its first crossing
+    anchor, eta_of, path_of = tr.anchor, tr.eta, tr.path
+    count, ups, over, first = tr.count, tr.ups, tr.over, tr.first
+    pending = bool((count[rows] == 0).any())  # some row still lacks its first crossing
     width = win.shape[-1]
     cell_last = np.arange(1, hi.shape[1] + 1) * _CELL
     start = np.ones(rows.size, dtype=np.int64)
-    while True:
-        a = anchor[rows]
-        cells = _may_cross(hi[rows], lo[rows], a[:, None], eta) & (cell_last >= start[:, None])
-        c = cells.argmax(axis=1)
-        live = cells[np.arange(rows.size), c]
-        rows, a = rows[live], a[live]
-        if not rows.size:
-            return
-        start = np.maximum(start[live], c[live] * _CELL + 1)
-        dev = win[rows, start]
+    jump = np.ones(rows.size, dtype=bool)
+    while rows.size:
+        if jump.any():
+            j = np.flatnonzero(jump)
+            r, s = rows[j], start[j]
+            p = path_of[r]
+            cells = (_may_cross(hi[p], lo[p], anchor[r][:, None], eta_of[r][:, None])
+                     & (cell_last >= s[:, None]))
+            c = cells.argmax(axis=1)
+            start[j] = np.maximum(s, c * _CELL + 1)
+            live = np.ones(rows.size, dtype=bool)
+            live[j] = cells[np.arange(j.size), c]
+            rows, start = rows[live], start[live]
+            if not rows.size:
+                return
+        p, a, eta = path_of[rows], anchor[rows], eta_of[rows]
+        dev = win[p, start]
         dev -= a[:, None]
-        hit = np.abs(dev, out=dev) >= eta
+        hit = np.abs(dev, out=dev) >= eta[:, None]
         k = hit.argmax(axis=1)
         found = hit[np.arange(rows.size), k]
         last = start + np.where(found, k, width - 1)
         if found.any():
-            r, j, a_old = rows[found], last[found], a[found]
-            x = buf[r, j]
+            r, j, a_old, e = rows[found], last[found], a[found], eta[found]
+            x = buf[p[found], j]
             move = x - a_old
-            over[r] = np.maximum(over[r], np.abs(move) - eta)
+            over[r] = np.maximum(over[r], np.abs(move) - e)
             ups[r] += move > 0.0
             count[r] += 1
             if pending:
                 new = count[r] == 1
                 first[r[new]] = offset + j[new]
                 pending = bool((count[rows] == 0).any())
-            anchor[r] = a_old + np.copysign(eta, move) if snap else x
+            anchor[r] = a_old + np.copysign(e, move) if snap else x
             if log is not None:
                 log.append((offset + j, anchor[r]))
         keep = last < n
-        rows, start = rows[keep], last[keep] + 1
+        rows, start, jump = rows[keep], last[keep] + 1, ~found[keep]
 
 
 def discretize(path: np.ndarray, eta: float, snap: bool = False) -> DiscretizationTrace:
@@ -244,12 +275,12 @@ def discretize(path: np.ndarray, eta: float, snap: bool = False) -> Discretizati
     n = path.size - 1
     log: list = []
     if n > 0:
-        buf = _buffer(1, n)
+        buf = _buffer(1, n, _WINDOW[1])
         buf[0, : n + 1] = path
         hi, lo = _pad_and_extrema(buf, n)
         win = sliding_window_view(buf, _WINDOW[1], axis=1)
-        rows = np.zeros(1, dtype=np.int64)
-        _first_touches(buf, win, hi, lo, n, eta, snap, _Tracks(1, 1), 0, rows, 0, log)
+        tr = _Tracks(np.array([eta]), 1)
+        _first_touches(buf, win, hi, lo, n, snap, tr, np.zeros(1, dtype=np.int64), 0, log)
     crossings = np.array([j[0] for j, _ in log], dtype=np.int64)
     anchors = np.array([a[0] for _, a in log], dtype=float)
     last_anchor = float(anchors[-1]) if anchors.size else 0.0
@@ -313,36 +344,35 @@ def _run_chunk(args) -> tuple:
     ends = sorted({i for i in t_idx if i > 0} | {*range(_CHUNK, cfg.n_steps, _CHUNK), cfg.n_steps})
 
     scale = sigma * math.sqrt(cfg.dt)
-    widths = [_window(eta, sigma, cfg.dt) for eta in cfg.etas]
-    buf = _buffer(min(_GROUP, n_paths), _CHUNK)
-    wins = {w: sliding_window_view(buf, w, axis=1) for w in set(widths)}
-    for g0 in range(0, n_paths, _GROUP):
-        out = slice(g0, min(g0 + _GROUP, n_paths))
-        rngs = [np.random.default_rng([cfg.seed, start + p]) for p in range(out.start, out.stop)]
-        xs = buf[: len(rngs)]
-        tr = _Tracks(etas.size, len(rngs))
+    width = min(_window(eta, sigma, cfg.dt) for eta in cfg.etas)
+    bounds = _groups(n_paths)
+    buf = _buffer(int(np.diff(bounds).max()), _CHUNK, width)
+    win = sliding_window_view(buf, width, axis=1)
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        out = slice(g0, g1)
+        rngs = [np.random.default_rng([cfg.seed, start + p]) for p in range(g0, g1)]
+        xs = buf[: g1 - g0]
+        tr = _Tracks(etas, g1 - g0)
         xs[:, 0] = -0.0  # see generate_path
         done = 0
         for end in ends:
             n = end - done
             _extend(rngs, xs, n, scale)
             hi, lo = _pad_and_extrema(xs, n)
-            live = _may_cross(hi.max(axis=1), lo.min(axis=1), tr.anchor, etas[:, None])
-            for e in np.flatnonzero(live.any(axis=1)):
-                _first_touches(
-                    xs, wins[widths[e]], hi, lo, n, etas[e], snap, tr, e,
-                    np.flatnonzero(live[e]), done,
-                )
+            live = _may_cross(hi.max(axis=1)[tr.path], lo.min(axis=1)[tr.path], tr.anchor,
+                              tr.eta)
+            if live.any():
+                _first_touches(xs, win, hi, lo, n, snap, tr, np.flatnonzero(live), done)
             x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
-                errors[out, k, :] = (x_end[:, None] - tr.anchor.T) / etas
+                errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas
             xs[:, 0] = x_end
             done = end
-        counts[out] = tr.count.T
-        ups[out] = tr.ups.T
-        downs[out] = (tr.count - tr.ups).T
-        over[out] = tr.over.T
-        first[out] = np.where(tr.first >= 0, tr.first * cfg.dt, np.nan).T
+        counts[out] = tr.by_path(tr.count)
+        ups[out] = tr.by_path(tr.ups)
+        downs[out] = tr.by_path(tr.count - tr.ups)
+        over[out] = tr.by_path(tr.over)
+        first[out] = tr.by_path(np.where(tr.first >= 0, tr.first * cfg.dt, np.nan))
     return errors, counts, first, ups, downs, over
 
 

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAX_NODES = 10**7  # ceiling on renewal grid nodes: 80 MB per tabulated array
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,18 @@ def solve_renewal_density(
 
     ``law`` must be a unit-band (eta = 1) law: the grid is in rescaled time.
     ``n = round(horizon / h)``; ``m(0) = 0`` and every other node comes from
-    the closed-form image series, truncated by ``law.cfg``.
+    the closed-form image series, truncated by ``law.cfg``.  ``horizon / h``
+    above ``_MAX_NODES`` (10**7) raises ``InvalidDomainError`` before any
+    allocation.
     """
     if law.params.eta != 1.0:
         raise InvalidDomainError("renewal grid is built in rescaled time; pass an eta=1 law")
     if not (0.0 < h < math.inf and 0.0 < horizon < math.inf):
         raise InvalidDomainError("h and horizon must be positive and finite")
+    if not horizon / h <= _MAX_NODES:  # also catches horizon / h == inf
+        raise InvalidDomainError(
+            f"horizon / h = {horizon / h:.3g} grid nodes, more than {_MAX_NODES}"
+        )
     if horizon < law.mean():
         raise InvalidDomainError("horizon shorter than one mean inter-detection time")
 

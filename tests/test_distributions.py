@@ -252,8 +252,20 @@ class TestWasserstein:
     def test_law_pair_matches_brute_force(self, law_pairs, name):
         f, g, kinks = law_pairs[name]
         d = wasserstein1(f, g)
-        assert d == pytest.approx(brute_force_w1(f, g, kinks), abs=1e-12)
+        # CDFs piecewise quadratic on both sides: integrated exactly
+        tol = 1e-15 if f.quadratic_cdf and g.quadratic_cdf else 1e-12
+        assert d == pytest.approx(brute_force_w1(f, g, kinks), abs=tol)
         assert d == pytest.approx(wasserstein1(g, f), abs=1e-15)
+
+    def test_law_pair_with_two_crossings_in_one_knot_interval(self):
+        # F - G changes sign at +-0.99985, inside the first and last knot
+        # intervals; the value is the exact integral of |F - G| over each knot
+        # interval, where F - G is a quadratic
+        z = np.linspace(-1.0, 1.0, 201)
+        grid = GridLaw(DensityGrid(z, (1.0 - np.abs(z)) ** 2))
+        d = wasserstein1(grid, TriangularLaw())
+        assert d == pytest.approx(0.08329583520937, abs=1e-14)
+        assert d == pytest.approx(wasserstein1(TriangularLaw(), grid), abs=1e-15)
 
     def test_law_pair_with_cdfs_equal_at_a_probe(self):
         # regression case for exact-zero probes: both CDFs are exactly 0.5 at

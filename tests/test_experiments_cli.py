@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -13,9 +15,11 @@ from exitgrid.experiments import (
     LIMIT_LADDER,
     ExperimentConfig,
     _convergence_ladder,
+    _fmt,
     read_csv,
     run_fig2,
     svg_from_csv,
+    write_csv,
 )
 
 
@@ -151,6 +155,24 @@ class TestCsvContract:
         assert cols == ["t", "survival", "density"]
         # 17 significant digits reproduce doubles exactly
         assert data[5, 1] == float(format(data[5, 1], ".17g"))
+
+    def test_writer_matches_csv_module(self, tmp_path):
+        # the rows the csv module wrote, one value at a time through _fmt
+        rows = [
+            (0.1, 3, np.float64(-0.0), np.int64(-7)),
+            (-0.0, 1e-300, float("nan"), np.float64(1.0 / 3.0)),
+            (np.int64(2**62), float("inf"), 0, np.float64(float("nan"))),
+            (np.float64(5e-324), -1.5, np.int64(0), 123456789012345678),
+        ]
+        columns = ("a", "b", "c", "d")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        path = write_csv(tmp_path / "rows.csv", ExperimentConfig(), columns, rows)
+        body = [ln for ln in path.read_text().splitlines(keepends=True) if ln[0] != "#"]
+        assert "".join(body) == buf.getvalue()
 
 
 class TestSvg:

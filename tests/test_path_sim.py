@@ -14,7 +14,7 @@ from exitgrid import (
     generate_path,
     simulate_batch,
 )
-from exitgrid.path_sim import _CHUNK, _GROUP, _run_chunk
+from exitgrid.path_sim import _CHUNK, _GROUP, _groups, _run_chunk
 
 CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
 
@@ -222,9 +222,11 @@ class TestBatch:
                 assert v.min() >= -1.0 and v.max() <= 1.0
 
     def test_worker_invariance(self):
-        # 300 paths > _GROUP: the worker bound at path 150 falls inside a group
-        cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=300, seed=12, etas=(0.5, 1.5))
-        assert cfg.n_paths > 2 * _GROUP and (cfg.n_paths // 2) % _GROUP != 0
+        # one worker splits 301 paths into groups 0-99, 100-199 and 200-300; two
+        # workers split at path 150, inside a group, and group 150 and 151 paths
+        cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=301, seed=12, etas=(0.5, 1.5))
+        assert _groups(cfg.n_paths).tolist() == [0, 100, 200, 301]
+        assert _groups(150).tolist() == [0, 150] and _groups(151).tolist() == [0, 75, 151]
         a = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         b = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=2)
         for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
@@ -236,17 +238,22 @@ class TestBatch:
         n_steps=st.one_of(
             st.integers(1, 600), st.just(_CHUNK), st.integers(_CHUNK + 1, _CHUNK + 600)
         ),
-        n_paths=st.integers(1, _GROUP + 6),
+        n_paths=st.integers(1, 2 * _GROUP + 10),
         start=st.integers(0, 5),
         sigma=st.sampled_from([0.0, 1.0, 1.7]),
         log_etas=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=3, unique=True),
         snap=st.booleans(),
         extra_times=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
-    @example(n_steps=_CHUNK + 37, n_paths=_GROUP + 6, start=3, sigma=1.7,
+    @example(n_steps=_CHUNK + 37, n_paths=70, start=3, sigma=1.7,
              log_etas=[-3.0, -1.3, 1.0], snap=False, extra_times=[0.3, 0.01])
-    @example(n_steps=_CHUNK, n_paths=_GROUP + 1, start=1, sigma=1.0,
+    @example(n_steps=_CHUNK, n_paths=65, start=1, sigma=1.0,
              log_etas=[-2.0, -0.5], snap=True, extra_times=[0.999])
+    # eta 0.02 and 2 in one batch: scan windows of 32 and 512 points
+    @example(n_steps=2 * _CHUNK + 1, n_paths=_GROUP + 1, start=2, sigma=1.0,
+             log_etas=[math.log10(0.02), math.log10(2.0)], snap=False, extra_times=[0.5])
+    @example(n_steps=_CHUNK + 300, n_paths=2 * _GROUP + 1, start=0, sigma=1.0,
+             log_etas=[math.log10(2.0), math.log10(0.02)], snap=True, extra_times=[0.25])
     def test_matches_reference_engine(self, n_steps, n_paths, start, sigma, log_etas, snap,
                                       extra_times):
         etas = tuple(dict.fromkeys(10.0**u for u in log_etas))

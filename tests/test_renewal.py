@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestSolver:
             solve_renewal_density(FirstPassageLaw(ModelParams(1.0, 2.0)), h=0.005)
         with pytest.raises(InvalidDomainError):
             solve_renewal_density(unit_law, h=0.005, horizon=0.5)
+
+    def test_node_ceiling_fails_before_allocating(self, unit_law):
+        # 5e10 and 1e325 (inf) nodes; the largest grid that passes holds 1e7
+        tracemalloc.start()
+        try:
+            for h in (1e-9, 5e-324):
+                with pytest.raises(InvalidDomainError):
+                    solve_renewal_density(unit_law, h=h, horizon=50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_term_cap_fails_fast(self, unit_law):
         # u = 1e6 needs about 8 000 image terms, past max_terms = 1000; the
