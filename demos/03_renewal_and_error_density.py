@@ -31,8 +31,8 @@ from exitgrid import (
 )
 
 law1 = FirstPassageLaw(ModelParams(sigma=1.0, eta=1.0))
-# m tabulated from its closed form; the grid also fixes sigma and the largest
-# rescaled time that the error-density calls below accept
+# m tabulated from its closed form; the error-density calls below take the
+# grid for its sigma only and serve any rescaled time
 rg = solve_renewal_density(law1, h=0.005, horizon=52.5)
 
 print("== renewal density ==")

@@ -16,14 +16,7 @@ simulation.
 
 __version__ = "0.1.0"
 
-from .density import (
-    ATOM,
-    absorbed_density,
-    absorbed_density_images,
-    absorbed_density_spectral,
-    integrate_density_over_time,
-    small_time_density_integral,
-)
+from .density import ATOM, absorbed_density
 from .distributions import (
     DensityGrid,
     EmpiricalSample,
@@ -42,7 +35,6 @@ from .errors import (
     ConfigError,
     DegenerateSampleError,
     ExitgridError,
-    HorizonTooShortError,
     InvalidDomainError,
     NoConvergenceError,
     ToleranceNotMetError,
@@ -54,7 +46,6 @@ from .path_sim import (
     DiscretizationTrace,
     PathConfig,
     SimulationBatch,
-    collect_errors,
     discretize,
     generate_path,
     simulate_batch,
@@ -62,11 +53,9 @@ from .path_sim import (
 from .renewal import (
     ErrorDensity,
     RenewalGrid,
-    TriangularLimitReport,
     convolution_term,
     solve_renewal_density,
     tracking_error_density,
-    triangular_limit_check,
 )
 
 __all__ = [
@@ -81,7 +70,6 @@ __all__ = [
     "ExitgridError",
     "FirstPassageLaw",
     "GridLaw",
-    "HorizonTooShortError",
     "InvalidDomainError",
     "KdeResult",
     "ModelParams",
@@ -93,24 +81,17 @@ __all__ = [
     "SimulationBatch",
     "ToleranceNotMetError",
     "TriangularLaw",
-    "TriangularLimitReport",
     "UnboundedIntegralError",
     "absorbed_density",
-    "absorbed_density_images",
-    "absorbed_density_spectral",
-    "collect_errors",
     "convolution_term",
     "discretize",
     "generate_path",
-    "integrate_density_over_time",
     "kde",
     "scaled_normal_pdf",
     "simulate_batch",
-    "small_time_density_integral",
     "solve_renewal_density",
     "tracking_error_density",
     "triangular_cdf",
-    "triangular_limit_check",
     "triangular_pdf",
     "triangular_quantile",
     "wasserstein1",

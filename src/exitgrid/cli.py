@@ -10,8 +10,9 @@ Subcommands: density, tau, limit, simulate, fig1, fig2, fig3.
 Options may also come from a plain-text configuration file of ``key = value``
 lines (``#`` comments allowed); command-line flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
-tolerance not met, a renewal grid too short for the requested time, or a
-series past its term cap).
+tolerance not met, or a series past its term cap).  Every default is a
+field default of :class:`ExperimentConfig`; ``--paper-scale`` raises the
+path and step defaults to the full protocol.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    HorizonTooShortError,
-    InvalidDomainError,
-    NoConvergenceError,
-    ToleranceNotMetError,
-)
+from .errors import ConfigError, InvalidDomainError, NoConvergenceError, ToleranceNotMetError
 from .experiments import (
     ExperimentConfig,
     run_density_table,
@@ -50,8 +45,6 @@ _RUNNERS = {
 
 _PAPER_PATHS = 50000
 _PAPER_STEPS = 200000  # 200001 grid points
-_DESK_PATHS = 20000
-_DESK_STEPS = 100000  # 100001 grid points
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -61,22 +54,37 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad list value: {text!r}") from exc
 
 
-_FILE_KEYS = {
-    "seed": int,
-    "paths": int,
-    "steps": int,
-    "workers": int,
-    "sigma": float,
-    "eta": float,
-    "etas": _parse_float_list,
-    "t": float,
-    "t-end": float,
-    "t-eval": _parse_float_list,
-    "sample-cap": int,
-    "out": str,
-    "svg": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "paper-scale": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
+def _parse_bool(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# option -> (ExperimentConfig field, parser of its text value, help); the
+# command line and the config file both go through the parser, and the
+# defaults are the dataclass's own
+_OPTIONS = {
+    "seed": ("seed", int, "reproducibility seed"),
+    "paths": ("paths", int, "number of trajectories"),
+    "steps": ("steps", int, "grid intervals"),
+    "workers": ("workers", int, "parallel workers"),
+    "sigma": ("sigma", float, "diffusion coefficient"),
+    "eta": ("eta", float, "single threshold"),
+    "etas": ("etas", _parse_float_list, "comma list of thresholds (figures)"),
+    "t": ("t", float, "observation time"),
+    "t-end": ("t_end", float, "simulation horizon"),
+    "t-eval": ("t_eval", _parse_float_list, "comma list of evaluation times"),
+    "sample-cap": ("sample_cap", int, "max emitted sample rows, >= 1"),
+    "out": ("out_dir", str, "output directory"),
+    "svg": ("emit_svg", _parse_bool, "also emit SVG plots"),
 }
+_DEFAULTS = ExperimentConfig()
+
+
+def _parse(option: str, text: str):
+    """The typed value of ``--option text``; ConfigError when it does not parse."""
+    try:
+        return _OPTIONS[option][1](text)
+    except ValueError as exc:  # ConfigError included
+        raise ConfigError(f"bad value for {option}: {text!r}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -93,12 +101,15 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
-        if key not in _FILE_KEYS:
+        if key == "paper-scale":
+            values[key] = _parse_bool(val)
+            continue
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         try:
-            values[key] = _FILE_KEYS[key](val)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}:{ln}: bad value for {key}: {val!r}") from exc
+            values[_OPTIONS[key][0]] = _parse(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from exc
     return values
 
 
@@ -108,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="First-exit discretization of the Wiener process: "
         "tables, simulations and verification figures.",
         epilog="exit codes: 0 success, 2 configuration error, 3 numerical failure "
-        "(a tolerance not met, a renewal grid too short for the requested time, "
-        "or a series past its term cap)",
+        "(a tolerance not met, or a series past its term cap)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="subcommand")
     for name, helptext in (
@@ -123,19 +133,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", metavar="FILE", help="key = value configuration file")
-        sp.add_argument("--seed", type=int, help="reproducibility seed (default 987654321)")
-        sp.add_argument("--paths", type=int, help=f"number of trajectories (default {_DESK_PATHS})")
-        sp.add_argument("--steps", type=int, help=f"grid intervals (default {_DESK_STEPS})")
-        sp.add_argument("--workers", type=int, help="parallel workers (default 1)")
-        sp.add_argument("--sigma", type=float, help="diffusion coefficient (default 1.0)")
-        sp.add_argument("--eta", type=float, help="single threshold (default 0.5)")
-        sp.add_argument("--etas", type=str, help="comma list of thresholds (figures)")
-        sp.add_argument("--t", type=float, help="observation time (default 0.5)")
-        sp.add_argument("--t-end", dest="t_end", type=float, help="simulation horizon (default 0.5)")
-        sp.add_argument("--t-eval", dest="t_eval", type=str, help="comma list of evaluation times")
-        sp.add_argument("--sample-cap", dest="sample_cap", type=int, help="max emitted sample rows, >= 1 (default 50000)")
-        sp.add_argument("--out", type=str, help="output directory (default .)")
-        sp.add_argument("--svg", action="store_true", default=None, help="also emit SVG plots")
+        for option, (field, parse, text) in _OPTIONS.items():
+            if parse is _parse_bool:
+                sp.add_argument(f"--{option}", dest=field, action="store_true", default=None,
+                                help=text)
+                continue
+            default = getattr(_DEFAULTS, field)
+            if not isinstance(default, tuple):
+                text = f"{text} (default {default})"
+            sp.add_argument(f"--{option}", dest=field, help=text)
         sp.add_argument(
             "--paper-scale",
             dest="paper_scale",
@@ -147,45 +153,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(cli_val, file_key, default):
-        if cli_val is not None:
-            return cli_val
-        if file_key in file_vals:
-            return file_vals[file_key]
-        return default
-
-    paper = bool(pick(args.paper_scale, "paper-scale", False))
-    default_paths = _PAPER_PATHS if paper else _DESK_PATHS
-    default_steps = _PAPER_STEPS if paper else _DESK_STEPS
-
-    etas = pick(args.etas, "etas", ())
-    if isinstance(etas, str):
-        etas = _parse_float_list(etas)
-    t_eval = pick(args.t_eval, "t-eval", ())
-    if isinstance(t_eval, str):
-        t_eval = _parse_float_list(t_eval)
-
-    try:
-        return ExperimentConfig(
-            experiment=args.experiment,
-            sigma=float(pick(args.sigma, "sigma", 1.0)),
-            eta=float(pick(args.eta, "eta", 0.5)),
-            etas=tuple(etas),
-            t=float(pick(args.t, "t", 0.5)),
-            t_eval=tuple(t_eval),
-            t_end=float(pick(args.t_end, "t-end", 0.5)),
-            paths=int(pick(args.paths, "paths", default_paths)),
-            steps=int(pick(args.steps, "steps", default_steps)),
-            seed=int(pick(args.seed, "seed", 987654321)),
-            sample_cap=int(pick(args.sample_cap, "sample-cap", 50000)),
-            out_dir=str(pick(args.out, "out", ".")),
-            emit_svg=bool(pick(args.svg, "svg", False)),
-            workers=int(pick(args.workers, "workers", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Command-line values over config-file values over the dataclass defaults."""
+    values = _read_config_file(args.config) if args.config else {}
+    paper = values.pop("paper-scale", False) or bool(args.paper_scale)
+    for option, (field, parse, _) in _OPTIONS.items():
+        given = getattr(args, field)
+        if given is not None:
+            values[field] = given if parse is _parse_bool else _parse(option, given)
+    if paper:
+        values.setdefault("paths", _PAPER_PATHS)
+        values.setdefault("steps", _PAPER_STEPS)
+    return ExperimentConfig(experiment=args.experiment, **values)
 
 
 def main(argv=None) -> int:
@@ -200,11 +178,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ToleranceNotMetError,
-        NoConvergenceError,
-        HorizonTooShortError,
-    ) as exc:
+    except (ToleranceNotMetError, NoConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for f in files:

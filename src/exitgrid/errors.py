@@ -17,10 +17,6 @@ class ToleranceNotMetError(ExitgridError):
     """A quadrature or root-finding routine could not reach the requested tolerance."""
 
 
-class HorizonTooShortError(ExitgridError):
-    """A renewal grid does not extend far enough for the requested evaluation time."""
-
-
 class DegenerateSampleError(ExitgridError, ValueError):
     """A sample has zero spread and cannot be smoothed."""
 

@@ -71,7 +71,10 @@ _MC_CROSSCHECK_TOL = 0.01  # analytic-vs-empirical Wasserstein gate in `limit`
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: model, protocol and output options."""
+    """One experiment run: model, protocol and output options.
+
+    The field defaults are the command line's defaults as well.
+    """
 
     experiment: str = "fig1"
     sigma: float = 1.0

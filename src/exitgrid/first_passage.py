@@ -2,9 +2,13 @@
 
 Survival function, density, mean, quantiles and exact-in-distribution
 sampling for the time the process first leaves the band ``(-eta, eta)``.
-As with the absorbed density, every quantity has a Gaussian-image form
-(fast for small ``sigma^2 t / eta^2``) and a spectral form (fast for large),
-switched at ``cfg.switch_ratio``.
+By Brownian scaling the survival at ``t`` is the unit-band
+(``sigma = eta = 1``) survival at ``v = sigma^2 t / eta^2``, and the density
+is the unit-band density times ``dv/dt = sigma^2 / eta^2``.  Each unit-band
+quantity has a Gaussian-image form (fast for small ``v``) and a spectral
+form (fast for large ``v``); :meth:`SeriesConfig.evaluate` picks one per
+point.  The kernels see ``v`` only, so every ``ModelParams`` evaluates
+without overflow.
 """
 
 from __future__ import annotations
@@ -20,6 +24,105 @@ from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
 
 __all__ = ["FirstPassageLaw"]
 
+_MU = math.pi**2 / 8.0  # decay rate of the slowest spectral mode of the unit band
+
+
+def _survival_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    out = np.ones(v.shape)
+    pos = v > 0.0
+    if not np.any(pos):
+        return out
+    s = np.sqrt(v[pos])
+    smax = float(np.max(s))
+
+    def band(center: float) -> np.ndarray:
+        # integral of the Gaussian image at `center` over [-1, 1]
+        return ndtr((1.0 - center) / s) - ndtr((-1.0 - center) / s)
+
+    acc = band(0.0) - band(2.0)
+    k = 1
+    while True:
+        bound = 4.0 * ndtr(-(4.0 * k - 3.0) / smax)
+        if bound < cfg.term_tol:
+            break
+        if k > cfg.max_terms:
+            raise NoConvergenceError("survival image series hit its term cap")
+        acc += band(4.0 * k) - band(2.0 - 4.0 * k)
+        acc += band(-4.0 * k) - band(2.0 + 4.0 * k)
+        k += 1
+    out[pos] = acc
+    return out
+
+
+def _survival_spectral(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    vmin = float(np.min(v))
+    acc = np.zeros(v.shape)
+    j = 0
+    while True:
+        k = 2 * j + 1
+        bound = (4.0 / (math.pi * k)) * math.exp(-_MU * k * k * vmin)
+        if bound < cfg.term_tol:
+            break
+        if j > cfg.max_terms:
+            raise NoConvergenceError("survival spectral series hit its term cap")
+        acc += ((-1.0) ** j / k) * np.exp(-_MU * k * k * v)
+        j += 1
+    return (4.0 / math.pi) * acc
+
+
+def _density_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    out = np.zeros(v.shape)
+    # below this every exponential underflows to an exact zero while the
+    # v^(-3/2) prefactor may overflow; the product is identically 0
+    live = v >= 1.0 / 1500.0
+    if not np.any(live):
+        return out
+    var = v[live]
+    pref = 1.0 / (2.0 * var * np.sqrt(2.0 * math.pi * var))
+    prefmax = float(np.max(pref))
+    varmax = float(np.max(var))
+
+    def kterm(k: int) -> np.ndarray:
+        a = 1.0 - 4.0 * k
+        b = 1.0 + 4.0 * k
+        c = 3.0 - 4.0 * k
+        return (
+            2.0 * a * np.exp(-(a * a) / (2.0 * var))
+            + b * np.exp(-(b * b) / (2.0 * var))
+            - c * np.exp(-(c * c) / (2.0 * var))
+        )
+
+    acc = kterm(0)
+    k = 1
+    while True:
+        d = 4.0 * k - 3.0
+        bound = 16.0 * (k + 1.0) * prefmax * math.exp(-(d * d) / (2.0 * varmax))
+        if bound < cfg.term_tol:
+            break
+        if 2 * k > cfg.max_terms:
+            raise NoConvergenceError("exit-density image series hit its term cap")
+        acc += kterm(k) + kterm(-k)
+        k += 1
+    out[live] = pref * acc
+    return out
+
+
+def _density_spectral(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    lead = math.pi / 2.0
+    vmin = float(np.min(v))
+    acc = np.zeros(v.shape)
+    j = 0
+    while True:
+        k = 2 * j + 1
+        bound = lead * k * math.exp(-_MU * k * k * vmin)
+        if bound < cfg.term_tol:
+            break
+        if j > cfg.max_terms:
+            raise NoConvergenceError("exit-density spectral series hit its term cap")
+        acc += ((-1.0) ** j * k) * np.exp(-_MU * k * k * v)
+        j += 1
+    return lead * acc
+
 
 @dataclass(frozen=True)
 class FirstPassageLaw:
@@ -28,71 +131,16 @@ class FirstPassageLaw:
     params: ModelParams
     cfg: SeriesConfig = DEFAULT_SERIES
 
-    # -- survival ---------------------------------------------------------
-
     def survival(self, t) -> float | np.ndarray:
         """P(tau > t), clamped to [0, 1].  Accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         if np.any(t < 0.0):
             raise InvalidDomainError("survival needs t >= 0")
-        tt = np.atleast_1d(t)
-        out = np.empty(tt.shape)
-
-        ratio = self.params.sigma**2 / self.params.eta**2
-        small = tt * ratio < self.cfg.switch_ratio
-        if np.any(small):
-            out[small] = self._survival_images(tt[small])
-        if np.any(~small):
-            out[~small] = self._survival_spectral(tt[~small])
+        v = self.params.unit_time(np.atleast_1d(t))
+        out = self.cfg.evaluate(_survival_images, _survival_spectral, v)
         np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out.reshape(t.shape)
-
-    def _survival_images(self, t: np.ndarray) -> np.ndarray:
-        eta, sigma = self.params.eta, self.params.sigma
-        out = np.ones(t.shape)
-        pos = t > 0.0
-        if not np.any(pos):
-            return out
-        s = sigma * np.sqrt(t[pos])
-        smax = float(np.max(s))
-
-        def band(center: float) -> np.ndarray:
-            # integral of the Gaussian image at `center` over [-eta, eta]
-            return ndtr((eta - center) / s) - ndtr((-eta - center) / s)
-
-        acc = band(0.0) - band(2.0 * eta)
-        k = 1
-        while True:
-            bound = 4.0 * ndtr(-(4.0 * k - 3.0) * eta / smax)
-            if bound < self.cfg.term_tol:
-                break
-            if k > self.cfg.max_terms:
-                raise NoConvergenceError("survival image series hit its term cap")
-            acc += band(4.0 * k * eta) - band(2.0 * eta - 4.0 * k * eta)
-            acc += band(-4.0 * k * eta) - band(2.0 * eta + 4.0 * k * eta)
-            k += 1
-        out[pos] = acc
-        return out
-
-    def _survival_spectral(self, t: np.ndarray) -> np.ndarray:
-        eta, sigma = self.params.eta, self.params.sigma
-        mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
-        tmin = float(np.min(t))
-        acc = np.zeros(t.shape)
-        j = 0
-        while True:
-            k = 2 * j + 1
-            bound = (4.0 / (math.pi * k)) * math.exp(-mu * k * k * tmin)
-            if bound < self.cfg.term_tol:
-                break
-            if j > self.cfg.max_terms:
-                raise NoConvergenceError("survival spectral series hit its term cap")
-            acc += ((-1.0) ** j / k) * np.exp(-mu * k * k * t)
-            j += 1
-        return (4.0 / math.pi) * acc
-
-    # -- density ----------------------------------------------------------
 
     def density(self, t) -> float | np.ndarray:
         """Density of tau at t > 0, clamped to >= 0."""
@@ -100,73 +148,11 @@ class FirstPassageLaw:
         scalar = t.ndim == 0
         if np.any(t <= 0.0):
             raise InvalidDomainError("density needs t > 0")
-        tt = np.atleast_1d(t)
-        out = np.empty(tt.shape)
-
-        ratio = self.params.sigma**2 / self.params.eta**2
-        small = tt * ratio < self.cfg.switch_ratio
-        if np.any(small):
-            out[small] = self._density_images(tt[small])
-        if np.any(~small):
-            out[~small] = self._density_spectral(tt[~small])
-        np.maximum(out, 0.0, out=out)
+        v = self.params.unit_time(np.atleast_1d(t))
+        f1 = self.cfg.evaluate(_density_images, _density_spectral, v)
+        np.maximum(f1, 0.0, out=f1)
+        out = self.params.unit_time(f1)  # f(t) = f1(v) dv/dt, and v is linear in t
         return float(out[0]) if scalar else out.reshape(t.shape)
-
-    def _density_images(self, t: np.ndarray) -> np.ndarray:
-        eta, sigma = self.params.eta, self.params.sigma
-        var = sigma * sigma * t
-        # below this every exponential underflows to an exact zero while the
-        # t^(-3/2) prefactor may overflow; the product is identically 0
-        live = var >= eta * eta / 1500.0
-        if not np.all(live):
-            out = np.zeros(t.shape)
-            if np.any(live):
-                out[live] = self._density_images(t[live])
-            return out
-        pref = 1.0 / (2.0 * t * np.sqrt(2.0 * math.pi * var))
-        prefmax = float(np.max(pref))
-        varmax = float(np.max(var))
-
-        def kterm(k: int) -> np.ndarray:
-            a = (1.0 - 4.0 * k) * eta
-            b = (1.0 + 4.0 * k) * eta
-            c = (3.0 - 4.0 * k) * eta
-            return (
-                2.0 * a * np.exp(-(a * a) / (2.0 * var))
-                + b * np.exp(-(b * b) / (2.0 * var))
-                - c * np.exp(-(c * c) / (2.0 * var))
-            )
-
-        acc = kterm(0)
-        k = 1
-        while True:
-            d = (4.0 * k - 3.0) * eta
-            bound = 16.0 * (k + 1.0) * eta * prefmax * math.exp(-(d * d) / (2.0 * varmax))
-            if bound < self.cfg.term_tol:
-                break
-            if 2 * k > self.cfg.max_terms:
-                raise NoConvergenceError("exit-density image series hit its term cap")
-            acc += kterm(k) + kterm(-k)
-            k += 1
-        return pref * acc
-
-    def _density_spectral(self, t: np.ndarray) -> np.ndarray:
-        eta, sigma = self.params.eta, self.params.sigma
-        mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
-        lead = math.pi * sigma**2 / (2.0 * eta**2)
-        tmin = float(np.min(t))
-        acc = np.zeros(t.shape)
-        j = 0
-        while True:
-            k = 2 * j + 1
-            bound = lead * k * math.exp(-mu * k * k * tmin)
-            if bound < self.cfg.term_tol:
-                break
-            if j > self.cfg.max_terms:
-                raise NoConvergenceError("exit-density spectral series hit its term cap")
-            acc += ((-1.0) ** j * k) * np.exp(-mu * k * k * t)
-            j += 1
-        return lead * acc
 
     # -- moments / inverse ---------------------------------------------------
 

@@ -1,9 +1,11 @@
-"""Process parameters and series-evaluation settings."""
+"""Process parameters, series-evaluation settings and the image/spectral dispatcher."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidDomainError
 
@@ -40,17 +42,34 @@ class ModelParams:
         """Mean time between detections, eta^2 / sigma^2."""
         return self.eta**2 / self.sigma**2
 
+    def unit_time(self, t):
+        """``t * sigma^2 / eta^2``: the unit-band time ``v`` of a time ``t``.
+
+        By Brownian scaling every law of the band ``(-eta, eta)`` at time
+        ``t`` is the unit-band (``sigma = eta = 1``) law at ``v``, so a time
+        density converts with the same factor, ``dv/dt``.  The product is
+        formed as ``(t * s) * s`` with ``s = sigma / eta``, which is finite
+        whenever ``eta**2 / sigma**2`` is, so it overflows only when the
+        result itself leaves the double range.
+        """
+        s = self.sigma / self.eta
+        return t * s * s
+
 
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation control for the two series representations.
 
-    term_tol     : absolute bound below which the next term is dropped.
+    term_tol     : absolute bound below which the next term is dropped.  It
+                   bounds the unit-band kernel (``sigma = eta = 1`` at time
+                   ``v = sigma^2 t / eta^2``), so the physical truncation error
+                   is ``term_tol / eta`` for the absorbed density, ``term_tol``
+                   for the exit-time survival and ``term_tol * sigma^2 / eta^2``
+                   for the exit-time density.
     max_terms    : hard cap on summed terms before NoConvergenceError.
-    switch_ratio : threshold on the dimensionless time sigma^2*t/eta^2;
-                   below it the Gaussian-image form is used, above it the
-                   sine/exponential (spectral) form.  Each converges fastest
-                   on its own side, as with theta functions.
+    switch_ratio : threshold on ``v``; below it the Gaussian-image form is
+                   used, above it the sine/exponential (spectral) form.  Each
+                   converges fastest on its own side, as with theta functions.
     """
 
     term_tol: float = 1e-14
@@ -64,6 +83,20 @@ class SeriesConfig:
             raise InvalidDomainError(f"max_terms must be >= 1, got {self.max_terms}")
         if not (self.switch_ratio > 0.0):
             raise InvalidDomainError(f"switch_ratio must be > 0, got {self.switch_ratio}")
+
+    def evaluate(self, images, spectral, v: np.ndarray, *args: np.ndarray) -> np.ndarray:
+        """A unit-band series at the array of unit-band times ``v``.
+
+        ``images(v, *args, cfg)`` serves ``v < switch_ratio`` and
+        ``spectral(v, *args, cfg)`` the rest; each array in ``args`` is
+        split with ``v``.
+        """
+        out = np.empty(v.shape)
+        small = v < self.switch_ratio
+        for part, kernel in ((small, images), (~small, spectral)):
+            if np.any(part):
+                out[part] = kernel(v[part], *(a[part] for a in args), self)
+        return out
 
 
 DEFAULT_SERIES = SeriesConfig()

@@ -46,13 +46,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import EmpiricalSample
 from .errors import InvalidDomainError
-from .params import ModelParams
 
 __all__ = [
     "DiscretizationTrace",
     "PathConfig",
     "SimulationBatch",
-    "collect_errors",
     "discretize",
     "generate_path",
     "simulate_batch",
@@ -424,21 +422,3 @@ def simulate_batch(
         max_overshoot=over,
     )
 
-
-def collect_errors(
-    cfg: PathConfig,
-    params: ModelParams,
-    t_eval,
-    workers: int = 1,
-    snap: bool = False,
-) -> dict[float, EmpiricalSample]:
-    """Normalized tracking-error samples for ``params.eta`` at each time."""
-    run_cfg = PathConfig(
-        t_end=cfg.t_end,
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        etas=(params.eta,),
-    )
-    batch = simulate_batch(run_cfg, params.sigma, t_eval, workers=workers, snap=snap)
-    return {t: batch.sample(params.eta, t) for t in batch.t_eval}

@@ -20,18 +20,17 @@ from exitgrid import (
     ModelParams,
     ScaledNormalLaw,
     TriangularLaw,
-    absorbed_density_images,
-    absorbed_density_spectral,
     convolution_term,
-    integrate_density_over_time,
     solve_renewal_density,
     tracking_error_density,
     triangular_pdf,
     wasserstein1,
 )
 from exitgrid.cli import main
+from exitgrid.density import _images, _spectral
 
 from conftest import BUILD_TIMES, DESK_T_EVAL
+from test_density import integrate_density_over_time
 from test_renewal import brute_force_renewal_density, volterra_renewal_density
 
 P11 = ModelParams(1.0, 1.0)
@@ -42,6 +41,7 @@ def _report(num: int, text: str) -> None:
 
 
 def test_criterion_01_parseval_identity():
+    # oracle: quadrature of the density over all time against the closed form
     t0 = time.monotonic()
     xs = [0.0] + [s * v for v in (0.1, 0.3, 0.5, 0.7, 0.9) for s in (1.0, -1.0)]
     xs += [0.2, -0.2, 0.4, -0.4, 0.6, -0.6, 0.8, -0.8]
@@ -58,11 +58,12 @@ def test_criterion_01_parseval_identity():
 def test_criterion_02_representation_agreement():
     t0 = time.monotonic()
     ts = np.geomspace(1e-3, 1e2, 50)
-    xs = np.linspace(-1.0, 1.0, 41)
+    xi = np.abs(np.linspace(-1.0, 1.0, 41))  # unit band: v = t, xi = |x|
     worst = 0.0
     for t in ts:
-        a = absorbed_density_spectral(P11, DEFAULT_SERIES, t, xs)
-        b = absorbed_density_images(P11, DEFAULT_SERIES, t, xs)
+        v = np.full(xi.shape, t)
+        a = _spectral(v, xi, DEFAULT_SERIES)
+        b = _images(v, xi, DEFAULT_SERIES)
         worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.monotonic() - t0
     assert worst < 1e-10

@@ -1,0 +1,48 @@
+"""The benchmark in ``perfbench/`` resolves exitgrid functions by name.
+
+A renamed or re-signatured function would show up there only as failed
+benchmark operations, so this runs the benchmark's own tracer and its
+``analytic`` workload against the package.  Nothing under ``perfbench/`` is
+written: its modules are imported without bytecode caching.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import exitgrid
+import exitgrid.cli  # noqa: F401  (the tracer wraps cli.main)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("oracle", "spans", "workloads")
+    for name in names:  # fresh imports, dropped again when the test ends
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return {name: importlib.import_module(name) for name in names}
+
+
+def test_analytic_workload_runs_traced(perfbench, tmp_path):
+    spans, workloads, oracle = perfbench["spans"], perfbench["workloads"], perfbench["oracle"]
+    tracer = spans.Tracer()
+    tracer.install()  # raises if a TARGETS name no longer resolves
+    try:
+        ops = workloads.Ops()
+        state = workloads.analytic_body(exitgrid, 11, tmp_path, ops)
+    finally:
+        tracer.uninstall()
+    # the tracer times the atom where renewal calls it, and put it back
+    assert exitgrid.renewal.absorbed_density is exitgrid.density.absorbed_density
+    result = workloads.analytic_check(exitgrid, state, tmp_path, ops)
+
+    assert ops.failures == []
+    assert ops.attempted > 0
+    assert result["analytic_max_err"] <= oracle.ORACLE_TOL
+    names = {s["name"] for s in tracer.spans}
+    assert {"cli.main", "renewal.solve", "renewal.convolution", "density.absorbed"} <= names

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import exitgrid
-from exitgrid import FirstPassageLaw, ModelParams, solve_renewal_density
+from exitgrid import FirstPassageLaw, ModelParams, cli, solve_renewal_density
 from exitgrid.cli import main
 from exitgrid.experiments import (
     LIMIT_LADDER,
@@ -45,6 +47,48 @@ def test_import_leaves_scipy_integrate_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_src_never_mentions_scipy_integrate():
+    # quadrature lives in the tests, as an oracle; the package uses closed forms
+    src = Path(exitgrid.__file__).resolve().parent
+    files = sorted(src.rglob("*.py"))
+    assert files
+    assert [f.name for f in files if "scipy.integrate" in f.read_text()] == []
+
+
+def _help_entries(text: str) -> dict[str, str]:
+    """``option -> help text`` for the value-taking options in a subcommand's ``--help``."""
+    body = " ".join(text.split("options:", 1)[1].split())
+    return dict(re.findall(r"--([a-z-]+) [A-Z_]+ (.*?)(?= --|$)", body))
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("name", sorted(cli._RUNNERS))
+    def test_no_flags_give_the_dataclass_defaults(self, monkeypatch, capsys, name):
+        seen = []
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: seen.append(cfg) or [])
+        assert main([name]) == 0
+        assert main([name, "--paper-scale"]) == 0
+        assert seen[0] == ExperimentConfig(experiment=name)
+        assert seen[1] == ExperimentConfig(experiment=name, paths=50000, steps=200000)
+
+        assert main([name, "--help"]) == 0
+        entries = _help_entries(capsys.readouterr().out)
+        defaults = ExperimentConfig()
+        shown = set()
+        for option, (field, _, _) in cli._OPTIONS.items():
+            value = getattr(defaults, field)
+            if isinstance(value, (tuple, bool)):
+                continue  # lists default per subcommand; flags default off
+            help_text = entries[option]
+            assert help_text.endswith(f"(default {value})") and help_text.count("(default") == 1
+            shown.add(field)
+        # every scalar field except the subcommand itself has an option
+        assert shown == {
+            f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.name != "experiment" and not isinstance(f.default, (tuple, bool))
+        }
 
 
 class TestConfigHandling:
@@ -111,6 +155,34 @@ class TestConfigHandling:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--eta", "1e-160"],
+            ["tau", "--eta", "1e-150"],
+            ["density", "--sigma", "1e150", "--eta", "1e150"],
+        ],
+    )
+    def test_extreme_scales_run(self, tmp_path, capsys, argv):
+        # ModelParams accepts these; the unit-band kernels see only
+        # v = sigma^2 t / eta^2 and x / eta, so nothing overflows
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        for path in tmp_path.iterdir():
+            assert np.isfinite(read_csv(path)[2]).all(), path.name
+
+    def test_huge_equal_scales_give_the_unit_table(self, tmp_path):
+        # sigma = eta = 1e150 has the unit band's time scale, so eta * p must
+        # reproduce the sigma = eta = 1 table
+        for out, scale in (("a", "1e150"), ("b", "1")):
+            argv = ["density", "--sigma", scale, "--eta", scale, "--out", str(tmp_path / out)]
+            assert main(argv) == 0
+        _, _, huge = read_csv(tmp_path / "a" / "density_table.csv")
+        _, _, unit = read_csv(tmp_path / "b" / "density_table.csv")
+        np.testing.assert_array_equal(huge[:, 0], unit[:, 0])
+        np.testing.assert_allclose(1e150 * huge[:, 2], unit[:, 2], rtol=1e-12, atol=2e-14)
 
     def test_off_grid_time_exits_2(self, tmp_path):
         code = main(

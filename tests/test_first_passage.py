@@ -1,17 +1,153 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from exitgrid import (
+    DEFAULT_SERIES,
     FirstPassageLaw,
     InvalidDomainError,
     ModelParams,
+    NoConvergenceError,
     PathConfig,
+    SeriesConfig,
     ToleranceNotMetError,
     simulate_batch,
 )
+
+# ---------------------------------------------------------------------------
+# Reference: the physical-unit series of the exit-time law, which took sigma
+# and eta into every term, with their dispatch on sigma^2 t / eta^2.
+
+
+def _ref_survival_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+    eta, sigma = params.eta, params.sigma
+    out = np.ones(t.shape)
+    pos = t > 0.0
+    if not np.any(pos):
+        return out
+    s = sigma * np.sqrt(t[pos])
+    smax = float(np.max(s))
+
+    def band(center: float) -> np.ndarray:
+        # integral of the Gaussian image at `center` over [-eta, eta]
+        return ndtr((eta - center) / s) - ndtr((-eta - center) / s)
+
+    acc = band(0.0) - band(2.0 * eta)
+    k = 1
+    while True:
+        bound = 4.0 * ndtr(-(4.0 * k - 3.0) * eta / smax)
+        if bound < cfg.term_tol:
+            break
+        if k > cfg.max_terms:
+            raise NoConvergenceError("survival image series hit its term cap")
+        acc += band(4.0 * k * eta) - band(2.0 * eta - 4.0 * k * eta)
+        acc += band(-4.0 * k * eta) - band(2.0 * eta + 4.0 * k * eta)
+        k += 1
+    out[pos] = acc
+    return out
+
+
+def _ref_survival_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+    eta, sigma = params.eta, params.sigma
+    mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
+    tmin = float(np.min(t))
+    acc = np.zeros(t.shape)
+    j = 0
+    while True:
+        k = 2 * j + 1
+        bound = (4.0 / (math.pi * k)) * math.exp(-mu * k * k * tmin)
+        if bound < cfg.term_tol:
+            break
+        if j > cfg.max_terms:
+            raise NoConvergenceError("survival spectral series hit its term cap")
+        acc += ((-1.0) ** j / k) * np.exp(-mu * k * k * t)
+        j += 1
+    return (4.0 / math.pi) * acc
+
+
+def _ref_density_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+    eta, sigma = params.eta, params.sigma
+    var = sigma * sigma * t
+    # below this every exponential underflows to an exact zero while the
+    # t^(-3/2) prefactor may overflow; the product is identically 0
+    live = var >= eta * eta / 1500.0
+    if not np.all(live):
+        out = np.zeros(t.shape)
+        if np.any(live):
+            out[live] = _ref_density_images(params, cfg, t[live])
+        return out
+    pref = 1.0 / (2.0 * t * np.sqrt(2.0 * math.pi * var))
+    prefmax = float(np.max(pref))
+    varmax = float(np.max(var))
+
+    def kterm(k: int) -> np.ndarray:
+        a = (1.0 - 4.0 * k) * eta
+        b = (1.0 + 4.0 * k) * eta
+        c = (3.0 - 4.0 * k) * eta
+        return (
+            2.0 * a * np.exp(-(a * a) / (2.0 * var))
+            + b * np.exp(-(b * b) / (2.0 * var))
+            - c * np.exp(-(c * c) / (2.0 * var))
+        )
+
+    acc = kterm(0)
+    k = 1
+    while True:
+        d = (4.0 * k - 3.0) * eta
+        bound = 16.0 * (k + 1.0) * eta * prefmax * math.exp(-(d * d) / (2.0 * varmax))
+        if bound < cfg.term_tol:
+            break
+        if 2 * k > cfg.max_terms:
+            raise NoConvergenceError("exit-density image series hit its term cap")
+        acc += kterm(k) + kterm(-k)
+        k += 1
+    return pref * acc
+
+
+def _ref_density_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+    eta, sigma = params.eta, params.sigma
+    mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
+    lead = math.pi * sigma**2 / (2.0 * eta**2)
+    tmin = float(np.min(t))
+    acc = np.zeros(t.shape)
+    j = 0
+    while True:
+        k = 2 * j + 1
+        bound = lead * k * math.exp(-mu * k * k * tmin)
+        if bound < cfg.term_tol:
+            break
+        if j > cfg.max_terms:
+            raise NoConvergenceError("exit-density spectral series hit its term cap")
+        acc += ((-1.0) ** j * k) * np.exp(-mu * k * k * t)
+        j += 1
+    return lead * acc
+
+
+def _ref_dispatch(params, cfg, t, images, spectral) -> np.ndarray:
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty(tt.shape)
+    ratio = params.sigma**2 / params.eta**2
+    small = tt * ratio < cfg.switch_ratio
+    if np.any(small):
+        out[small] = images(params, cfg, tt[small])
+    if np.any(~small):
+        out[~small] = spectral(params, cfg, tt[~small])
+    return out
+
+
+def reference_survival(params: ModelParams, cfg: SeriesConfig, t) -> np.ndarray:
+    out = _ref_dispatch(params, cfg, t, _ref_survival_images, _ref_survival_spectral)
+    return np.clip(out, 0.0, 1.0)
+
+
+def reference_exit_density(params: ModelParams, cfg: SeriesConfig, t) -> np.ndarray:
+    out = _ref_dispatch(params, cfg, t, _ref_density_images, _ref_density_spectral)
+    return np.maximum(out, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +228,27 @@ class TestDensity:
     def test_rejects_nonpositive_time(self, law):
         with pytest.raises(InvalidDomainError):
             law.density(0.0)
+
+
+class TestUnitBand:
+    @pytest.mark.parametrize(
+        "sigma,eta", [(1.0, 1.0), (1.0, 0.5), (2.0, 1.5), (1.7, 2.0), (0.3, 0.02)]
+    )
+    def test_matches_physical_reference(self, sigma, eta):
+        # the parent's physical-unit series; bit for bit at sigma = eta = 1,
+        # else within 1e-13 of the natural scales 1 and sigma^2 / eta^2
+        params = ModelParams(sigma, eta)
+        law = FirstPassageLaw(params)
+        ts = np.geomspace(1e-4 * params.timescale, 50.0 * params.timescale, 2000)
+        surv = law.survival(np.concatenate(([0.0], ts)))
+        surv_ref = reference_survival(params, DEFAULT_SERIES, np.concatenate(([0.0], ts)))
+        dens = law.density(ts)
+        dens_ref = reference_exit_density(params, DEFAULT_SERIES, ts)
+        if sigma == eta == 1.0:
+            np.testing.assert_array_equal(surv, surv_ref)
+            np.testing.assert_array_equal(dens, dens_ref)
+        assert np.max(np.abs(surv - surv_ref)) < 1e-13
+        assert np.max(np.abs(dens - dens_ref)) * params.timescale < 1e-13
 
 
 class TestQuantileAndSampling:

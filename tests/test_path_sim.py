@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitgrid import (
+    EmpiricalSample,
     InvalidDomainError,
     ModelParams,
     PathConfig,
-    collect_errors,
     discretize,
     generate_path,
     simulate_batch,
@@ -296,6 +296,25 @@ class TestBatch:
         var = small_batch.variance(2.0, 0.125)
         expected = 0.125 / 4.0
         assert abs(var - expected) / expected < 0.05
+
+
+def collect_errors(
+    cfg: PathConfig,
+    params: ModelParams,
+    t_eval,
+    workers: int = 1,
+    snap: bool = False,
+) -> dict[float, EmpiricalSample]:
+    """Normalized tracking-error samples for ``params.eta`` at each time."""
+    run_cfg = PathConfig(
+        t_end=cfg.t_end,
+        n_steps=cfg.n_steps,
+        n_paths=cfg.n_paths,
+        seed=cfg.seed,
+        etas=(params.eta,),
+    )
+    batch = simulate_batch(run_cfg, params.sigma, t_eval, workers=workers, snap=snap)
+    return {t: batch.sample(params.eta, t) for t in batch.t_eval}
 
 
 class TestCollectErrors:

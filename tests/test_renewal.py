@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,18 +9,19 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from exitgrid import (
+    DEFAULT_SERIES,
     FirstPassageLaw,
-    HorizonTooShortError,
     InvalidDomainError,
     ModelParams,
     NoConvergenceError,
     ScaledNormalLaw,
+    SeriesConfig,
+    ToleranceNotMetError,
     TriangularLaw,
     absorbed_density,
     convolution_term,
     solve_renewal_density,
     tracking_error_density,
-    triangular_limit_check,
     triangular_pdf,
     wasserstein1,
 )
@@ -89,6 +91,72 @@ def quadrature_convolution(sigma: float, rg, T: float, z) -> np.ndarray:
         assert err < 5e-8
         out.append(val)
     return np.array(out)
+
+
+def brute_force_error_density(sigma: float, T: float, z) -> np.ndarray:
+    """Independent oracle: the image series of ``f_Z`` with no truncation test.
+
+    Every term whose centre lies within 40 standard deviations is summed.
+    """
+    v = sigma * sigma * T
+    a = np.abs(np.asarray(z, dtype=float))
+    n = np.arange(1, int(math.ceil(2.0 + 40.0 * math.sqrt(v))) + 1, dtype=float)[:, None]
+    near = np.exp(-((n - 1.0 + a) ** 2) / (2.0 * v))
+    far = np.exp(-((n + 1.0 - a) ** 2) / (2.0 * v))
+    return (n * (near - far)).sum(axis=0) / math.sqrt(2.0 * math.pi * v)
+
+
+@dataclass(frozen=True)
+class TriangularLimitReport:
+    """Distance of the analytic error density from its triangular limit."""
+
+    t_rescaled: float
+    d_wasserstein: float
+    max_abs_gap: float
+    atom_max: float
+    atom_bound: float  # valid bound 4 eta^2 / (3 sigma^2 t)
+    atom_bound_unit_time: float  # the fixed-time constant 4 eta^2 / (3 sigma^2)
+    asymptotic: bool  # True when t/eta^2 >= 1 (the regime the limit describes)
+    mass: float
+
+
+def triangular_limit_check(
+    params: ModelParams,
+    t: float,
+    rg=None,
+    cfg: SeriesConfig = DEFAULT_SERIES,
+    z_grid=None,
+) -> TriangularLimitReport:
+    """Compare the analytic error density at time ``t`` to ``(1 - |z|)^+``."""
+    if z_grid is None:
+        z_grid = np.linspace(-1.0, 1.0, 1001)
+    T = t / params.eta**2
+    if rg is None:
+        law1 = FirstPassageLaw(ModelParams(params.sigma, 1.0), cfg)
+        rg = solve_renewal_density(law1, horizon=max(20.0, 1.05 * T))
+    ed = tracking_error_density(params, rg, t, z_grid, cfg)
+
+    atom = np.asarray(absorbed_density(ModelParams(params.sigma, 1.0), cfg, T, z_grid))
+    atom_max = float(np.max(atom))
+    atom_bound = 4.0 * params.eta**2 / (3.0 * params.sigma**2 * t)
+    if atom_max > atom_bound * (1.0 + 1e-9):
+        raise ToleranceNotMetError(
+            f"atom term {atom_max:.3e} exceeds its series bound {atom_bound:.3e}"
+        )
+
+    tri = TriangularLaw()
+    gap = float(np.max(np.abs(ed.grid.f - tri.pdf(ed.grid.x))))
+    d_w = wasserstein1(ed.law(), tri)
+    return TriangularLimitReport(
+        t_rescaled=T,
+        d_wasserstein=d_w,
+        max_abs_gap=gap,
+        atom_max=atom_max,
+        atom_bound=atom_bound,
+        atom_bound_unit_time=4.0 * params.eta**2 / (3.0 * params.sigma**2),
+        asymptotic=T >= 1.0,
+        mass=ed.mass,
+    )
 
 
 class TestSolver:
@@ -177,9 +245,12 @@ class TestErrorDensity:
         assert wasserstein1(ed.law(), ScaledNormalLaw(1.0, 0.03, 1.0)) < 0.01
 
     def test_horizon_guard(self, unit_law):
+        # the closed form reads no grid node, so a short grid serves any T
         rg = solve_renewal_density(unit_law, h=0.005, horizon=5.0)
-        with pytest.raises(HorizonTooShortError):
-            tracking_error_density(ModelParams(1.0, 1.0), rg, 8.0)
+        z = np.linspace(-1.0, 1.0, 201)
+        for T in (8.0, 200.0):
+            ed = tracking_error_density(ModelParams(1.0, 1.0), rg, T, z)
+            assert np.max(np.abs(ed.grid.f - brute_force_error_density(1.0, T, z))) < 1e-13
 
     def test_rejects_grid_of_another_sigma(self, renewal_grid):
         params = ModelParams(1.7, 1.0)
