@@ -3,34 +3,34 @@
 
 The process X_t = sigma*W_t killed at -eta/+eta has a transition density with
 two classical series representations.  The image (Gaussian) form converges
-fast for small v = sigma^2 t/eta^2, the spectral (sine) form for large; the
-dispatcher picks whichever is cheaper at each point, at SeriesConfig's
-switch_ratio.  Integrated over all time the density is the closed form
-(eta - |x|)^+ / sigma^2, the triangular profile, which is exactly why the
-tracking-error limit in this package is triangular.
+fast for small v = sigma^2 t/eta^2, the spectral (sine) form for large;
+absorbed_density switches between them at v = SWITCH_V, and the two agree
+there to the truncation tolerance.  Integrated over all time the density is
+the closed form (eta - |x|)^+ / sigma^2, the triangular profile, which is
+exactly why the tracking-error limit in this package is triangular.
 """
 
 import numpy as np
 
-from exitgrid import ModelParams, SeriesConfig, absorbed_density
+from exitgrid import ModelParams, absorbed_density
+from exitgrid.params import SWITCH_V
 
 params = ModelParams(sigma=1.0, eta=1.0)
-# a switch far above or below every v forces one representation everywhere
-only_images = SeriesConfig(switch_ratio=1e9)
-only_spectral = SeriesConfig(switch_ratio=1e-9)
 
-print("== representation agreement ==")
-for t in (0.01, 0.2, 1.0, 10.0):
-    xs = np.linspace(-1.0, 1.0, 9)
-    ts = np.full(xs.shape, t)
-    a = absorbed_density(params, only_images, ts, xs)
-    b = absorbed_density(params, only_spectral, ts, xs)
-    print(f"t = {t:6.2f}: max |images - spectral| = {np.max(np.abs(a - b)):.2e}")
+print("== the image and spectral series meet at v = SWITCH_V ==")
+# below SWITCH_V the image series answers, from SWITCH_V on the spectral
+# series; the gap shrinks with the step, down to adjacent doubles
+xs = np.linspace(-1.0, 1.0, 9)
+for below_v in (SWITCH_V * (1.0 - 1e-4), SWITCH_V * (1.0 - 1e-8), np.nextafter(SWITCH_V, 0.0)):
+    below = absorbed_density(params, t=np.full(xs.shape, below_v), x=xs)
+    above = absorbed_density(params, t=np.full(xs.shape, SWITCH_V), x=xs)
+    print(f"v = {below_v:.17g} vs {SWITCH_V}: max |images - spectral| = "
+          f"{np.max(np.abs(below - above)):.2e}")
 
 print()
 print("== dispatcher values along the diagonal ==")
 for t in (0.001, 0.05, 0.5, 2.0, 20.0):
-    branch = "images" if t * params.sigma**2 / params.eta**2 < 0.5 else "spectral"
+    branch = "images" if params.unit_time(t) < SWITCH_V else "spectral"
     print(f"p({t:7.3f}, 0) = {absorbed_density(params, t=t, x=0.0):12.6g}   [{branch}]")
 
 print()

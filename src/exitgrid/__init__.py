@@ -25,7 +25,6 @@ from .distributions import (
     ScaledNormalLaw,
     TriangularLaw,
     kde,
-    scaled_normal_pdf,
     triangular_cdf,
     triangular_pdf,
     triangular_quantile,
@@ -41,7 +40,7 @@ from .errors import (
     UnboundedIntegralError,
 )
 from .first_passage import FirstPassageLaw
-from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
+from .params import ModelParams
 from .path_sim import (
     DiscretizationTrace,
     PathConfig,
@@ -61,7 +60,6 @@ from .renewal import (
 __all__ = [
     "ATOM",
     "ConfigError",
-    "DEFAULT_SERIES",
     "DegenerateSampleError",
     "DensityGrid",
     "DiscretizationTrace",
@@ -77,7 +75,6 @@ __all__ = [
     "PathConfig",
     "RenewalGrid",
     "ScaledNormalLaw",
-    "SeriesConfig",
     "SimulationBatch",
     "ToleranceNotMetError",
     "TriangularLaw",
@@ -87,7 +84,6 @@ __all__ = [
     "discretize",
     "generate_path",
     "kde",
-    "scaled_normal_pdf",
     "simulate_batch",
     "solve_renewal_density",
     "tracking_error_density",

@@ -10,11 +10,14 @@ unit band (``sigma = eta = 1``).  Two classical series represent ``p1``:
 * a Gaussian image series (method of images) that converges fast for small
   ``v``.
 
-Both are kernels of ``(v, xi)`` alone, truncated by explicit next-term
-bounds, and :meth:`SeriesConfig.evaluate` picks one per point.  ``sigma`` and
-``eta`` enter only through ``v``, ``xi`` and the final ``1 / eta``, so every
-``ModelParams`` evaluates without overflow.  Integrated over all time, ``p``
-is the triangular profile ``(eta - |x|)^+ / sigma^2``.
+Both are kernels of ``(v, xi)`` alone.  Each bounds its terms from any index
+on, :func:`~exitgrid.params.series_terms` turns that bound into the number
+of terms to sum (or raises ``NoConvergenceError`` past ``MAX_TERMS``, before
+summing), and :func:`~exitgrid.params.evaluate` picks one series per point
+at ``v = SWITCH_V``.  ``sigma`` and ``eta`` enter only through ``v``, ``xi``
+and the final ``1 / eta``, so every ``ModelParams`` evaluates without
+overflow.  Integrated over all time, ``p`` is the triangular profile
+``(eta - |x|)^+ / sigma^2``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidDomainError, NoConvergenceError
-from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
+from .errors import InvalidDomainError
+from .params import ModelParams, evaluate, series_terms
 
 __all__ = ["ATOM", "absorbed_density"]
 
@@ -54,41 +57,36 @@ def _check_space(x, eta: float) -> np.ndarray:
     return np.minimum(np.abs(x), eta)
 
 
-def _spectral(v: np.ndarray, xi: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _spectral(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Sine/exponential series for ``p1(v, xi)`` at ``v > 0``, ``0 <= xi <= 1``.
 
-    Truncated once the magnitude bound of the next term (its exponential
-    factor; the sine factors are at most 1) falls below ``cfg.term_tol``.
+    Term ``j`` is mode ``k = 2j + 1`` (even modes vanish); its magnitude is
+    bounded by its exponential factor, as the sine factors are at most 1.
     """
     lam = (math.pi / 2.0) ** 2 / 2.0  # rate: exp(-lam k^2 v)
     vmin = float(np.min(v))
 
+    def bound(j: int) -> float:
+        k = 2 * j + 1
+        return math.exp(-lam * k * k * vmin)
+
+    n = series_terms(bound, f"absorbed-density spectral series at v = {vmin:.4g}")
     total = np.zeros(v.shape)
     arg = math.pi * (xi + 1.0) / 2.0
-    used = 0
-    k = 1
-    sign = 1.0
-    while True:
-        bound = math.exp(-lam * k * k * vmin)
-        if bound < cfg.term_tol:
-            break
-        if used >= cfg.max_terms:
-            raise NoConvergenceError(
-                f"spectral series: {cfg.max_terms} terms, tail bound {bound:.3e}"
-            )
-        total += sign * np.exp(-lam * k * k * v) * np.sin(k * arg)
-        used += 1
-        sign = -sign
-        k += 2  # even terms vanish
+    for j in range(n):
+        k = 2 * j + 1
+        total += (-1.0) ** j * np.exp(-lam * k * k * v) * np.sin(k * arg)
     np.maximum(total, 0.0, out=total)
     total[xi == 1.0] = 0.0  # sine factor vanishes identically on the barrier
     return total
 
 
-def _images(v: np.ndarray, xi: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _images(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Gaussian image series for ``p1(v, xi)`` at ``v >= 0``, ``0 <= xi <= 1``.
 
-    At ``v = 0`` the value is 0; the caller keeps the atom at ``xi = 0`` out.
+    Term ``k`` holds the four images at distance about ``4k`` (two at
+    ``k = 0``).  At ``v = 0`` the value is 0; the caller keeps the atom at
+    ``xi = 0`` out.
     """
     out = np.zeros(v.shape)
     live = v > 0.0
@@ -100,39 +98,32 @@ def _images(v: np.ndarray, xi: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
     varmin = float(np.min(var))
     norm_max = 1.0 / math.sqrt(2.0 * math.pi * varmin)
 
+    def bound(k: int) -> float:
+        if k == 0:
+            return math.inf  # the k = 0 images are always summed
+        d = 4.0 * k - 2.0  # closest image distance for |xi| <= 1
+        return 4.0 * norm_max * math.exp(-(d * d) / (2.0 * varmax))
+
+    n = series_terms(bound, f"absorbed-density image series at v = {varmax:.4g}")
     # k = 0 images: centers 0 and 2
     acc = np.exp(-(xp**2) / (2.0 * var)) - np.exp(-((xp - 2.0) ** 2) / (2.0 * var))
-    used = 1
-    k = 1
-    while True:
-        d = 4.0 * k - 2.0  # closest image distance for |xi| <= 1
-        bound = 4.0 * norm_max * math.exp(-(d * d) / (2.0 * varmax))
-        if bound < cfg.term_tol:
-            break
-        if used + 2 > cfg.max_terms:
-            raise NoConvergenceError(
-                f"image series: {cfg.max_terms} terms, tail bound {bound:.3e}"
-            )
+    for k in range(1, n):
         c = 4.0 * k
         acc += np.exp(-((xp - c) ** 2) / (2.0 * var))
         acc += np.exp(-((xp + c) ** 2) / (2.0 * var))
         acc -= np.exp(-((xp - 2.0 + c) ** 2) / (2.0 * var))
         acc -= np.exp(-((xp - 2.0 - c) ** 2) / (2.0 * var))
-        used += 2
-        k += 1
     acc /= np.sqrt(2.0 * math.pi * var)
     np.maximum(acc, 0.0, out=acc)
     out[live] = acc
     return out
 
 
-def absorbed_density(
-    params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES, t=0.0, x=0.0
-) -> float | np.ndarray | _Atom:
+def absorbed_density(params: ModelParams, t=0.0, x=0.0) -> float | np.ndarray | _Atom:
     """Absorbed-process density ``p(t, x) = p1(v, xi) / eta``.
 
-    ``p1`` takes the image form where ``v < cfg.switch_ratio`` and the
-    spectral form elsewhere.  Returns ``ATOM`` for the scalar corner
+    ``p1`` takes the image form where ``v < SWITCH_V`` and the spectral form
+    elsewhere.  Returns ``ATOM`` for the scalar corner
     ``t = 0, x = 0``; that corner inside an array raises InvalidDomainError.
     """
     t = np.asarray(t, dtype=float)
@@ -147,6 +138,6 @@ def absorbed_density(
         raise InvalidDomainError(
             "t = 0 with x = 0 inside an array; the atom must be handled separately"
         )
-    p1 = cfg.evaluate(_images, _spectral, params.unit_time(t), xa / params.eta)
+    p1 = evaluate(_images, _spectral, params.unit_time(t), xa / params.eta)
     out = p1 / params.eta
     return float(out[0]) if scalar else out

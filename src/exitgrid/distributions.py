@@ -31,7 +31,6 @@ __all__ = [
     "ScaledNormalLaw",
     "TriangularLaw",
     "kde",
-    "scaled_normal_pdf",
     "triangular_cdf",
     "triangular_pdf",
     "triangular_quantile",
@@ -168,16 +167,6 @@ class TriangularLaw:
         ac = np.clip(a, -1.0, 1.0)
         out = (self.cdf_antideriv(ac) - ac) + np.maximum(-1.0 - a, 0.0)
         return float(out) if out.ndim == 0 else out
-
-
-def scaled_normal_pdf(z, sigma: float, t: float, eta: float) -> float | np.ndarray:
-    """Normal density with sd sigma*sqrt(t)/eta, the wide-threshold regime."""
-    if sigma <= 0 or t <= 0 or eta <= 0:
-        raise InvalidDomainError("scaled normal needs sigma, t, eta > 0")
-    sd = sigma * math.sqrt(t) / eta
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * (z / sd) ** 2) / (sd * _SQRT_2PI)
-    return float(out) if out.ndim == 0 else out
 
 
 class ScaledNormalLaw:

@@ -10,7 +10,7 @@ class InvalidDomainError(ExitgridError, ValueError):
 
 
 class NoConvergenceError(ExitgridError):
-    """A truncated series hit its term cap before the tail bound was met."""
+    """A truncated series would need more than ``MAX_TERMS`` terms to meet its tail bound."""
 
 
 class ToleranceNotMetError(ExitgridError):

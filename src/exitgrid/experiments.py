@@ -25,13 +25,12 @@ from .distributions import (
     ScaledNormalLaw,
     TriangularLaw,
     kde,
-    scaled_normal_pdf,
     triangular_pdf,
     wasserstein1,
 )
 from .errors import ConfigError, ToleranceNotMetError
 from .first_passage import FirstPassageLaw
-from .params import DEFAULT_SERIES, ModelParams
+from .params import TERM_TOL, ModelParams
 from .path_sim import PathConfig, SimulationBatch, simulate_batch
 from .renewal import (
     convolution_term,
@@ -379,7 +378,7 @@ def run_fig1(cfg: ExperimentConfig) -> list[Path]:
     for e in etas:
         est = kde(batch.sample(e, cfg.t), z)
         tri = triangular_pdf(z)
-        fn = scaled_normal_pdf(z, cfg.sigma, cfg.t, e)
+        fn = ScaledNormalLaw(cfg.sigma, cfg.t, e).pdf(z)
         for i in range(z.size):
             rows.append((e, z[i], est.grid.f[i], tri[i], fn[i]))
     out = [
@@ -460,11 +459,11 @@ def _convergence_ladder(sigma: float, rg, z: np.ndarray) -> list[tuple]:
     """Report rows of the ladder toward the triangular law, with its gate.
 
     The sup gap must shrink along the ladder while it is above the series
-    truncation floor ``100 * term_tol``; below the floor the gaps are
+    truncation floor ``100 * TERM_TOL``; below the floor the gaps are
     rounding noise, so they need only stay below it.  The last gap must be
     under 1e-3.  Raises ToleranceNotMetError otherwise.
     """
-    floor = 100.0 * DEFAULT_SERIES.term_tol
+    floor = 100.0 * TERM_TOL
     tri_vals = triangular_pdf(z)
     tri = TriangularLaw()
     p1 = ModelParams(sigma, 1.0)

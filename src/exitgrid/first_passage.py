@@ -6,9 +6,12 @@ By Brownian scaling the survival at ``t`` is the unit-band
 (``sigma = eta = 1``) survival at ``v = sigma^2 t / eta^2``, and the density
 is the unit-band density times ``dv/dt = sigma^2 / eta^2``.  Each unit-band
 quantity has a Gaussian-image form (fast for small ``v``) and a spectral
-form (fast for large ``v``); :meth:`SeriesConfig.evaluate` picks one per
-point.  The kernels see ``v`` only, so every ``ModelParams`` evaluates
-without overflow.
+form (fast for large ``v``); :func:`~exitgrid.params.evaluate` picks one per
+point at ``v = SWITCH_V``, and each kernel takes its term count from
+:func:`~exitgrid.params.series_terms`, which raises ``NoConvergenceError``
+before summing when more than ``MAX_TERMS`` terms would be needed.  The
+kernels see ``v`` only, so every ``ModelParams`` evaluates without
+overflow.
 """
 
 from __future__ import annotations
@@ -19,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidDomainError, NoConvergenceError, ToleranceNotMetError
-from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
+from .errors import InvalidDomainError, ToleranceNotMetError
+from .params import ModelParams, evaluate, series_terms
 
 __all__ = ["FirstPassageLaw"]
 
 _MU = math.pi**2 / 8.0  # decay rate of the slowest spectral mode of the unit band
 
 
-def _survival_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _survival_images(v: np.ndarray) -> np.ndarray:
     out = np.ones(v.shape)
     pos = v > 0.0
     if not np.any(pos):
@@ -39,38 +42,34 @@ def _survival_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
         # integral of the Gaussian image at `center` over [-1, 1]
         return ndtr((1.0 - center) / s) - ndtr((-1.0 - center) / s)
 
+    def bound(k: int) -> float:
+        # at k = 0 this is at least 2, above the k = 0 term, which is <= 1
+        return 4.0 * ndtr(-(4.0 * k - 3.0) / smax)
+
+    n = series_terms(bound, f"survival image series at v = {smax * smax:.4g}")
     acc = band(0.0) - band(2.0)
-    k = 1
-    while True:
-        bound = 4.0 * ndtr(-(4.0 * k - 3.0) / smax)
-        if bound < cfg.term_tol:
-            break
-        if k > cfg.max_terms:
-            raise NoConvergenceError("survival image series hit its term cap")
+    for k in range(1, n):
         acc += band(4.0 * k) - band(2.0 - 4.0 * k)
         acc += band(-4.0 * k) - band(2.0 + 4.0 * k)
-        k += 1
     out[pos] = acc
     return out
 
 
-def _survival_spectral(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _survival_spectral(v: np.ndarray) -> np.ndarray:
     vmin = float(np.min(v))
-    acc = np.zeros(v.shape)
-    j = 0
-    while True:
+
+    def bound(j: int) -> float:
         k = 2 * j + 1
-        bound = (4.0 / (math.pi * k)) * math.exp(-_MU * k * k * vmin)
-        if bound < cfg.term_tol:
-            break
-        if j > cfg.max_terms:
-            raise NoConvergenceError("survival spectral series hit its term cap")
+        return (4.0 / (math.pi * k)) * math.exp(-_MU * k * k * vmin)
+
+    acc = np.zeros(v.shape)
+    for j in range(series_terms(bound, f"survival spectral series at v = {vmin:.4g}")):
+        k = 2 * j + 1
         acc += ((-1.0) ** j / k) * np.exp(-_MU * k * k * v)
-        j += 1
     return (4.0 / math.pi) * acc
 
 
-def _density_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _density_images(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape)
     # below this every exponential underflows to an exact zero while the
     # v^(-3/2) prefactor may overflow; the product is identically 0
@@ -82,6 +81,12 @@ def _density_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
     prefmax = float(np.max(pref))
     varmax = float(np.max(var))
 
+    def bound(k: int) -> float:
+        if k == 0:
+            return math.inf  # kterm(0) is always summed
+        d = 4.0 * k - 3.0
+        return 16.0 * (k + 1.0) * prefmax * math.exp(-(d * d) / (2.0 * varmax))
+
     def kterm(k: int) -> np.ndarray:
         a = 1.0 - 4.0 * k
         b = 1.0 + 4.0 * k
@@ -92,35 +97,26 @@ def _density_images(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
             - c * np.exp(-(c * c) / (2.0 * var))
         )
 
+    n = series_terms(bound, f"exit-density image series at v = {varmax:.4g}")
     acc = kterm(0)
-    k = 1
-    while True:
-        d = 4.0 * k - 3.0
-        bound = 16.0 * (k + 1.0) * prefmax * math.exp(-(d * d) / (2.0 * varmax))
-        if bound < cfg.term_tol:
-            break
-        if 2 * k > cfg.max_terms:
-            raise NoConvergenceError("exit-density image series hit its term cap")
+    for k in range(1, n):
         acc += kterm(k) + kterm(-k)
-        k += 1
     out[live] = pref * acc
     return out
 
 
-def _density_spectral(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _density_spectral(v: np.ndarray) -> np.ndarray:
     lead = math.pi / 2.0
     vmin = float(np.min(v))
-    acc = np.zeros(v.shape)
-    j = 0
-    while True:
+
+    def bound(j: int) -> float:
         k = 2 * j + 1
-        bound = lead * k * math.exp(-_MU * k * k * vmin)
-        if bound < cfg.term_tol:
-            break
-        if j > cfg.max_terms:
-            raise NoConvergenceError("exit-density spectral series hit its term cap")
+        return lead * k * math.exp(-_MU * k * k * vmin)
+
+    acc = np.zeros(v.shape)
+    for j in range(series_terms(bound, f"exit-density spectral series at v = {vmin:.4g}")):
+        k = 2 * j + 1
         acc += ((-1.0) ** j * k) * np.exp(-_MU * k * k * v)
-        j += 1
     return lead * acc
 
 
@@ -129,7 +125,6 @@ class FirstPassageLaw:
     """Distribution of the first two-sided exit time from a centred band."""
 
     params: ModelParams
-    cfg: SeriesConfig = DEFAULT_SERIES
 
     def survival(self, t) -> float | np.ndarray:
         """P(tau > t), clamped to [0, 1].  Accepts scalars or arrays."""
@@ -138,7 +133,7 @@ class FirstPassageLaw:
         if np.any(t < 0.0):
             raise InvalidDomainError("survival needs t >= 0")
         v = self.params.unit_time(np.atleast_1d(t))
-        out = self.cfg.evaluate(_survival_images, _survival_spectral, v)
+        out = evaluate(_survival_images, _survival_spectral, v)
         np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out.reshape(t.shape)
 
@@ -149,7 +144,7 @@ class FirstPassageLaw:
         if np.any(t <= 0.0):
             raise InvalidDomainError("density needs t > 0")
         v = self.params.unit_time(np.atleast_1d(t))
-        f1 = self.cfg.evaluate(_density_images, _density_spectral, v)
+        f1 = evaluate(_density_images, _density_spectral, v)
         np.maximum(f1, 0.0, out=f1)
         out = self.params.unit_time(f1)  # f(t) = f1(v) dv/dt, and v is linear in t
         return float(out[0]) if scalar else out.reshape(t.shape)

@@ -1,4 +1,18 @@
-"""Process parameters, series-evaluation settings and the image/spectral dispatcher."""
+"""Process parameters and the one truncation rule shared by every series.
+
+Every law here is a truncated theta-type series on the unit band
+(``sigma = eta = 1``) at the time ``v = sigma^2 t / eta^2``.  Three
+constants fix how all of them are cut off:
+
+* ``TERM_TOL``: a series stops at the first term index ``n`` whose bound on
+  every term from ``n`` on is below it;
+* ``MAX_TERMS``: the most terms any series may sum, counted in the
+  series's own term index; past it :func:`series_terms` raises
+  ``NoConvergenceError`` before a term is summed;
+* ``SWITCH_V``: :func:`evaluate` sends ``v < SWITCH_V`` to the Gaussian-image
+  form and the rest to the spectral form.  Each converges fastest on its own
+  side, as with theta functions.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDomainError
+from .errors import InvalidDomainError, NoConvergenceError
+
+TERM_TOL = 1e-14
+MAX_TERMS = 1000
+SWITCH_V = 0.5
 
 
 @dataclass(frozen=True)
@@ -18,8 +36,9 @@ class ModelParams:
     eta   : half-width of the detection band (space).
 
     Both must be finite and strictly positive, and so must ``sigma**2``,
-    ``eta**2`` and ``eta**2 / sigma**2``, the natural time scale of the
-    scheme, in double precision.
+    ``eta**2``, ``eta**2 / sigma**2`` (the natural time scale of the scheme)
+    and its inverse ``sigma**2 / eta**2`` (the factor of the exit-time
+    density), in double precision.
     """
 
     sigma: float
@@ -30,10 +49,10 @@ class ModelParams:
         sigma2, eta2 = sigma * sigma, eta * eta
         if not (
             all(0.0 < v < math.inf for v in (sigma, eta, sigma2, eta2))
-            and 0.0 < eta2 / sigma2 < math.inf
+            and all(0.0 < r < math.inf for r in (eta2 / sigma2, sigma2 / eta2))
         ):
             raise InvalidDomainError(
-                "sigma, eta, their squares and eta**2 / sigma**2 must be finite and > 0,"
+                "sigma, eta, their squares and both of their ratios must be finite and > 0,"
                 f" got sigma={self.sigma}, eta={self.eta}"
             )
 
@@ -56,47 +75,29 @@ class ModelParams:
         return t * s * s
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the two series representations.
+def series_terms(bound, what: str) -> int:
+    """The number of terms to sum: the first index ``n`` with ``bound(n) < TERM_TOL``.
 
-    term_tol     : absolute bound below which the next term is dropped.  It
-                   bounds the unit-band kernel (``sigma = eta = 1`` at time
-                   ``v = sigma^2 t / eta^2``), so the physical truncation error
-                   is ``term_tol / eta`` for the absorbed density, ``term_tol``
-                   for the exit-time survival and ``term_tol * sigma^2 / eta^2``
-                   for the exit-time density.
-    max_terms    : hard cap on summed terms before NoConvergenceError.
-    switch_ratio : threshold on ``v``; below it the Gaussian-image form is
-                   used, above it the sine/exponential (spectral) form.  Each
-                   converges fastest on its own side, as with theta functions.
+    ``bound(n)`` must bound every term of index ``n`` and above, so summing
+    the terms ``0 .. n-1`` leaves out only terms below ``TERM_TOL``.  When
+    that index passes ``MAX_TERMS``, raises NoConvergenceError naming
+    ``what`` after at most ``MAX_TERMS + 1`` calls of ``bound``.
     """
-
-    term_tol: float = 1e-14
-    max_terms: int = 1000
-    switch_ratio: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.term_tol > 0.0):
-            raise InvalidDomainError(f"term_tol must be > 0, got {self.term_tol}")
-        if self.max_terms < 1:
-            raise InvalidDomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not (self.switch_ratio > 0.0):
-            raise InvalidDomainError(f"switch_ratio must be > 0, got {self.switch_ratio}")
-
-    def evaluate(self, images, spectral, v: np.ndarray, *args: np.ndarray) -> np.ndarray:
-        """A unit-band series at the array of unit-band times ``v``.
-
-        ``images(v, *args, cfg)`` serves ``v < switch_ratio`` and
-        ``spectral(v, *args, cfg)`` the rest; each array in ``args`` is
-        split with ``v``.
-        """
-        out = np.empty(v.shape)
-        small = v < self.switch_ratio
-        for part, kernel in ((small, images), (~small, spectral)):
-            if np.any(part):
-                out[part] = kernel(v[part], *(a[part] for a in args), self)
-        return out
+    for n in range(MAX_TERMS + 1):
+        if bound(n) < TERM_TOL:
+            return n
+    raise NoConvergenceError(f"{what}: more than {MAX_TERMS} terms")
 
 
-DEFAULT_SERIES = SeriesConfig()
+def evaluate(images, spectral, v: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """A unit-band series at the array of unit-band times ``v``.
+
+    ``images(v, *args)`` serves ``v < SWITCH_V`` and ``spectral(v, *args)``
+    the rest; each array in ``args`` is split with ``v``.
+    """
+    out = np.empty(v.shape)
+    small = v < SWITCH_V
+    for part, kernel in ((small, images), (~small, spectral)):
+        if np.any(part):
+            out[part] = kernel(v[part], *(a[part] for a in args))
+    return out

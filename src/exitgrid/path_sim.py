@@ -30,13 +30,12 @@ leaves the loop when no cell can.
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
 anchor, and the new anchor is the path value at that index.  This keeps the
-normalized error inside [-1, 1] at every grid time.  An optional ``snap``
-mode instead moves the anchor by exactly ``+/- eta`` (for sensitivity runs);
-there the error can exceed the band by the grid overshoot.
+normalized error inside [-1, 1] at every grid time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -207,7 +206,7 @@ class _Tracks:
         return a.reshape(-1, self.n).T
 
 
-def _first_touches(buf, win, hi, lo, n, snap, tr, rows, offset, log=None) -> None:
+def _first_touches(buf, win, hi, lo, n, tr, rows, offset, log=None) -> None:
     """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
     ``win`` is a sliding-window view of ``buf``; column ``j`` is grid index
@@ -256,14 +255,14 @@ def _first_touches(buf, win, hi, lo, n, snap, tr, rows, offset, log=None) -> Non
                 new = count[r] == 1
                 first[r[new]] = offset + j[new]
                 pending = bool((count[rows] == 0).any())
-            anchor[r] = a_old + np.copysign(e, move) if snap else x
+            anchor[r] = x
             if log is not None:
                 log.append((offset + j, anchor[r]))
         keep = last < n
         rows, start, jump = rows[keep], last[keep] + 1, ~found[keep]
 
 
-def discretize(path: np.ndarray, eta: float, snap: bool = False) -> DiscretizationTrace:
+def discretize(path: np.ndarray, eta: float) -> DiscretizationTrace:
     """Apply the first-exit rule to a simulated path for one threshold."""
     if not (0.0 < eta < math.inf):
         raise InvalidDomainError("eta must be finite and > 0")
@@ -278,7 +277,7 @@ def discretize(path: np.ndarray, eta: float, snap: bool = False) -> Discretizati
         hi, lo = _pad_and_extrema(buf, n)
         win = sliding_window_view(buf, _WINDOW[1], axis=1)
         tr = _Tracks(np.array([eta]), 1)
-        _first_touches(buf, win, hi, lo, n, snap, tr, np.zeros(1, dtype=np.int64), 0, log)
+        _first_touches(buf, win, hi, lo, n, tr, np.zeros(1, dtype=np.int64), 0, log)
     crossings = np.array([j[0] for j, _ in log], dtype=np.int64)
     anchors = np.array([a[0] for _, a in log], dtype=float)
     last_anchor = float(anchors[-1]) if anchors.size else 0.0
@@ -297,7 +296,6 @@ class SimulationBatch:
     cfg: PathConfig
     sigma: float
     t_eval: tuple[float, ...]
-    snap: bool
     errors: np.ndarray  # normalized tracking errors Z/eta, (n_paths, n_t, n_eta)
     renewal_counts: np.ndarray  # detections up to t_end, (n_paths, n_eta)
     first_crossing: np.ndarray  # time of first detection or nan, (n_paths, n_eta)
@@ -326,9 +324,24 @@ class SimulationBatch:
         return float(np.var(col, ddof=1))
 
 
+def _chunk_ends(t_idx, n_steps: int):
+    """Chunk ends in increasing order, produced one at a time.
+
+    They are the positive evaluation indices, the multiples of ``_CHUNK``
+    below ``n_steps``, and ``n_steps``; producing them lazily keeps the
+    memory they take independent of ``n_steps``.
+    """
+    last = 0
+    for end in heapq.merge(sorted(i for i in t_idx if i > 0), range(_CHUNK, n_steps, _CHUNK),
+                           (n_steps,)):
+        if end > last:
+            yield end
+            last = end
+
+
 def _run_chunk(args) -> tuple:
     """Simulate paths ``start..stop-1`` group by group and reduce them."""
-    cfg, sigma, t_idx, snap, start, stop = args
+    cfg, sigma, t_idx, start, stop = args
     n_paths = stop - start
     etas = np.asarray(cfg.etas)
     errors = np.empty((n_paths, len(t_idx), etas.size))
@@ -339,7 +352,6 @@ def _run_chunk(args) -> tuple:
     over = np.zeros((n_paths, etas.size))
     t_idx_arr = np.asarray(t_idx, dtype=np.int64)
     errors[:, t_idx_arr == 0, :] = 0.0  # X_0 = 0 and the anchor starts at 0
-    ends = sorted({i for i in t_idx if i > 0} | {*range(_CHUNK, cfg.n_steps, _CHUNK), cfg.n_steps})
 
     scale = sigma * math.sqrt(cfg.dt)
     width = min(_window(eta, sigma, cfg.dt) for eta in cfg.etas)
@@ -353,14 +365,14 @@ def _run_chunk(args) -> tuple:
         tr = _Tracks(etas, g1 - g0)
         xs[:, 0] = -0.0  # see generate_path
         done = 0
-        for end in ends:
+        for end in _chunk_ends(t_idx, cfg.n_steps):
             n = end - done
             _extend(rngs, xs, n, scale)
             hi, lo = _pad_and_extrema(xs, n)
             live = _may_cross(hi.max(axis=1)[tr.path], lo.min(axis=1)[tr.path], tr.anchor,
                               tr.eta)
             if live.any():
-                _first_touches(xs, win, hi, lo, n, snap, tr, np.flatnonzero(live), done)
+                _first_touches(xs, win, hi, lo, n, tr, np.flatnonzero(live), done)
             x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas
@@ -379,7 +391,6 @@ def simulate_batch(
     sigma: float,
     t_eval,
     workers: int = 1,
-    snap: bool = False,
 ) -> SimulationBatch:
     """Run the full batch and reduce it to per-(eta, t) error samples.
 
@@ -396,7 +407,7 @@ def simulate_batch(
 
     bounds = np.linspace(0, cfg.n_paths, min(workers, cfg.n_paths) + 1).astype(int)
     jobs = [
-        (cfg, sigma, t_idx, snap, int(a), int(b))
+        (cfg, sigma, t_idx, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
@@ -413,7 +424,6 @@ def simulate_batch(
         cfg=cfg,
         sigma=sigma,
         t_eval=t_eval,
-        snap=snap,
         errors=errors,
         renewal_counts=counts,
         first_crossing=first,

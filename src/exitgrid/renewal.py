@@ -23,9 +23,11 @@ killed Green's function times ``1 + m_hat`` is
 
 with ``phi_v`` the centred normal density of variance ``v``.  As T grows the
 integral converges to the triangular profile ``(1 - |z|)^+``.  Both series
-need about ``sqrt(v)`` terms, so past ``SeriesConfig.max_terms`` (very large
-``v``) they raise ``NoConvergenceError``.  Neither needs a horizon: the
-error density is evaluated at any ``T`` without the tabulated ``m``.
+need about ``sqrt(v)`` terms; :func:`~exitgrid.params.series_terms` counts
+them from their tail bounds and raises ``NoConvergenceError`` before summing
+once more than ``MAX_TERMS`` are needed (``v`` above about ``1.5e4``).
+Neither needs a horizon: the error density is evaluated at any ``T``
+without the tabulated ``m``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import numpy as np
 
 from .density import absorbed_density
 from .distributions import DensityGrid, GridLaw
-from .errors import InvalidDomainError, NoConvergenceError
+from .errors import InvalidDomainError
 from .first_passage import FirstPassageLaw
-from .params import DEFAULT_SERIES, ModelParams, SeriesConfig
+from .params import ModelParams, series_terms
 
 __all__ = [
     "ErrorDensity",
@@ -67,62 +69,50 @@ class RenewalGrid:
         return self.h * np.arange(self.values.size)
 
 
-def _renewal_series(v: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _renewal_series(v: np.ndarray) -> np.ndarray:
     """Image series for ``m1(v)`` at positive ``v``, summed one term at a time.
 
     As a function of ``v``, term ``n`` peaks at ``v = n^2 / 3``, and at fixed
     ``v`` the terms fall in ``n`` once ``n^2 > 2 v``.  So from
     ``n^2 >= 3 max(v)`` on, the value at ``max(v)`` bounds the term everywhere
-    and decreases in ``n``: summing stops at the first such ``n`` whose bound
-    is below ``cfg.term_tol``.
+    and decreases in ``n``; below that no bound is claimed.
     """
     vmax = float(np.max(v))
     coeff = 2.0 / (_SQRT_2PI * vmax**1.5)
 
-    def needed(n: int) -> bool:
+    def bound(n: int) -> float:
         if n * n < 3.0 * vmax:
-            return True
-        return coeff * n * n * math.exp(-n * n / (2.0 * vmax)) >= cfg.term_tol
+            return math.inf
+        return coeff * n * n * math.exp(-n * n / (2.0 * vmax))
 
-    if needed(cfg.max_terms + 1):
-        raise NoConvergenceError(
-            f"renewal series: more than {cfg.max_terms} terms at v = {vmax:.4g}"
-        )
+    n_terms = series_terms(bound, f"renewal series at v = {vmax:.4g}")
     inv2v = 0.5 / v
     acc = np.zeros(v.shape)
-    n = 1
-    while needed(n):
+    for n in range(1, n_terms):  # term 0 vanishes
         acc += n * n * np.exp(-n * n * inv2v)
-        n += 1
     return 2.0 * acc / (_SQRT_2PI * v**1.5)
 
 
-def _error_density_series(v: float, za: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _error_density_series(v: float, za: np.ndarray) -> np.ndarray:
     """Image series for ``f_Z`` at ``v = sigma^2 T`` and ``za = |z|``, one term at a time.
 
     Term ``n`` lies in ``[0, n phi_v(n - 1)]``, a bound that decreases in ``n``
-    once ``n (n - 1) > v``; summing stops at the first such ``n`` whose bound
-    is below ``cfg.term_tol``.
+    once ``n (n - 1) > v``; below that no bound is claimed.
     """
     norm = 1.0 / math.sqrt(2.0 * math.pi * v)
 
-    def needed(n: int) -> bool:
+    def bound(n: int) -> float:
         if n * (n - 1) <= v:
-            return True
-        return n * norm * math.exp(-((n - 1) ** 2) / (2.0 * v)) >= cfg.term_tol
+            return math.inf
+        return n * norm * math.exp(-((n - 1) ** 2) / (2.0 * v))
 
-    if needed(cfg.max_terms + 1):
-        raise NoConvergenceError(
-            f"error-density series: more than {cfg.max_terms} terms at v = {v:.4g}"
-        )
+    n_terms = series_terms(bound, f"error-density series at v = {v:.4g}")
     inv2v = 0.5 / v
     acc = np.zeros(za.shape)
-    n = 1
-    while needed(n):
+    for n in range(1, n_terms):  # term 0 vanishes
         near = np.exp(-((n - 1.0 + za) ** 2) * inv2v)
         far = np.exp(-((n + 1.0 - za) ** 2) * inv2v)
         acc += n * (near - far)
-        n += 1
     return norm * acc
 
 
@@ -135,8 +125,8 @@ def solve_renewal_density(
 
     ``law`` must be a unit-band (eta = 1) law: the grid is in rescaled time.
     ``n = round(horizon / h)``; ``m(0) = 0`` and every other node comes from
-    the closed-form image series of ``m1``, truncated by ``law.cfg``, so the
-    truncation error of ``m`` is ``sigma^2 * term_tol``.  ``horizon / h``
+    the closed-form image series of ``m1``, so the truncation error of ``m``
+    is about ``sigma^2 * TERM_TOL``.  ``horizon / h``
     above ``_MAX_NODES`` (10**7) raises ``InvalidDomainError`` before any
     allocation.
     """
@@ -154,7 +144,7 @@ def solve_renewal_density(
     n = max(1, int(round(horizon / h)))
     m = np.zeros(n + 1)
     # m(u) = m1(v) dv/du with v = sigma^2 u
-    m1 = _renewal_series(law.params.unit_time(h * np.arange(1, n + 1)), law.cfg)
+    m1 = _renewal_series(law.params.unit_time(h * np.arange(1, n + 1)))
     m[1:] = law.params.unit_time(m1)
     return RenewalGrid(h=h, values=m, horizon=n * h, sigma=law.params.sigma)
 
@@ -164,7 +154,6 @@ def convolution_term(
     rg: RenewalGrid,
     t: float,
     z_grid,
-    cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> np.ndarray:
     """``int_0^T p1(T - v, z) m(v) dv`` for each z, with ``T = t / eta^2``.
 
@@ -183,8 +172,8 @@ def convolution_term(
         raise InvalidDomainError("z grid must lie in [-1, 1]")
 
     za = np.minimum(np.abs(z_grid), 1.0)
-    f_z = _error_density_series(sigma * sigma * T, za, cfg)
-    atom = absorbed_density(ModelParams(sigma, 1.0), cfg, T, za)
+    f_z = _error_density_series(sigma * sigma * T, za)
+    atom = absorbed_density(ModelParams(sigma, 1.0), T, za)
     return np.maximum(f_z - atom, 0.0)
 
 
@@ -208,13 +197,12 @@ def tracking_error_density(
     rg: RenewalGrid,
     t: float,
     z_grid=None,
-    cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> ErrorDensity:
     """Analytic density of ``(X_t - last anchor) / eta`` on ``[-1, 1]``."""
     if z_grid is None:
         z_grid = np.linspace(-1.0, 1.0, 1001)
     z_grid = np.asarray(z_grid, dtype=float)
     T = t / params.eta**2
-    atom = absorbed_density(ModelParams(params.sigma, 1.0), cfg, T, z_grid)
-    conv = convolution_term(params, rg, t, z_grid, cfg)
+    atom = absorbed_density(ModelParams(params.sigma, 1.0), T, z_grid)
+    conv = convolution_term(params, rg, t, z_grid)
     return ErrorDensity(DensityGrid(z_grid, np.asarray(atom) + conv), T)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from exitgrid import (
-    DEFAULT_SERIES,
     EmpiricalSample,
     FirstPassageLaw,
     ModelParams,
@@ -47,7 +46,7 @@ def test_criterion_01_parseval_identity():
     xs += [0.2, -0.2, 0.4, -0.4, 0.6, -0.6, 0.8, -0.8]
     worst = 0.0
     for x in xs:
-        got = integrate_density_over_time(P11, DEFAULT_SERIES, x)
+        got = integrate_density_over_time(P11, x)
         worst = max(worst, abs(got - (1.0 - abs(x))))
     elapsed = time.monotonic() - t0
     assert worst < 1e-6
@@ -62,8 +61,8 @@ def test_criterion_02_representation_agreement():
     worst = 0.0
     for t in ts:
         v = np.full(xi.shape, t)
-        a = _spectral(v, xi, DEFAULT_SERIES)
-        b = _images(v, xi, DEFAULT_SERIES)
+        a = _spectral(v, xi)
+        b = _images(v, xi)
         worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.monotonic() - t0
     assert worst < 1e-10

@@ -10,16 +10,15 @@ from scipy.special import ndtr
 
 from exitgrid import (
     ATOM,
-    DEFAULT_SERIES,
     FirstPassageLaw,
     InvalidDomainError,
     ModelParams,
     NoConvergenceError,
-    SeriesConfig,
     ToleranceNotMetError,
     absorbed_density,
 )
 from exitgrid.density import _check_space, _images, _spectral
+from exitgrid.params import MAX_TERMS, SWITCH_V, TERM_TOL
 
 P11 = ModelParams(1.0, 1.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -31,7 +30,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # and stay within the truncation tolerance elsewhere.
 
 
-def reference_spectral(params: ModelParams, cfg: SeriesConfig, t, x) -> float | np.ndarray:
+def reference_spectral(params: ModelParams, t, x) -> float | np.ndarray:
     """Sine/exponential series for the absorbed density, valid for t > 0."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0 and np.ndim(x) == 0
@@ -51,11 +50,11 @@ def reference_spectral(params: ModelParams, cfg: SeriesConfig, t, x) -> float | 
     sign = 1.0
     while True:
         bound = math.exp(-lam * k * k * tmin) / eta
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if used >= cfg.max_terms:
+        if used >= MAX_TERMS:
             raise NoConvergenceError(
-                f"spectral series: {cfg.max_terms} terms, tail bound {bound:.3e}"
+                f"spectral series: {MAX_TERMS} terms, tail bound {bound:.3e}"
             )
         total += sign * np.exp(-lam * k * k * t) * np.sin(k * arg)
         used += 1
@@ -67,7 +66,7 @@ def reference_spectral(params: ModelParams, cfg: SeriesConfig, t, x) -> float | 
     return float(total) if scalar else total
 
 
-def reference_images(params: ModelParams, cfg: SeriesConfig, t, x):
+def reference_images(params: ModelParams, t, x):
     """Gaussian image series for the absorbed density, valid for t >= 0."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0 and np.ndim(x) == 0
@@ -102,11 +101,11 @@ def reference_images(params: ModelParams, cfg: SeriesConfig, t, x):
     while True:
         d = (4.0 * k - 2.0) * eta  # closest image distance for |x| <= eta
         bound = 4.0 * norm_max * math.exp(-(d * d) / (2.0 * varmax))
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if used + 2 > cfg.max_terms:
+        if used + 2 > MAX_TERMS:
             raise NoConvergenceError(
-                f"image series: {cfg.max_terms} terms, tail bound {bound:.3e}"
+                f"image series: {MAX_TERMS} terms, tail bound {bound:.3e}"
             )
         c = 4.0 * k * eta
         acc += np.exp(-((xp - c) ** 2) / (2.0 * var))
@@ -123,17 +122,17 @@ def reference_images(params: ModelParams, cfg: SeriesConfig, t, x):
     return float(out) if scalar else out
 
 
-def reference_density(params: ModelParams, cfg: SeriesConfig, t, x) -> np.ndarray:
-    """The physical-unit dispatch: images below ``switch_ratio``, spectral above."""
+def reference_density(params: ModelParams, t, x) -> np.ndarray:
+    """The physical-unit dispatch: images below ``SWITCH_V``, spectral above."""
     t, xa = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
                                 np.atleast_1d(_check_space(x, params.eta)))
     ratio = params.sigma**2 / params.eta**2
     out = np.empty(t.shape)
-    small = t * ratio < cfg.switch_ratio
+    small = t * ratio < SWITCH_V
     if np.any(small):
-        out[small] = reference_images(params, cfg, t[small], xa[small])
+        out[small] = reference_images(params, t[small], xa[small])
     if np.any(~small):
-        out[~small] = reference_spectral(params, cfg, t[~small], xa[~small])
+        out[~small] = reference_spectral(params, t[~small], xa[~small])
     return out
 
 
@@ -190,7 +189,6 @@ def small_time_density_integral(params: ModelParams, h: float, x) -> float | np.
 
 def integrate_density_over_time(
     params: ModelParams,
-    cfg: SeriesConfig = DEFAULT_SERIES,
     x: float = 0.0,
     t_max: float | None = None,
     quad_tol: float = 1e-8,
@@ -222,7 +220,7 @@ def integrate_density_over_time(
 
     pts = [p for p in (xa**2 / sigma**2, params.timescale) if eps < p < t_max]
     body, err = quad(
-        lambda tt: absorbed_density(params, cfg, tt, xa),
+        lambda tt: absorbed_density(params, tt, xa),
         eps,
         t_max,
         points=pts or None,
@@ -246,61 +244,61 @@ class TestRepresentations:
         xs = np.linspace(-eta, eta, 41)
         for t in ts:
             args = unit(sigma**2 * t / eta**2, np.abs(xs) / eta)
-            a = _spectral(*args, DEFAULT_SERIES) / eta
-            b = _images(*args, DEFAULT_SERIES) / eta
+            a = _spectral(*args) / eta
+            b = _images(*args) / eta
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_point_value_small_time(self):
         # k = 0 image dominates; images at +-2 contribute ~exp(-200)
-        v = _images(*unit(0.01, 0.0), DEFAULT_SERIES)[0]
+        v = _images(*unit(0.01, 0.0))[0]
         assert v == pytest.approx(1.0 / math.sqrt(2 * math.pi * 0.01), abs=1e-12)
 
     def test_vanishes_on_barrier(self):
         for t in (0.01, 0.5, 3.0, 50.0):
-            assert _spectral(*unit(t, 1.0), DEFAULT_SERIES)[0] == 0.0
-            assert abs(_images(*unit(t, 1.0), DEFAULT_SERIES)[0]) < 1e-13
+            assert _spectral(*unit(t, 1.0))[0] == 0.0
+            assert abs(_images(*unit(t, 1.0))[0]) < 1e-13
 
     def test_large_time_bound(self):
-        v = _spectral(*unit(10.0, 0.0), DEFAULT_SERIES)[0]
+        v = _spectral(*unit(10.0, 0.0))[0]
         assert 0.0 < v < 4.0 / 3.0
-        assert v == pytest.approx(_images(*unit(10.0, 0.0), DEFAULT_SERIES)[0], abs=1e-10)
+        assert v == pytest.approx(_images(*unit(10.0, 0.0))[0], abs=1e-10)
 
     def test_symmetry_exact(self):
         xs = np.linspace(0.0, 1.0, 11)
         for t in (0.05, 0.7, 4.0):
-            left = absorbed_density(P11, DEFAULT_SERIES, t, -xs)
-            right = absorbed_density(P11, DEFAULT_SERIES, t, xs)
+            left = absorbed_density(P11, t, -xs)
+            right = absorbed_density(P11, t, xs)
             np.testing.assert_array_equal(left, right)
 
     def test_monotone_decreasing_in_t_at_origin(self):
         # each spectral term at x = 0 decreases in t, so the sum must too
         ts = np.linspace(0.5, 40.0, 200)
-        vals = absorbed_density(P11, DEFAULT_SERIES, ts, 0.0)
+        vals = absorbed_density(P11, ts, 0.0)
         assert np.all(np.diff(vals) < 0)
 
 
 class TestDispatcher:
     def test_branch_values(self):
-        assert absorbed_density(P11, DEFAULT_SERIES, 0.001, 0.0) == pytest.approx(
+        assert absorbed_density(P11, 0.001, 0.0) == pytest.approx(
             12.615662610100797, abs=1e-10
         )
-        assert absorbed_density(P11, DEFAULT_SERIES, 100.0, 0.0) < 1e-10
+        assert absorbed_density(P11, 100.0, 0.0) < 1e-10
 
     def test_continuity_at_switch(self):
         # representation handover must be invisible at the boundary
-        tsw = DEFAULT_SERIES.switch_ratio
+        tsw = SWITCH_V
         for x in (0.0, 0.3, 0.9):
-            below = absorbed_density(P11, DEFAULT_SERIES, tsw * (1 - 1e-12), x)
-            above = absorbed_density(P11, DEFAULT_SERIES, tsw * (1 + 1e-12), x)
+            below = absorbed_density(P11, tsw * (1 - 1e-12), x)
+            above = absorbed_density(P11, tsw * (1 + 1e-12), x)
             assert below == pytest.approx(above, abs=1e-10)
 
     def test_atom_sentinel(self):
-        assert absorbed_density(P11, DEFAULT_SERIES, 0.0, 0.0) is ATOM
-        assert absorbed_density(P11, DEFAULT_SERIES, 0.0, 0.4) == 0.0
+        assert absorbed_density(P11, 0.0, 0.0) is ATOM
+        assert absorbed_density(P11, 0.0, 0.4) == 0.0
 
     def test_atom_inside_array_rejected(self):
         with pytest.raises(InvalidDomainError):
-            absorbed_density(P11, DEFAULT_SERIES, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+            absorbed_density(P11, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
     @given(
         sigma=st.floats(0.3, 3.0),
@@ -316,15 +314,15 @@ class TestDispatcher:
         p_one = ModelParams(sigma, 1.0)
         t = u * eta**2
         x = zfrac * eta
-        lhs = absorbed_density(p_eta, DEFAULT_SERIES, t, x)
-        rhs = absorbed_density(p_one, DEFAULT_SERIES, u, zfrac) / eta
+        lhs = absorbed_density(p_eta, t, x)
+        rhs = absorbed_density(p_one, u, zfrac) / eta
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_spatial_normalization_matches_survival(self, unit_law):
         # integral over the band equals the no-exit probability
         for t in (0.1, 0.5, 1.0, 2.0):
             total, _ = quad(
-                lambda x: absorbed_density(P11, DEFAULT_SERIES, t, x),
+                lambda x: absorbed_density(P11, t, x),
                 -1.0,
                 1.0,
                 epsabs=1e-11,
@@ -343,8 +341,8 @@ class TestUnitBand:
         params = ModelParams(sigma, eta)
         ts = np.geomspace(1e-3 * params.timescale, 1e2 * params.timescale, 60)
         t, x = (a.ravel() for a in np.meshgrid(ts, np.linspace(-eta, eta, 41)))
-        got = absorbed_density(params, DEFAULT_SERIES, t, x)
-        ref = reference_density(params, DEFAULT_SERIES, t, x)
+        got = absorbed_density(params, t, x)
+        ref = reference_density(params, t, x)
         if sigma == 1.0:
             np.testing.assert_array_equal(got, ref)
         assert np.max(np.abs(got - ref)) * eta < 1e-13
@@ -364,11 +362,11 @@ class TestUnitBand:
         eta, sigma = 10.0**log_eta, 10.0**log_sigma
         params = ModelParams(sigma, eta)
         t = v * (eta / sigma) ** 2
-        # a spectral sum whose first term is below term_tol is 0, so values
-        # near that cut-off may differ by one term of about term_tol
-        tol = {"rel": 1e-12, "abs": 2.0 * DEFAULT_SERIES.term_tol}
-        p = absorbed_density(params, DEFAULT_SERIES, t, xi * eta)
-        assert eta * p == pytest.approx(absorbed_density(P11, DEFAULT_SERIES, v, xi), **tol)
+        # a spectral sum whose first term is below TERM_TOL is 0, so values
+        # near that cut-off may differ by one term of about TERM_TOL
+        tol = {"rel": 1e-12, "abs": 2.0 * TERM_TOL}
+        p = absorbed_density(params, t, xi * eta)
+        assert eta * p == pytest.approx(absorbed_density(P11, v, xi), **tol)
         law, law1 = FirstPassageLaw(params), FirstPassageLaw(P11)
         assert law.survival(t) == pytest.approx(law1.survival(v), **tol)
         f = law.density(t)
@@ -377,35 +375,22 @@ class TestUnitBand:
 
 class TestErrors:
     def test_domain_checks(self):
-        # the spectral kernel needs v > 0; the dispatcher sends it only
-        # v >= switch_ratio, which the config keeps positive
-        for ratio in (0.0, -1.0):
-            with pytest.raises(InvalidDomainError):
-                SeriesConfig(switch_ratio=ratio)
         with pytest.raises(InvalidDomainError):
-            absorbed_density(P11, DEFAULT_SERIES, -1.0, 0.0)
+            absorbed_density(P11, -1.0, 0.0)
         with pytest.raises(InvalidDomainError):
-            absorbed_density(P11, DEFAULT_SERIES, 1.0, 1.5)
-
-    def test_term_cap_raises(self):
-        tight = SeriesConfig(term_tol=1e-14, max_terms=3, switch_ratio=0.5)
-        with pytest.raises(NoConvergenceError):
-            _spectral(*unit(0.001, 0.0), tight)
-        with pytest.raises(NoConvergenceError):
-            # the image form needs many terms once v = sigma^2 t / eta^2 is large
-            _images(*unit(5.0, 0.0), tight)
+            absorbed_density(P11, 1.0, 1.5)
 
 
 class TestTimeIntegral:
     @pytest.mark.parametrize("x", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, -0.6])
     def test_triangular_profile_unit(self, x):
-        v = integrate_density_over_time(P11, DEFAULT_SERIES, x)
+        v = integrate_density_over_time(P11, x)
         assert v == pytest.approx(max(1.0 - abs(x), 0.0), abs=1e-6)
 
     def test_triangular_profile_scaled(self):
         # with threshold eta the integral is eta*(1 - |x|/eta)/sigma^2
         params = ModelParams(2.0, 2.0)
-        v = integrate_density_over_time(params, DEFAULT_SERIES, 1.0)
+        v = integrate_density_over_time(params, 1.0)
         assert v == pytest.approx(2.0 * 0.5 / 4.0, abs=1e-6)
 
     def test_small_time_piece_matches_quadrature(self):
@@ -413,7 +398,7 @@ class TestTimeIntegral:
         for x in (0.0, 0.2, 0.8):
             head = small_time_density_integral(P11, eps, x)
             ref, _ = quad(
-                lambda t: absorbed_density(P11, DEFAULT_SERIES, t, x),
+                lambda t: absorbed_density(P11, t, x),
                 1e-12,
                 eps,
                 epsabs=1e-12,

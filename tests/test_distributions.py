@@ -16,7 +16,6 @@ from exitgrid import (
     ScaledNormalLaw,
     TriangularLaw,
     kde,
-    scaled_normal_pdf,
     triangular_cdf,
     triangular_pdf,
     triangular_quantile,
@@ -134,15 +133,14 @@ class TestScaledNormal:
 
     def test_symmetry_and_mass(self):
         zs = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(
-            scaled_normal_pdf(zs, 1.0, 0.5, 2.0), scaled_normal_pdf(-zs, 1.0, 0.5, 2.0)
-        )
-        mass, _ = quad(lambda z: scaled_normal_pdf(z, 1.0, 0.5, 2.0), -np.inf, np.inf)
+        law = ScaledNormalLaw(1.0, 0.5, 2.0)
+        assert np.allclose(law.pdf(zs), law.pdf(-zs))
+        mass, _ = quad(law.pdf, -np.inf, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidDomainError):
-            scaled_normal_pdf(0.0, 0.0, 0.5, 1.0)
+            ScaledNormalLaw(0.0, 0.5, 1.0)
 
 
 class TestKde:

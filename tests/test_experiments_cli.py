@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import exitgrid
-from exitgrid import FirstPassageLaw, ModelParams, cli, solve_renewal_density
+from exitgrid import FirstPassageLaw, ModelParams, ScaledNormalLaw, cli, solve_renewal_density
 from exitgrid.cli import main
 from exitgrid.experiments import (
     LIMIT_LADDER,
@@ -157,20 +157,25 @@ class TestConfigHandling:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,code",
         [
-            ["density", "--eta", "1e-160"],
-            ["tau", "--eta", "1e-150"],
-            ["density", "--sigma", "1e150", "--eta", "1e150"],
+            (["density", "--eta", "1e-160"], 2),
+            (["tau", "--eta", "1e-150"], 0),
+            (["tau", "--eta", "1e-154"], 0),
+            (["tau", "--eta", "3e-155"], 2),
+            (["tau", "--eta", "1e-160"], 2),
+            (["density", "--sigma", "1e150", "--eta", "1e150"], 0),
         ],
     )
-    def test_extreme_scales_run(self, tmp_path, capsys, argv):
-        # ModelParams accepts these; the unit-band kernels see only
-        # v = sigma^2 t / eta^2 and x / eta, so nothing overflows
-        code = main([*argv, "--out", str(tmp_path)])
-        assert code in (0, 2)
+    def test_extreme_scales_run(self, tmp_path, capsys, argv, code):
+        # the unit-band kernels see only v = sigma^2 t / eta^2 and x / eta, so
+        # nothing overflows while sigma^2 / eta^2 is a double; past that (eta
+        # below about 1.5e-154 at sigma = 1) ModelParams refuses the input
+        assert main([*argv, "--out", str(tmp_path)]) == code
         assert "Traceback" not in capsys.readouterr().err
-        for path in tmp_path.iterdir():
+        written = list(tmp_path.iterdir())
+        assert written if code == 0 else not written
+        for path in written:
             assert np.isfinite(read_csv(path)[2]).all(), path.name
 
     def test_huge_equal_scales_give_the_unit_table(self, tmp_path):
@@ -286,6 +291,11 @@ class TestRunners:
         _, cols, data = read_csv(tmp_path / "fig1.csv")
         assert cols == ["eta", "z", "kde", "triangular", "fnorm"]
         assert set(np.unique(data[:, 0])) == {0.5, 4.0}
+        # the fnorm column is the scaled-normal law's density, to all 17 digits
+        t = ExperimentConfig().t
+        for eta in (0.5, 4.0):
+            rows = data[data[:, 0] == eta]
+            assert np.array_equal(rows[:, 4], ScaledNormalLaw(1.0, t, eta).pdf(rows[:, 1]))
 
     def test_fig2_uses_one_batch(self, tmp_path):
         cfg = ExperimentConfig(

@@ -8,23 +8,22 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from exitgrid import (
-    DEFAULT_SERIES,
     FirstPassageLaw,
     InvalidDomainError,
     ModelParams,
     NoConvergenceError,
     PathConfig,
-    SeriesConfig,
     ToleranceNotMetError,
     simulate_batch,
 )
+from exitgrid.params import MAX_TERMS, SWITCH_V, TERM_TOL
 
 # ---------------------------------------------------------------------------
 # Reference: the physical-unit series of the exit-time law, which took sigma
 # and eta into every term, with their dispatch on sigma^2 t / eta^2.
 
 
-def _ref_survival_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+def _ref_survival_images(params: ModelParams, t: np.ndarray) -> np.ndarray:
     eta, sigma = params.eta, params.sigma
     out = np.ones(t.shape)
     pos = t > 0.0
@@ -41,9 +40,9 @@ def _ref_survival_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) 
     k = 1
     while True:
         bound = 4.0 * ndtr(-(4.0 * k - 3.0) * eta / smax)
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if k > cfg.max_terms:
+        if k > MAX_TERMS:
             raise NoConvergenceError("survival image series hit its term cap")
         acc += band(4.0 * k * eta) - band(2.0 * eta - 4.0 * k * eta)
         acc += band(-4.0 * k * eta) - band(2.0 * eta + 4.0 * k * eta)
@@ -52,7 +51,7 @@ def _ref_survival_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) 
     return out
 
 
-def _ref_survival_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+def _ref_survival_spectral(params: ModelParams, t: np.ndarray) -> np.ndarray:
     eta, sigma = params.eta, params.sigma
     mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
     tmin = float(np.min(t))
@@ -61,16 +60,16 @@ def _ref_survival_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray
     while True:
         k = 2 * j + 1
         bound = (4.0 / (math.pi * k)) * math.exp(-mu * k * k * tmin)
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if j > cfg.max_terms:
+        if j > MAX_TERMS:
             raise NoConvergenceError("survival spectral series hit its term cap")
         acc += ((-1.0) ** j / k) * np.exp(-mu * k * k * t)
         j += 1
     return (4.0 / math.pi) * acc
 
 
-def _ref_density_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+def _ref_density_images(params: ModelParams, t: np.ndarray) -> np.ndarray:
     eta, sigma = params.eta, params.sigma
     var = sigma * sigma * t
     # below this every exponential underflows to an exact zero while the
@@ -79,7 +78,7 @@ def _ref_density_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -
     if not np.all(live):
         out = np.zeros(t.shape)
         if np.any(live):
-            out[live] = _ref_density_images(params, cfg, t[live])
+            out[live] = _ref_density_images(params, t[live])
         return out
     pref = 1.0 / (2.0 * t * np.sqrt(2.0 * math.pi * var))
     prefmax = float(np.max(pref))
@@ -100,16 +99,16 @@ def _ref_density_images(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -
     while True:
         d = (4.0 * k - 3.0) * eta
         bound = 16.0 * (k + 1.0) * eta * prefmax * math.exp(-(d * d) / (2.0 * varmax))
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if 2 * k > cfg.max_terms:
+        if 2 * k > MAX_TERMS:
             raise NoConvergenceError("exit-density image series hit its term cap")
         acc += kterm(k) + kterm(-k)
         k += 1
     return pref * acc
 
 
-def _ref_density_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray) -> np.ndarray:
+def _ref_density_spectral(params: ModelParams, t: np.ndarray) -> np.ndarray:
     eta, sigma = params.eta, params.sigma
     mu = (math.pi * sigma) ** 2 / (8.0 * eta**2)
     lead = math.pi * sigma**2 / (2.0 * eta**2)
@@ -119,34 +118,34 @@ def _ref_density_spectral(params: ModelParams, cfg: SeriesConfig, t: np.ndarray)
     while True:
         k = 2 * j + 1
         bound = lead * k * math.exp(-mu * k * k * tmin)
-        if bound < cfg.term_tol:
+        if bound < TERM_TOL:
             break
-        if j > cfg.max_terms:
+        if j > MAX_TERMS:
             raise NoConvergenceError("exit-density spectral series hit its term cap")
         acc += ((-1.0) ** j * k) * np.exp(-mu * k * k * t)
         j += 1
     return lead * acc
 
 
-def _ref_dispatch(params, cfg, t, images, spectral) -> np.ndarray:
+def _ref_dispatch(params, t, images, spectral) -> np.ndarray:
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(tt.shape)
     ratio = params.sigma**2 / params.eta**2
-    small = tt * ratio < cfg.switch_ratio
+    small = tt * ratio < SWITCH_V
     if np.any(small):
-        out[small] = images(params, cfg, tt[small])
+        out[small] = images(params, tt[small])
     if np.any(~small):
-        out[~small] = spectral(params, cfg, tt[~small])
+        out[~small] = spectral(params, tt[~small])
     return out
 
 
-def reference_survival(params: ModelParams, cfg: SeriesConfig, t) -> np.ndarray:
-    out = _ref_dispatch(params, cfg, t, _ref_survival_images, _ref_survival_spectral)
+def reference_survival(params: ModelParams, t) -> np.ndarray:
+    out = _ref_dispatch(params, t, _ref_survival_images, _ref_survival_spectral)
     return np.clip(out, 0.0, 1.0)
 
 
-def reference_exit_density(params: ModelParams, cfg: SeriesConfig, t) -> np.ndarray:
-    out = _ref_dispatch(params, cfg, t, _ref_density_images, _ref_density_spectral)
+def reference_exit_density(params: ModelParams, t) -> np.ndarray:
+    out = _ref_dispatch(params, t, _ref_density_images, _ref_density_spectral)
     return np.maximum(out, 0.0)
 
 
@@ -182,7 +181,7 @@ class TestSurvival:
             assert wide.survival(t) == pytest.approx(law.survival(t / 4.0), abs=1e-12)
 
     def test_branch_continuity(self, law):
-        tsw = law.cfg.switch_ratio
+        tsw = SWITCH_V
         assert law.survival(tsw * (1 - 1e-12)) == pytest.approx(
             law.survival(tsw * (1 + 1e-12)), abs=1e-12
         )
@@ -241,9 +240,9 @@ class TestUnitBand:
         law = FirstPassageLaw(params)
         ts = np.geomspace(1e-4 * params.timescale, 50.0 * params.timescale, 2000)
         surv = law.survival(np.concatenate(([0.0], ts)))
-        surv_ref = reference_survival(params, DEFAULT_SERIES, np.concatenate(([0.0], ts)))
+        surv_ref = reference_survival(params, np.concatenate(([0.0], ts)))
         dens = law.density(ts)
-        dens_ref = reference_exit_density(params, DEFAULT_SERIES, ts)
+        dens_ref = reference_exit_density(params, ts)
         if sigma == eta == 1.0:
             np.testing.assert_array_equal(surv, surv_ref)
             np.testing.assert_array_equal(dens, dens_ref)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from exitgrid import (
     generate_path,
     simulate_batch,
 )
-from exitgrid.path_sim import _CHUNK, _GROUP, _groups, _run_chunk
+from exitgrid.path_sim import _CHUNK, _GROUP, _chunk_ends, _groups, _run_chunk
 
 CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
 
@@ -27,7 +29,7 @@ CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
 _REF_BLOCK = 4096
 
 
-def reference_scan(x, eta, snap):
+def reference_scan(x, eta):
     """Sequential first-touch scan; returns crossings, anchors and statistics."""
     n = x.size
     anchor = 0.0
@@ -58,14 +60,14 @@ def reference_scan(x, eta, snap):
             ups += 1
         else:
             downs += 1
-        anchor = anchor + math.copysign(eta, move) if snap else float(x[found])
+        anchor = float(x[found])
         crossings.append(found)
         anchors.append(anchor)
         idx = found
     return crossings, anchors, ups, downs, max_overshoot
 
 
-def reference_chunk(cfg, sigma, t_idx, snap, start, stop):
+def reference_chunk(cfg, sigma, t_idx, start, stop):
     """Per-path batch loop over paths start..stop-1, in _run_chunk's output order."""
     n = stop - start
     n_t = len(t_idx)
@@ -85,7 +87,7 @@ def reference_chunk(cfg, sigma, t_idx, snap, start, stop):
             if eta > xmax:  # the band is never left; skip the scan
                 errors[row, :, e] = xt / eta
                 continue
-            crossings, anchors, u, d, mo = reference_scan(x, eta, snap)
+            crossings, anchors, u, d, mo = reference_scan(x, eta)
             counts[row, e] = len(crossings)
             ups[row, e] = u
             downs[row, e] = d
@@ -179,19 +181,12 @@ class TestDiscretize:
         assert np.all(np.diff(tr.crossing_indices) >= 1)
         assert tr.terminal_error == x[-1] - tr.anchor_values[-1]
 
-    def test_snap_mode_anchors_on_lattice(self):
-        x = generate_path(CFG, 1.0, 11)
-        tr = discretize(x, eta=0.25, snap=True)
-        lattice = tr.anchor_values / 0.25
-        assert np.max(np.abs(lattice - np.round(lattice))) < 1e-12
-
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_matches_reference_scan(self, snap):
+    def test_matches_reference_scan(self):
         shifted = generate_path(CFG, 1.7, 4) + 0.3  # the anchor starts at 0, not at x[0]
         for x in (generate_path(CFG, 1.0, 11), shifted, np.array([0.0]), np.array([0.0, 1.0])):
             for eta in (0.001, 0.02, 0.25, 1.0, 100.0):
-                tr = discretize(x, eta, snap=snap)
-                crossings, anchors, _, _, _ = reference_scan(x, eta, snap)
+                tr = discretize(x, eta)
+                crossings, anchors, _, _, _ = reference_scan(x, eta)
                 assert tr.crossing_indices.tolist() == crossings
                 assert tr.anchor_values.tolist() == anchors
                 assert tr.renewal_count == len(crossings)
@@ -242,19 +237,18 @@ class TestBatch:
         start=st.integers(0, 5),
         sigma=st.sampled_from([0.0, 1.0, 1.7]),
         log_etas=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=3, unique=True),
-        snap=st.booleans(),
         extra_times=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
     @example(n_steps=_CHUNK + 37, n_paths=70, start=3, sigma=1.7,
-             log_etas=[-3.0, -1.3, 1.0], snap=False, extra_times=[0.3, 0.01])
+             log_etas=[-3.0, -1.3, 1.0], extra_times=[0.3, 0.01])
     @example(n_steps=_CHUNK, n_paths=65, start=1, sigma=1.0,
-             log_etas=[-2.0, -0.5], snap=True, extra_times=[0.999])
+             log_etas=[-2.0, -0.5], extra_times=[0.999])
     # eta 0.02 and 2 in one batch: scan windows of 32 and 512 points
     @example(n_steps=2 * _CHUNK + 1, n_paths=_GROUP + 1, start=2, sigma=1.0,
-             log_etas=[math.log10(0.02), math.log10(2.0)], snap=False, extra_times=[0.5])
+             log_etas=[math.log10(0.02), math.log10(2.0)], extra_times=[0.5])
     @example(n_steps=_CHUNK + 300, n_paths=2 * _GROUP + 1, start=0, sigma=1.0,
-             log_etas=[math.log10(2.0), math.log10(0.02)], snap=True, extra_times=[0.25])
-    def test_matches_reference_engine(self, n_steps, n_paths, start, sigma, log_etas, snap,
+             log_etas=[math.log10(2.0), math.log10(0.02)], extra_times=[0.25])
+    def test_matches_reference_engine(self, n_steps, n_paths, start, sigma, log_etas,
                                       extra_times):
         etas = tuple(dict.fromkeys(10.0**u for u in log_etas))
         cfg = PathConfig(t_end=0.5, n_steps=n_steps, n_paths=start + n_paths, seed=77,
@@ -262,9 +256,29 @@ class TestBatch:
         # evaluation times on the grid, 0 and t_end included, in no particular order
         idx = dict.fromkeys([n_steps, *(round(f * n_steps) for f in extra_times), 0])
         t_idx = tuple(cfg.time_index(i * cfg.dt) for i in idx)
-        args = (cfg, sigma, t_idx, snap, start, start + n_paths)
+        args = (cfg, sigma, t_idx, start, start + n_paths)
         for got, want in zip(_run_chunk(args), reference_chunk(*args)):
             assert_same_bits(got, want)
+
+    def test_chunk_ends_are_lazy(self):
+        # 10**11 steps hold about 4.9e7 chunk ends; taking the first few must
+        # not build the rest
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(_chunk_ends((10**11, 5, 0), 10**11), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [5, _CHUNK, 2 * _CHUNK]
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("t_idx,n_steps", [
+        ((), 1), ((0, 1), 1), ((3,), _CHUNK), ((_CHUNK, 0, 7), _CHUNK + 1),
+        ((2 * _CHUNK, 7, 7, 5000), 3 * _CHUNK), ((9000, 4000, 1), 4 * _CHUNK + 5),
+    ])
+    def test_chunk_ends_match_sorted_set(self, t_idx, n_steps):
+        want = sorted({i for i in t_idx if i > 0} | {*range(_CHUNK, n_steps, _CHUNK), n_steps})
+        assert list(_chunk_ends(t_idx, n_steps)) == want
 
     def test_sign_balance(self, small_batch):
         # anchor moves are +eta or -eta with equal probability
@@ -303,7 +317,6 @@ def collect_errors(
     params: ModelParams,
     t_eval,
     workers: int = 1,
-    snap: bool = False,
 ) -> dict[float, EmpiricalSample]:
     """Normalized tracking-error samples for ``params.eta`` at each time."""
     run_cfg = PathConfig(
@@ -313,7 +326,7 @@ def collect_errors(
         seed=cfg.seed,
         etas=(params.eta,),
     )
-    batch = simulate_batch(run_cfg, params.sigma, t_eval, workers=workers, snap=snap)
+    batch = simulate_batch(run_cfg, params.sigma, t_eval, workers=workers)
     return {t: batch.sample(params.eta, t) for t in batch.t_eval}
 
 

@@ -9,13 +9,11 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from exitgrid import (
-    DEFAULT_SERIES,
     FirstPassageLaw,
     InvalidDomainError,
     ModelParams,
     NoConvergenceError,
     ScaledNormalLaw,
-    SeriesConfig,
     ToleranceNotMetError,
     TriangularLaw,
     absorbed_density,
@@ -124,7 +122,6 @@ def triangular_limit_check(
     params: ModelParams,
     t: float,
     rg=None,
-    cfg: SeriesConfig = DEFAULT_SERIES,
     z_grid=None,
 ) -> TriangularLimitReport:
     """Compare the analytic error density at time ``t`` to ``(1 - |z|)^+``."""
@@ -132,11 +129,11 @@ def triangular_limit_check(
         z_grid = np.linspace(-1.0, 1.0, 1001)
     T = t / params.eta**2
     if rg is None:
-        law1 = FirstPassageLaw(ModelParams(params.sigma, 1.0), cfg)
+        law1 = FirstPassageLaw(ModelParams(params.sigma, 1.0))
         rg = solve_renewal_density(law1, horizon=max(20.0, 1.05 * T))
-    ed = tracking_error_density(params, rg, t, z_grid, cfg)
+    ed = tracking_error_density(params, rg, t, z_grid)
 
-    atom = np.asarray(absorbed_density(ModelParams(params.sigma, 1.0), cfg, T, z_grid))
+    atom = np.asarray(absorbed_density(ModelParams(params.sigma, 1.0), T, z_grid))
     atom_max = float(np.max(atom))
     atom_bound = 4.0 * params.eta**2 / (3.0 * params.sigma**2 * t)
     if atom_max > atom_bound * (1.0 + 1e-9):
@@ -215,7 +212,7 @@ class TestSolver:
         assert peak < 1_000_000
 
     def test_term_cap_fails_fast(self, unit_law):
-        # u = 1e6 needs about 8 000 image terms, past max_terms = 1000; the
+        # u = 1e6 needs about 8 000 image terms, past MAX_TERMS = 1000; the
         # cap is checked from the tail bound before any term is summed
         t0 = time.monotonic()
         with pytest.raises(NoConvergenceError):
