@@ -18,6 +18,7 @@ path and step defaults to the full protocol.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -113,6 +114,7 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache  # built once per process; it reads only constants
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exitgrid",

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import (
     DegenerateSampleError,
     InvalidDomainError,
@@ -348,6 +348,19 @@ def _finite_range(law, tail: float = 1e-14):
     return lo, hi
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``x``, as ``np.unique`` gives them.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call, about 14 ms, a
+    sixth of a short analytic run.
+    """
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _w1_quadratic_pieces(f, g) -> float:
     """Exact ``int |F - G|`` for two laws whose CDFs are quadratics between breaks.
 
@@ -358,7 +371,7 @@ def _w1_quadratic_pieces(f, g) -> float:
     differences of CDF values enter, never differences of O(1)
     antiderivatives.  Outside the merged breaks both CDFs are 0 or both 1.
     """
-    x = np.union1d(f.breaks(), g.breaks())
+    x = _distinct(np.concatenate((f.breaks(), g.breaks())))
     a, b = x[:-1], x[1:]
     m = 0.5 * (a + b)
     d0, dm, d1 = (f.cdf(t) - g.cdf(t) for t in (a, m, b))
@@ -391,7 +404,8 @@ def _w1_law_pair(f, g) -> float:
     lo2, hi2 = _finite_range(g)
     lo, hi = min(lo1, lo2), max(hi1, hi2)
     knots = np.concatenate((f.breaks(), g.breaks()))
-    xs = np.union1d(np.linspace(lo, hi, 4097), knots[(knots > lo) & (knots < hi)])
+    inner = knots[(knots > lo) & (knots < hi)]
+    xs = _distinct(np.concatenate((np.linspace(lo, hi, 4097), inner)))
     d = f.cdf(xs) - g.cdf(xs)
     sign = np.sign(d)
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
@@ -400,7 +414,7 @@ def _w1_law_pair(f, g) -> float:
         m = 0.5 * (a + b)
         up = np.sign(f.cdf(m) - g.cdf(m)) == sa  # the sign change lies in [m, b]
         a, b = np.where(up, m, a), np.where(up, b, m)
-    pts = np.unique(np.concatenate(([lo, hi], xs[d == 0.0], 0.5 * (a + b))))
+    pts = _distinct(np.concatenate(([lo, hi], xs[d == 0.0], 0.5 * (a + b))))
     val = float(np.sum(np.abs(np.diff(f.cdf_antideriv(pts) - g.cdf_antideriv(pts)))))
     # tail pieces outside the quantile range; the CDFs do not cross out
     # there, so the absolute difference integrates in closed form

@@ -348,9 +348,9 @@ def run_simulate(cfg: ExperimentConfig) -> list[Path]:
             moment_rows.append(
                 (e, t, s.n, s.mean(), s.variance(), float(s.values[0]), float(s.values[-1]))
             )
-        counts = batch.renewal_counts[:, list(etas).index(e)]
-        for c in np.unique(counts):
-            hist_rows.append((e, int(c), float(np.mean(counts == c))))
+        counts = np.bincount(batch.renewal_counts[:, list(etas).index(e)])
+        for c in np.flatnonzero(counts):
+            hist_rows.append((e, int(c), float(counts[c] / cfg.paths)))
     p1 = write_csv(
         Path(cfg.out_dir) / "simulate_samples.csv", cfg, ("eta", "t", "z"), sample_rows
     )

@@ -20,14 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .errors import InvalidDomainError, ToleranceNotMetError
 from .params import ModelParams, evaluate, series_terms
 
 __all__ = ["FirstPassageLaw"]
 
 _MU = math.pi**2 / 8.0  # decay rate of the slowest spectral mode of the unit band
+_SQRTH = math.sqrt(0.5)
 
 
 def _survival_images(v: np.ndarray) -> np.ndarray:
@@ -38,19 +39,25 @@ def _survival_images(v: np.ndarray) -> np.ndarray:
     s = np.sqrt(v[pos])
     smax = float(np.max(s))
 
-    def band(center: float) -> np.ndarray:
-        # integral of the Gaussian image at `center` over [-1, 1]
-        return ndtr((1.0 - center) / s) - ndtr((-1.0 - center) / s)
-
     def bound(k: int) -> float:
-        # at k = 0 this is at least 2, above the k = 0 term, which is <= 1
-        return 4.0 * ndtr(-(4.0 * k - 3.0) / smax)
+        # 4 ndtr(-(4k - 3) / smax) = 2 erfc((4k - 3) / (smax sqrt 2)); at k = 0
+        # it is at least 2, above the k = 0 term, which is <= 1
+        return 2.0 * math.erfc((4.0 * k - 3.0) / smax * _SQRTH)
 
     n = series_terms(bound, f"survival image series at v = {smax * smax:.4g}")
-    acc = band(0.0) - band(2.0)
+    # every band edge below is m / s with m odd and |m| <= top, so one ndtr
+    # call tabulates them all: cdf[(m + top) // 2] = ndtr(m / s)
+    top = 4 * n - 1
+    cdf = ndtr(np.arange(-top, top + 1, 2.0)[:, None] / s)
+
+    def band(center: int) -> np.ndarray:
+        # integral of the Gaussian image at `center` over [-1, 1]
+        return cdf[(top + 1 - center) // 2] - cdf[(top - 1 - center) // 2]
+
+    acc = band(0) - band(2)
     for k in range(1, n):
-        acc += band(4.0 * k) - band(2.0 - 4.0 * k)
-        acc += band(-4.0 * k) - band(2.0 + 4.0 * k)
+        acc += band(4 * k) - band(2 - 4 * k)
+        acc += band(-4 * k) - band(2 + 4 * k)
     out[pos] = acc
     return out
 

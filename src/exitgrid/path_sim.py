@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +47,8 @@ from .distributions import EmpiricalSample
 from .errors import InvalidDomainError
 
 __all__ = [
+    "MAX_PATH_STEPS",
+    "MAX_RESULTS",
     "DiscretizationTrace",
     "PathConfig",
     "SimulationBatch",
@@ -59,6 +61,13 @@ _GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equ
 _CHUNK = 2048  # grid steps drawn per path between scans
 _CELL = 512  # width of the cells whose extrema decide which paths can cross
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
+
+# resource ceilings, checked before anything is allocated: the grid steps
+# drawn (paths x steps; the full protocol draws 50 000 x 200 000 = 1e10) and
+# the cells of the result array (paths x evaluation times x thresholds, 8
+# bytes each)
+MAX_PATH_STEPS = 2 * 10**10
+MAX_RESULTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,12 @@ class PathConfig:
             raise InvalidDomainError("etas must be non-empty, finite and positive")
         if len(set(self.etas)) != len(self.etas):
             raise InvalidDomainError(f"etas must be distinct, got {self.etas}")
+        work = int(self.n_paths) * int(self.n_steps)
+        if work > MAX_PATH_STEPS:
+            raise InvalidDomainError(
+                f"paths x steps = {work:.3g} is above the ceiling of {MAX_PATH_STEPS:.0e}"
+                " grid steps"
+            )
 
     @property
     def dt(self) -> float:
@@ -386,6 +401,13 @@ def _run_chunk(args) -> tuple:
     return errors, counts, first, ups, downs, over
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_batch(
     cfg: PathConfig,
     sigma: float,
@@ -395,7 +417,10 @@ def simulate_batch(
     """Run the full batch and reduce it to per-(eta, t) error samples.
 
     Results are invariant to ``workers``: every path owns a substream keyed
-    by its index and chunks are reassembled in path order.
+    by its index and chunks are reassembled in path order.  At most
+    ``min(workers, n_paths, usable CPUs)`` processes run.  Raises
+    InvalidDomainError before any allocation when the result array would
+    hold more than ``MAX_RESULTS`` cells.
     """
     _check_sigma(sigma)
     t_eval = tuple(float(t) for t in np.atleast_1d(t_eval))
@@ -404,16 +429,26 @@ def simulate_batch(
     t_idx = tuple(cfg.time_index(t) for t in t_eval)
     if workers < 1:
         raise InvalidDomainError("workers must be >= 1")
+    cells = cfg.n_paths * len(t_eval) * len(cfg.etas)
+    if cells > MAX_RESULTS:
+        raise InvalidDomainError(
+            f"paths x evaluation times x thresholds = {cells:.3g} is above the ceiling of"
+            f" {MAX_RESULTS:.0e} result cells"
+        )
 
-    bounds = np.linspace(0, cfg.n_paths, min(workers, cfg.n_paths) + 1).astype(int)
+    # one process per job at most, and no more jobs than usable CPUs
+    n_jobs = min(workers, cfg.n_paths, _usable_cpus())
+    bounds = np.linspace(0, cfg.n_paths, n_jobs + 1).astype(int)
     jobs = [
         (cfg, sigma, t_idx, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    if workers == 1 or len(jobs) == 1:
-        parts = [_run_chunk(j) for j in jobs]
+    if len(jobs) == 1:
+        parts = [_run_chunk(jobs[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_run_chunk, jobs))
 

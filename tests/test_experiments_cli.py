@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import exitgrid
 from exitgrid import FirstPassageLaw, ModelParams, ScaledNormalLaw, cli, solve_renewal_density
+from exitgrid import path_sim
 from exitgrid.cli import main
 from exitgrid.experiments import (
     LIMIT_LADDER,
@@ -38,23 +40,32 @@ def meta_block(path):
 SMALL = ["--paths", "250", "--steps", "2500", "--seed", "7"]
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_and_runs_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: importing the package and running the
+    # subcommands that use the normal CDF and quantile must not load it
     src = str(Path(exitgrid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, exitgrid, exitgrid.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, exitgrid, exitgrid.cli\n"
+        "for argv in (['density'], ['tau'], ['fig2', '--paths', '40', '--steps', '400']):\n"
+        f"    assert exitgrid.cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "fig2.csv").is_file()
 
 
-def test_src_never_mentions_scipy_integrate():
-    # quadrature lives in the tests, as an oracle; the package uses closed forms
+def test_src_never_mentions_scipy():
+    # quadrature and scipy's special functions live in the tests, as oracles;
+    # the package uses closed forms and its own normal CDF and quantile
     src = Path(exitgrid.__file__).resolve().parent
     files = sorted(src.rglob("*.py"))
     assert files
-    assert [f.name for f in files if "scipy.integrate" in f.read_text()] == []
+    assert [f.name for f in files if "scipy" in f.read_text().lower()] == []
 
 
 def _help_entries(text: str) -> dict[str, str]:
@@ -188,6 +199,39 @@ class TestConfigHandling:
         _, _, unit = read_csv(tmp_path / "b" / "density_table.csv")
         np.testing.assert_array_equal(huge[:, 0], unit[:, 0])
         np.testing.assert_allclose(1e150 * huge[:, 2], unit[:, 2], rtol=1e-12, atol=2e-14)
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (["--paths", "1000000000000", "--steps", "10"], "paths x steps"),
+            (["--paths", "1", "--steps", "100000000000"], "paths x steps"),
+            (["--paths", "5000000", "--steps", "4", "--etas", "0.5,1,1.5"], "result cells"),
+        ],
+    )
+    def test_resource_ceilings_exit_2_before_allocating(self, tmp_path, capsys, argv, what):
+        # the work (paths x steps) and the result array (paths x times x
+        # thresholds) are checked against the path_sim ceilings before any
+        # allocation, so these return at once instead of failing or running on
+        t0 = time.perf_counter()
+        assert main(["simulate", *argv, "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert what in err and "ceiling" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["simulate", "fig1", "fig2", "fig3", "limit"])
+    def test_paper_scale_is_within_the_ceilings(self, monkeypatch, tmp_path, name):
+        # validation passes and the batch reaches its first chunk of work
+        class Reached(Exception):
+            pass
+
+        def stop(job):
+            raise Reached
+
+        monkeypatch.setattr(path_sim, "_run_chunk", stop)
+        with pytest.raises(Reached):
+            main([name, "--paper-scale", "--out", str(tmp_path)])
 
     def test_off_grid_time_exits_2(self, tmp_path):
         code = main(

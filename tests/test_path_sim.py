@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,15 @@ from exitgrid import (
     generate_path,
     simulate_batch,
 )
-from exitgrid.path_sim import _CHUNK, _GROUP, _chunk_ends, _groups, _run_chunk
+from exitgrid.path_sim import (
+    _CHUNK,
+    _GROUP,
+    MAX_PATH_STEPS,
+    MAX_RESULTS,
+    _chunk_ends,
+    _groups,
+    _run_chunk,
+)
 
 CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
 
@@ -227,6 +237,48 @@ class TestBatch:
         for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
                      "down_counts", "max_overshoot"):
             assert_same_bits(getattr(a, name), getattr(b, name))
+
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
+        # an in-process stand-in for the executor: no process is started, and
+        # it records how many the batch asked for
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = PathConfig(t_end=0.5, n_steps=300, n_paths=40, seed=4, etas=(0.3, 0.6))
+        wide = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=64)
+        assert asked == [3]
+        simulate_batch(cfg, 1.0, (0.5,), workers=2)
+        assert asked == [3, 2]
+        one = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
+        assert asked == [3, 2]
+        for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
+                     "down_counts", "max_overshoot"):
+            assert_same_bits(getattr(wide, name), getattr(one, name))
+
+    def test_work_ceiling(self):
+        PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS, n_paths=1, seed=0)
+        with pytest.raises(InvalidDomainError, match="paths x steps"):
+            PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS // 2 + 1, n_paths=2, seed=0)
+
+    def test_result_ceiling(self):
+        cfg = PathConfig(t_end=0.5, n_steps=2, n_paths=MAX_RESULTS // 2 + 1, seed=0,
+                         etas=(0.5, 1.0))
+        with pytest.raises(InvalidDomainError, match="result cells"):
+            simulate_batch(cfg, 1.0, (0.5,))
 
     @settings(max_examples=25, deadline=None)
     @given(
