@@ -11,6 +11,7 @@ content, never from in-memory state.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -138,6 +139,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@functools.lru_cache(maxsize=64)
+def _float_row_format(types: tuple[type, ...]) -> str | None:
+    """The ``%``-format of a CSV line of floats, one ``%.17g`` per value, else None.
+
+    ``%.17g`` formats a float (numpy float64 included) exactly as ``_fmt``
+    does.  The key is the type of each value, never the value, so ``-0.0``
+    and ``0`` cannot share a line.
+    """
+    if all(issubclass(t, float) for t in types):
+        return ",".join(["%.17g"] * len(types)) + "\n"
+    return None
+
+
 def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     """Write a CSV with the standard metadata block; returns the path."""
     payload = cfg.canonical()
@@ -147,9 +161,10 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     buf.write(f"# config = {payload}\n")
     buf.write(f"# content-hash = {_content_hash(payload)}\n")
     buf.write(",".join(columns) + "\n")
-    # floats (numpy float64 included) take the f-string; _fmt handles the rest
+    # all-float rows take one cached %-format per type signature; _fmt does the rest
     buf.write("".join([
-        ",".join([f"{v:.17g}" if isinstance(v, float) else _fmt(v) for v in row]) + "\n"
+        fmt % tuple(row) if (fmt := _float_row_format(tuple(map(type, row))))
+        else ",".join(map(_fmt, row)) + "\n"
         for row in rows
     ]))
     path = Path(path)

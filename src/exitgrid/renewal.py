@@ -22,12 +22,23 @@ killed Green's function times ``1 + m_hat`` is
     f_Z(z) = sum_{n>=1} n [phi_v(n - 1 + |z|) - phi_v(n + 1 - |z|)],   v = sigma^2 T,
 
 with ``phi_v`` the centred normal density of variance ``v``.  As T grows the
-integral converges to the triangular profile ``(1 - |z|)^+``.  Both series
-need about ``sqrt(v)`` terms; :func:`~exitgrid.params.series_terms` counts
-them from their tail bounds and raises ``NoConvergenceError`` before summing
-once more than ``MAX_TERMS`` are needed (``v`` above about ``1.5e4``).
-Neither needs a horizon: the error density is evaluated at any ``T``
-without the tabulated ``m``.
+integral converges to the triangular profile ``(1 - |z|)^+``.
+
+Both image series need about ``sqrt(v)`` terms, so each has a spectral dual
+from the residues at the double poles ``-2 pi^2 k^2`` of its transform:
+
+    m1(v)  = 1 + sum_{k>=1} (2 - 8 pi^2 k^2 v) exp(-2 pi^2 k^2 v),
+    f_Z(z) = (1 - |z|) + sum_{k>=1} [4 pi k v sin(2 pi k |z|)
+                                     + 2 (1 - |z|) cos(2 pi k |z|)] exp(-2 pi^2 k^2 v),
+
+whose term count falls like ``1 / sqrt(v)``: five terms at ``v = 0.1``, two
+(the limit and the slowest mode) from ``v = 0.5`` on and the limit alone
+from ``v = 1.9`` on, where the images need 59 at ``v = 50``.  As for the
+absorbed density, :func:`~exitgrid.params.evaluate` sends ``v < SWITCH_V``
+to the image series and the rest to the dual, and each kernel takes its
+term count from :func:`~exitgrid.params.series_terms`, so neither series
+reaches ``MAX_TERMS`` at any ``v``.  Neither needs a horizon: the error
+density is evaluated at any ``T`` without the tabulated ``m``.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from .density import absorbed_density
 from .distributions import DensityGrid, GridLaw
 from .errors import InvalidDomainError
 from .first_passage import FirstPassageLaw
-from .params import ModelParams, series_terms
+from .params import ModelParams, evaluate, series_terms
 
 __all__ = [
     "ErrorDensity",
@@ -52,6 +63,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TWO_PI2 = 2.0 * math.pi**2  # decay rate of the slowest renewal mode
 _MAX_NODES = 10**7  # ceiling on renewal grid nodes: 80 MB per tabulated array
 
 
@@ -69,7 +81,7 @@ class RenewalGrid:
         return self.h * np.arange(self.values.size)
 
 
-def _renewal_series(v: np.ndarray) -> np.ndarray:
+def _renewal_images(v: np.ndarray) -> np.ndarray:
     """Image series for ``m1(v)`` at positive ``v``, summed one term at a time.
 
     As a function of ``v``, term ``n`` peaks at ``v = n^2 / 3``, and at fixed
@@ -85,7 +97,7 @@ def _renewal_series(v: np.ndarray) -> np.ndarray:
             return math.inf
         return coeff * n * n * math.exp(-n * n / (2.0 * vmax))
 
-    n_terms = series_terms(bound, f"renewal series at v = {vmax:.4g}")
+    n_terms = series_terms(bound, f"renewal image series at v = {vmax:.4g}")
     inv2v = 0.5 / v
     acc = np.zeros(v.shape)
     for n in range(1, n_terms):  # term 0 vanishes
@@ -93,27 +105,85 @@ def _renewal_series(v: np.ndarray) -> np.ndarray:
     return 2.0 * acc / (_SQRT_2PI * v**1.5)
 
 
-def _error_density_series(v: float, za: np.ndarray) -> np.ndarray:
+def _renewal_spectral(v: np.ndarray) -> np.ndarray:
+    """Spectral series ``m1(v) = 1 + sum_{k>=1} (2 - 8 pi^2 k^2 v) exp(-2 pi^2 k^2 v)``.
+
+    With ``x = 2 pi^2 k^2 v``, term ``k`` is at most ``(2 + 4 x) exp(-x)``,
+    which falls in ``x`` once ``x > 1/2``: from there on, the value at
+    ``min(v)`` bounds the term everywhere and decreases in ``k``.  The terms
+    are formed in two buffers, in place.
+    """
+    vmin = float(np.min(v))
+
+    def bound(k: int) -> float:
+        x = _TWO_PI2 * k * k * vmin
+        if x <= 0.5:
+            return math.inf
+        return (2.0 + 4.0 * x) * math.exp(-x)
+
+    n_terms = series_terms(bound, f"renewal spectral series at v = {vmin:.4g}")
+    out = np.ones(v.shape)
+    decay = np.empty(v.shape)
+    term = np.empty(v.shape)
+    for k in range(1, n_terms):  # term 0 is the limit 1
+        np.multiply(v, _TWO_PI2 * k * k, out=term)  # x
+        np.negative(term, out=decay)
+        np.exp(decay, out=decay)
+        term *= -4.0
+        term += 2.0
+        term *= decay
+        out += term
+    return out
+
+
+def _error_density_images(v: np.ndarray, za: np.ndarray) -> np.ndarray:
     """Image series for ``f_Z`` at ``v = sigma^2 T`` and ``za = |z|``, one term at a time.
 
     Term ``n`` lies in ``[0, n phi_v(n - 1)]``, a bound that decreases in ``n``
-    once ``n (n - 1) > v``; below that no bound is claimed.
+    once ``n (n - 1) > max(v)``; below that no bound is claimed.
     """
-    norm = 1.0 / math.sqrt(2.0 * math.pi * v)
+    vmax = float(np.max(v))
+    norm_max = 1.0 / math.sqrt(2.0 * math.pi * float(np.min(v)))
 
     def bound(n: int) -> float:
-        if n * (n - 1) <= v:
+        if n * (n - 1) <= vmax:
             return math.inf
-        return n * norm * math.exp(-((n - 1) ** 2) / (2.0 * v))
+        return n * norm_max * math.exp(-((n - 1) ** 2) / (2.0 * vmax))
 
-    n_terms = series_terms(bound, f"error-density series at v = {v:.4g}")
+    n_terms = series_terms(bound, f"error-density image series at v = {vmax:.4g}")
     inv2v = 0.5 / v
     acc = np.zeros(za.shape)
     for n in range(1, n_terms):  # term 0 vanishes
         near = np.exp(-((n - 1.0 + za) ** 2) * inv2v)
         far = np.exp(-((n + 1.0 - za) ** 2) * inv2v)
         acc += n * (near - far)
-    return norm * acc
+    return (1.0 / np.sqrt(2.0 * math.pi * v)) * acc
+
+
+def _error_density_spectral(v: np.ndarray, za: np.ndarray) -> np.ndarray:
+    """Spectral series for ``f_Z`` at ``v = sigma^2 T`` and ``za = |z|``.
+
+    ``f_Z = (1 - za) + sum_{k>=1} [4 pi k v sin(2 pi k za) + 2 (1 - za)
+    cos(2 pi k za)] exp(-2 pi^2 k^2 v)``, the residues at the double poles
+    ``-2 pi^2 k^2`` of its Laplace transform.  Term ``k >= 1`` is at most
+    ``(4 pi k v + 2) exp(-2 pi^2 k^2 v)``, which falls in both ``k`` and
+    ``v``, so its value at ``min(v)`` bounds every later term.
+    """
+    vmin = float(np.min(v))
+
+    def bound(k: int) -> float:
+        if k == 0:
+            return math.inf  # the triangle is always summed
+        return (4.0 * math.pi * k * vmin + 2.0) * math.exp(-_TWO_PI2 * k * k * vmin)
+
+    n_terms = series_terms(bound, f"error-density spectral series at v = {vmin:.4g}")
+    tri = 1.0 - za
+    out = tri.copy()
+    for k in range(1, n_terms):
+        angle = (2.0 * math.pi * k) * za
+        wave = (4.0 * math.pi * k) * v * np.sin(angle) + 2.0 * tri * np.cos(angle)
+        out += wave * np.exp(-_TWO_PI2 * k * k * v)
+    return out
 
 
 def solve_renewal_density(
@@ -144,9 +214,29 @@ def solve_renewal_density(
     n = max(1, int(round(horizon / h)))
     m = np.zeros(n + 1)
     # m(u) = m1(v) dv/du with v = sigma^2 u
-    m1 = _renewal_series(law.params.unit_time(h * np.arange(1, n + 1)))
+    v = law.params.unit_time(h * np.arange(1, n + 1))
+    m1 = evaluate(_renewal_images, _renewal_spectral, v)
     m[1:] = law.params.unit_time(m1)
     return RenewalGrid(h=h, values=m, horizon=n * h, sigma=law.params.sigma)
+
+
+def _error_density_and_atom(params: ModelParams, rg: RenewalGrid, t: float, z_grid):
+    """``f_Z`` and the atom ``p1(T, z)`` on ``z_grid``, with ``T = t / eta^2``."""
+    sigma = params.sigma
+    T = t / params.eta**2
+    if T <= 0.0:
+        raise InvalidDomainError("need t > 0")
+    if rg.sigma != sigma:
+        raise InvalidDomainError(f"renewal grid has sigma={rg.sigma}, params have sigma={sigma}")
+    z_grid = np.asarray(z_grid, dtype=float)
+    if np.any(np.abs(z_grid) > 1.0 + 1e-12):
+        raise InvalidDomainError("z grid must lie in [-1, 1]")
+
+    za = np.minimum(np.abs(z_grid), 1.0)
+    v = np.full(za.shape, sigma * sigma * T)
+    f_z = evaluate(_error_density_images, _error_density_spectral, v, za)
+    atom = absorbed_density(ModelParams(sigma, 1.0), T, za)
+    return f_z, atom
 
 
 def convolution_term(
@@ -161,19 +251,7 @@ def convolution_term(
     at 0, for any ``T > 0``.  ``rg`` must belong to ``params.sigma``; its
     values and horizon are not read.
     """
-    sigma = params.sigma
-    T = t / params.eta**2
-    if T <= 0.0:
-        raise InvalidDomainError("need t > 0")
-    if rg.sigma != sigma:
-        raise InvalidDomainError(f"renewal grid has sigma={rg.sigma}, params have sigma={sigma}")
-    z_grid = np.asarray(z_grid, dtype=float)
-    if np.any(np.abs(z_grid) > 1.0 + 1e-12):
-        raise InvalidDomainError("z grid must lie in [-1, 1]")
-
-    za = np.minimum(np.abs(z_grid), 1.0)
-    f_z = _error_density_series(sigma * sigma * T, za)
-    atom = absorbed_density(ModelParams(sigma, 1.0), T, za)
+    f_z, atom = _error_density_and_atom(params, rg, t, z_grid)
     return np.maximum(f_z - atom, 0.0)
 
 
@@ -198,11 +276,13 @@ def tracking_error_density(
     t: float,
     z_grid=None,
 ) -> ErrorDensity:
-    """Analytic density of ``(X_t - last anchor) / eta`` on ``[-1, 1]``."""
+    """Analytic density of ``(X_t - last anchor) / eta`` on ``[-1, 1]``.
+
+    The atom plus :func:`convolution_term`, from one evaluation of each.
+    """
     if z_grid is None:
         z_grid = np.linspace(-1.0, 1.0, 1001)
     z_grid = np.asarray(z_grid, dtype=float)
-    T = t / params.eta**2
-    atom = absorbed_density(ModelParams(params.sigma, 1.0), T, z_grid)
-    conv = convolution_term(params, rg, t, z_grid)
-    return ErrorDensity(DensityGrid(z_grid, np.asarray(atom) + conv), T)
+    f_z, atom = _error_density_and_atom(params, rg, t, z_grid)
+    f = atom + np.maximum(f_z - atom, 0.0)
+    return ErrorDensity(DensityGrid(z_grid, f), t / params.eta**2)

@@ -284,6 +284,11 @@ class TestCsvContract:
             (-0.0, 1e-300, float("nan"), np.float64(1.0 / 3.0)),
             (np.int64(2**62), float("inf"), 0, np.float64(float("nan"))),
             (np.float64(5e-324), -1.5, np.int64(0), 123456789012345678),
+            # all-float rows take the cached per-signature format
+            (-0.0, np.float64(0.0), float("inf"), np.float64(-np.inf)),
+            (np.float64(-0.0), 0.0, np.float64(np.nan), 5e-324),
+            (0.1, np.float64(-5e-324), float("-inf"), 1.0 / 3.0),
+            (np.float64(1e308), -2.5e-310, np.float64(np.inf), float("nan")),
         ]
         columns = ("a", "b", "c", "d")
         buf = io.StringIO()

@@ -12,7 +12,12 @@ from exitgrid.first_passage import (
     _survival_spectral,
 )
 from exitgrid.params import MAX_TERMS, TERM_TOL, series_terms
-from exitgrid.renewal import _error_density_series, _renewal_series
+from exitgrid.renewal import (
+    _error_density_images,
+    _error_density_spectral,
+    _renewal_images,
+    _renewal_spectral,
+)
 
 
 class TestSeriesTerms:
@@ -60,8 +65,10 @@ XI = np.linspace(0.0, 1.0, N)
         (_survival_images, (np.full(N, 1e7),)),
         (_density_spectral, (np.full(N, 1e-6),)),
         (_density_images, (np.full(N, 1e7),)),
-        (_renewal_series, (np.full(N, 1e6),)),
-        (_error_density_series, (1e6, XI)),
+        (_renewal_spectral, (np.full(N, 1e-6),)),
+        (_renewal_images, (np.full(N, 1e6),)),
+        (_error_density_spectral, (np.full(N, 1e-6), XI)),
+        (_error_density_images, (np.full(N, 1e6), XI)),
     ],
     ids=lambda a: getattr(a, "__name__", None),
 )

@@ -23,6 +23,13 @@ from exitgrid import (
     triangular_pdf,
     wasserstein1,
 )
+from exitgrid.params import SWITCH_V
+from exitgrid.renewal import (
+    _error_density_images,
+    _error_density_spectral,
+    _renewal_images,
+    _renewal_spectral,
+)
 
 
 def brute_force_renewal_density(law, h: float, t_max: float, k_max: int) -> np.ndarray:
@@ -211,13 +218,27 @@ class TestSolver:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_term_cap_fails_fast(self, unit_law):
-        # u = 1e6 needs about 8 000 image terms, past MAX_TERMS = 1000; the
-        # cap is checked from the tail bound before any term is summed
+    def test_far_horizon_is_fast_and_flat(self, unit_law):
+        # u up to 1e6 would need about 8 000 image terms; above SWITCH_V the
+        # spectral kernel needs one, and m has reached its limit 1 / E[tau]
         t0 = time.monotonic()
-        with pytest.raises(NoConvergenceError):
-            solve_renewal_density(unit_law, h=50.0, horizon=1e6)
+        rg = solve_renewal_density(unit_law, h=50.0, horizon=1e6)
         assert time.monotonic() - t0 < 1.0
+        assert rg.values.size == 20001
+        assert np.max(np.abs(rg.values[1:] - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.7, 0.3])
+    def test_image_kernel_below_switch_bit_for_bit(self, sigma):
+        # nodes below SWITCH_V are the image series summed over the whole
+        # grid, as before the spectral kernel took the nodes above it
+        law = FirstPassageLaw(ModelParams(sigma, 1.0))
+        rg = solve_renewal_density(law, h=0.0025, horizon=52.5)
+        v = law.params.unit_time(rg.times[1:])
+        below = v < SWITCH_V
+        assert np.any(below) and np.any(~below)
+        reference = law.params.unit_time(_renewal_images(v))
+        np.testing.assert_array_equal(rg.values[1:][below], reference[below])
+        assert np.max(np.abs(rg.values[1:][~below] - reference[~below])) < 1e-13
 
 
 class TestErrorDensity:
@@ -249,6 +270,35 @@ class TestErrorDensity:
             ed = tracking_error_density(ModelParams(1.0, 1.0), rg, T, z)
             assert np.max(np.abs(ed.grid.f - brute_force_error_density(1.0, T, z))) < 1e-13
 
+    def test_triangle_far_past_the_image_cap(self, renewal_grid):
+        # v = 1e6 needs about 8 000 image terms, past MAX_TERMS; the spectral
+        # series is the triangle there, and the atom has decayed to 0
+        z = np.linspace(-1.0, 1.0, 1001)
+        params = ModelParams(1.0, 1.0)
+        ed = tracking_error_density(params, renewal_grid, 1e6, z)
+        np.testing.assert_array_equal(ed.grid.f, triangular_pdf(z))
+        conv = convolution_term(params, renewal_grid, 1e6, z)
+        np.testing.assert_array_equal(conv, triangular_pdf(z))
+        with pytest.raises(NoConvergenceError):
+            _error_density_images(np.full(z.shape, 1e6), np.abs(z))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.7, 0.3])
+    def test_images_below_switch_bit_for_bit(self, sigma):
+        law = FirstPassageLaw(ModelParams(sigma, 1.0))
+        rg = solve_renewal_density(law, h=0.005, horizon=20.0)
+        z = np.linspace(-1.0, 1.0, 401)
+        za = np.abs(z)
+        for T in np.array([0.01, 0.1, 0.25, 0.49]) / sigma**2:
+            v = sigma * sigma * T  # as convolution_term forms it
+            assert v < SWITCH_V
+            ed = tracking_error_density(ModelParams(sigma, 1.0), rg, T, z)
+            f_z = _error_density_images(np.full(z.shape, v), za)
+            atom = absorbed_density(ModelParams(sigma, 1.0), T, z)
+            np.testing.assert_array_equal(ed.grid.f, atom + np.maximum(f_z - atom, 0.0))
+            np.testing.assert_array_equal(
+                convolution_term(ModelParams(sigma, 1.0), rg, T, z), np.maximum(f_z - atom, 0.0)
+            )
+
     def test_rejects_grid_of_another_sigma(self, renewal_grid):
         params = ModelParams(1.7, 1.0)
         with pytest.raises(InvalidDomainError):
@@ -271,6 +321,21 @@ class TestErrorDensity:
         a = tracking_error_density(ModelParams(1.0, 0.5), renewal_grid, 0.5)
         b = tracking_error_density(ModelParams(1.0, 1.0), renewal_grid, 2.0)
         assert np.max(np.abs(a.grid.f - b.grid.f)) < 1e-9
+
+
+class TestSpectralDuals:
+    V = np.linspace(0.1, 4.0, 79)
+
+    def test_renewal_dual_matches_images(self):
+        gap = np.abs(_renewal_spectral(self.V) - _renewal_images(self.V))
+        assert np.max(gap) < 2e-14
+
+    def test_error_density_dual_matches_images(self):
+        za = np.linspace(0.0, 1.0, 401)
+        for v in self.V:
+            vv = np.full(za.shape, v)
+            gap = np.abs(_error_density_spectral(vv, za) - _error_density_images(vv, za))
+            assert np.max(gap) < 2e-14, v
 
 
 class TestKeyRenewalConvergence:
