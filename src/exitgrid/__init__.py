@@ -41,14 +41,7 @@ from .errors import (
 )
 from .first_passage import FirstPassageLaw
 from .params import ModelParams
-from .path_sim import (
-    DiscretizationTrace,
-    PathConfig,
-    SimulationBatch,
-    discretize,
-    generate_path,
-    simulate_batch,
-)
+from .path_sim import PathConfig, SimulationBatch, generate_path, simulate_batch
 from .renewal import (
     ErrorDensity,
     RenewalGrid,
@@ -62,7 +55,6 @@ __all__ = [
     "ConfigError",
     "DegenerateSampleError",
     "DensityGrid",
-    "DiscretizationTrace",
     "EmpiricalSample",
     "ErrorDensity",
     "ExitgridError",
@@ -81,7 +73,6 @@ __all__ = [
     "UnboundedIntegralError",
     "absorbed_density",
     "convolution_term",
-    "discretize",
     "generate_path",
     "kde",
     "simulate_batch",

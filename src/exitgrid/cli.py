@@ -116,12 +116,17 @@ def _read_config_file(path: str) -> dict:
 
 @functools.cache  # built once per process; it reads only constants
 def _build_parser() -> argparse.ArgumentParser:
+    epilog = (
+        "exit codes: 0 success, 2 configuration error, 3 numerical failure "
+        "(a tolerance not met, or a series past its term cap). Integer options ("
+        + ", ".join(f"--{o}" for o, (_, parse, _) in _OPTIONS.items() if parse is int)
+        + ") take integer literals: 1000, not 1e3."
+    )
     parser = argparse.ArgumentParser(
         prog="exitgrid",
         description="First-exit discretization of the Wiener process: "
         "tables, simulations and verification figures.",
-        epilog="exit codes: 0 success, 2 configuration error, 3 numerical failure "
-        "(a tolerance not met, or a series past its term cap)",
+        epilog=epilog,
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="subcommand")
     for name, helptext in (
@@ -133,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fig2", "Wasserstein distances to both laws across thresholds"),
         ("fig3", "error variance as a function of time"),
     ):
-        sp = sub.add_parser(name, help=helptext)
+        sp = sub.add_parser(name, help=helptext, epilog=epilog)
         sp.add_argument("--config", metavar="FILE", help="key = value configuration file")
         for option, (field, parse, text) in _OPTIONS.items():
             if parse is _parse_bool:

@@ -33,11 +33,7 @@ from .errors import ConfigError, ToleranceNotMetError
 from .first_passage import FirstPassageLaw
 from .params import TERM_TOL, ModelParams
 from .path_sim import PathConfig, SimulationBatch, simulate_batch
-from .renewal import (
-    convolution_term,
-    solve_renewal_density,
-    tracking_error_density,
-)
+from .renewal import solve_renewal_density, tracking_error_density
 
 __all__ = [
     "ExperimentConfig",
@@ -484,9 +480,8 @@ def _convergence_ladder(sigma: float, rg, z: np.ndarray) -> list[tuple]:
     p1 = ModelParams(sigma, 1.0)
     rows = []
     for T in LIMIT_LADDER:
-        conv = convolution_term(p1, rg, T, z)
-        gap = float(np.max(np.abs(conv - tri_vals)))
         ed = tracking_error_density(p1, rg, T, z)
+        gap = float(np.max(np.abs(ed.convolution - tri_vals)))
         d_w = wasserstein1(ed.law(), tri)
         atom = absorbed_density(p1, t=T, x=0.0)
         rows.append((T, gap, d_w, atom, 4.0 / (3.0 * sigma**2 * T), ed.mass))

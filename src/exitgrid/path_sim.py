@@ -49,10 +49,8 @@ from .errors import InvalidDomainError
 __all__ = [
     "MAX_PATH_STEPS",
     "MAX_RESULTS",
-    "DiscretizationTrace",
     "PathConfig",
     "SimulationBatch",
-    "discretize",
     "generate_path",
     "simulate_batch",
 ]
@@ -111,16 +109,6 @@ class PathConfig:
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(self.t_end, 1.0):
             raise InvalidDomainError(f"t={t} is not on the simulation grid (dt={self.dt})")
         return idx
-
-
-@dataclass(frozen=True)
-class DiscretizationTrace:
-    """Detections of one path for one threshold."""
-
-    crossing_indices: np.ndarray
-    anchor_values: np.ndarray
-    terminal_error: float
-    renewal_count: int
 
 
 def _check_sigma(sigma: float) -> None:
@@ -221,7 +209,7 @@ class _Tracks:
         return a.reshape(-1, self.n).T
 
 
-def _first_touches(buf, win, hi, lo, n, tr, rows, offset, log=None) -> None:
+def _first_touches(buf, win, hi, lo, n, tr, rows, offset) -> None:
     """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
     ``win`` is a sliding-window view of ``buf``; column ``j`` is grid index
@@ -229,7 +217,7 @@ def _first_touches(buf, win, hi, lo, n, tr, rows, offset, log=None) -> None:
     crossing and updates the anchors and counters of the rows that found one.
     A row that is new to the chunk, or whose last window found nothing, first
     jumps to the first cell that may hold a crossing, or leaves the loop if
-    there is none.  ``log`` collects (grid indices, new anchors) per round.
+    there is none.
     """
     anchor, eta_of, path_of = tr.anchor, tr.eta, tr.path
     count, ups, over, first = tr.count, tr.ups, tr.over, tr.first
@@ -271,37 +259,8 @@ def _first_touches(buf, win, hi, lo, n, tr, rows, offset, log=None) -> None:
                 first[r[new]] = offset + j[new]
                 pending = bool((count[rows] == 0).any())
             anchor[r] = x
-            if log is not None:
-                log.append((offset + j, anchor[r]))
         keep = last < n
         rows, start, jump = rows[keep], last[keep] + 1, ~found[keep]
-
-
-def discretize(path: np.ndarray, eta: float) -> DiscretizationTrace:
-    """Apply the first-exit rule to a simulated path for one threshold."""
-    if not (0.0 < eta < math.inf):
-        raise InvalidDomainError("eta must be finite and > 0")
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 1 or path.size == 0 or not np.all(np.isfinite(path)):
-        raise InvalidDomainError("path must be a non-empty 1-D array of finite values")
-    n = path.size - 1
-    log: list = []
-    if n > 0:
-        buf = _buffer(1, n, _WINDOW[1])
-        buf[0, : n + 1] = path
-        hi, lo = _pad_and_extrema(buf, n)
-        win = sliding_window_view(buf, _WINDOW[1], axis=1)
-        tr = _Tracks(np.array([eta]), 1)
-        _first_touches(buf, win, hi, lo, n, tr, np.zeros(1, dtype=np.int64), 0, log)
-    crossings = np.array([j[0] for j, _ in log], dtype=np.int64)
-    anchors = np.array([a[0] for _, a in log], dtype=float)
-    last_anchor = float(anchors[-1]) if anchors.size else 0.0
-    return DiscretizationTrace(
-        crossing_indices=crossings,
-        anchor_values=anchors,
-        terminal_error=float(path[-1]) - last_anchor,
-        renewal_count=int(crossings.size),
-    )
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class RenewalGrid:
 
     h: float
     values: np.ndarray
-    horizon: float
     sigma: float
 
     @property
@@ -196,8 +195,9 @@ def solve_renewal_density(
     ``law`` must be a unit-band (eta = 1) law: the grid is in rescaled time.
     ``n = round(horizon / h)``; ``m(0) = 0`` and every other node comes from
     the closed-form image series of ``m1``, so the truncation error of ``m``
-    is about ``sigma^2 * TERM_TOL``.  ``horizon / h``
-    above ``_MAX_NODES`` (10**7) raises ``InvalidDomainError`` before any
+    is about ``sigma^2 * TERM_TOL``.  Any horizon is served, also one shorter
+    than the mean gap between detections.  ``horizon / h`` above
+    ``_MAX_NODES`` (10**7) raises ``InvalidDomainError`` before any
     allocation.
     """
     if law.params.eta != 1.0:
@@ -208,8 +208,6 @@ def solve_renewal_density(
         raise InvalidDomainError(
             f"horizon / h = {horizon / h:.3g} grid nodes, more than {_MAX_NODES}"
         )
-    if horizon < law.mean():
-        raise InvalidDomainError("horizon shorter than one mean inter-detection time")
 
     n = max(1, int(round(horizon / h)))
     m = np.zeros(n + 1)
@@ -217,7 +215,7 @@ def solve_renewal_density(
     v = law.params.unit_time(h * np.arange(1, n + 1))
     m1 = evaluate(_renewal_images, _renewal_spectral, v)
     m[1:] = law.params.unit_time(m1)
-    return RenewalGrid(h=h, values=m, horizon=n * h, sigma=law.params.sigma)
+    return RenewalGrid(h=h, values=m, sigma=law.params.sigma)
 
 
 def _error_density_and_atom(params: ModelParams, rg: RenewalGrid, t: float, z_grid):
@@ -249,7 +247,7 @@ def convolution_term(
 
     Evaluated as the closed-form ``f_Z`` minus the atom ``p1(T, z)``, clipped
     at 0, for any ``T > 0``.  ``rg`` must belong to ``params.sigma``; its
-    values and horizon are not read.
+    values are not read.
     """
     f_z, atom = _error_density_and_atom(params, rg, t, z_grid)
     return np.maximum(f_z - atom, 0.0)
@@ -257,10 +255,14 @@ def convolution_term(
 
 @dataclass(frozen=True)
 class ErrorDensity:
-    """Analytic density of the normalized tracking error on a z grid."""
+    """Analytic density of the normalized tracking error on a z grid.
+
+    ``convolution`` is the renewal part, :func:`convolution_term` on the same
+    grid; ``grid.f`` is the atom plus it.
+    """
 
     grid: DensityGrid
-    t_rescaled: float
+    convolution: np.ndarray
 
     @property
     def mass(self) -> float:
@@ -284,5 +286,5 @@ def tracking_error_density(
         z_grid = np.linspace(-1.0, 1.0, 1001)
     z_grid = np.asarray(z_grid, dtype=float)
     f_z, atom = _error_density_and_atom(params, rg, t, z_grid)
-    f = atom + np.maximum(f_z - atom, 0.0)
-    return ErrorDensity(DensityGrid(z_grid, f), t / params.eta**2)
+    conv = np.maximum(f_z - atom, 0.0)
+    return ErrorDensity(DensityGrid(z_grid, atom + conv), conv)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -5,15 +6,25 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exitgrid
-from exitgrid import FirstPassageLaw, ModelParams, ScaledNormalLaw, cli, solve_renewal_density
-from exitgrid import path_sim
+from exitgrid import (
+    FirstPassageLaw,
+    ModelParams,
+    ScaledNormalLaw,
+    ToleranceNotMetError,
+    cli,
+    solve_renewal_density,
+)
+from exitgrid import path_sim, renewal
 from exitgrid.cli import main
 from exitgrid.experiments import (
     LIMIT_LADDER,
@@ -22,9 +33,11 @@ from exitgrid.experiments import (
     _fmt,
     read_csv,
     run_fig2,
+    run_limit_check,
     svg_from_csv,
     write_csv,
 )
+from exitgrid.params import evaluate
 
 
 def body(path):
@@ -130,8 +143,12 @@ class TestConfigHandling:
         assert "paths=200" in meta["config"]
         assert meta["seed"] == "5"
 
-    def test_zero_sample_cap_exits_2(self, tmp_path):
-        assert main(["simulate", *SMALL, "--sample-cap", "0", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("cap", ["0", "1e3"])
+    def test_zero_sample_cap_exits_2(self, tmp_path, capsys, cap):
+        # integer options take integer literals only, so 1e3 is refused as well
+        assert main(["simulate", *SMALL, "--sample-cap", cap, "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "extra",
@@ -188,6 +205,27 @@ class TestConfigHandling:
         assert written if code == 0 else not written
         for path in written:
             assert np.isfinite(read_csv(path)[2]).all(), path.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["tau", "density"]),
+        values=st.lists(
+            st.one_of(st.text(), st.floats().map(repr), st.floats(1e-6, 1e6).map(repr)),
+            min_size=2, max_size=2,
+        ),
+    )
+    def test_arbitrary_model_text_fails_as_documented(self, name, values):
+        # any text for sigma and eta gives 0, 2 or 3 and no traceback, and a
+        # configuration error writes nothing
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([name, "--sigma", values[0], "--eta", values[1], "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not out.exists() or not list(out.iterdir())
 
     def test_huge_equal_scales_give_the_unit_table(self, tmp_path):
         # sigma = eta = 1e150 has the unit band's time scale, so eta * p must
@@ -367,6 +405,32 @@ class TestRunners:
         assert cols == ["eta", "count", "frequency"]
         for e in np.unique(hist[:, 0]):
             assert hist[hist[:, 0] == e, 2].sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sigma,gap", [("0.1", "5.434e-01"), ("0.13", "3.527e-01")])
+    def test_slow_ladder_exits_3(self, tmp_path, capsys, sigma, gap):
+        # below sigma ~0.138 the T ladder ends before v = sigma^2 T passes 1, so
+        # the final gap stays large; the ladder fails before any simulation
+        assert main(["limit", "--sigma", sigma, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"final ladder gap {gap}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_limit_evaluates_error_law_once_per_rung(self, monkeypatch, tmp_path):
+        # one f_Z series evaluation per ladder rung, plus one at the operating point
+        calls = []
+
+        def counting(images, spectral, *args):
+            if images is renewal._error_density_images:
+                calls.append(args)
+            return evaluate(images, spectral, *args)
+
+        monkeypatch.setattr(renewal, "evaluate", counting)
+        cfg = ExperimentConfig(experiment="limit", paths=60, steps=1500, seed=7,
+                               out_dir=str(tmp_path))
+        with pytest.raises(ToleranceNotMetError, match="Monte Carlo"):
+            run_limit_check(cfg)
+        assert len(calls) == len(LIMIT_LADDER) + 1
 
     def test_limit_failure_exits_3(self, tmp_path):
         # far too few paths for the Monte Carlo cross-check tolerance

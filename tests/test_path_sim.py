@@ -14,7 +14,6 @@ from exitgrid import (
     InvalidDomainError,
     ModelParams,
     PathConfig,
-    discretize,
     generate_path,
     simulate_batch,
 )
@@ -167,49 +166,39 @@ class TestGeneratePath:
                 simulate_batch(small, sigma, (0.5,))
 
 
-class TestDiscretize:
+class TestFirstTouchRule:
+    """The rule as ``reference_scan`` states it; the engine matches that scan bit for bit."""
+
     def test_no_crossing_when_band_too_wide(self):
         x = generate_path(CFG, 1.0, 3)
-        tr = discretize(x, eta=100.0)
-        assert tr.renewal_count == 0
-        assert tr.crossing_indices.size == 0
-        assert tr.terminal_error == x[-1]
+        crossings, anchors, ups, downs, _ = reference_scan(x, eta=100.0)
+        assert crossings == [] and anchors == []
+        assert ups == downs == 0
 
     def test_crossing_invariants(self):
         x = generate_path(CFG, 1.0, 11)
-        tr = discretize(x, eta=0.25)
-        assert tr.renewal_count == tr.crossing_indices.size > 0
+        crossings, anchors, ups, downs, _ = reference_scan(x, eta=0.25)
+        assert len(crossings) == len(anchors) == ups + downs > 0
         anchor = 0.0
         prev = 0
-        for ci, av in zip(tr.crossing_indices, tr.anchor_values):
+        for ci, av in zip(crossings, anchors):
             interior = x[prev + 1 : ci]
             assert np.all(np.abs(interior - anchor) < 0.25)
             assert abs(x[ci] - anchor) >= 0.25
             assert av == x[ci]
             anchor = av
             prev = ci
-        assert np.all(np.diff(tr.crossing_indices) >= 1)
-        assert tr.terminal_error == x[-1] - tr.anchor_values[-1]
+        assert np.all(np.diff(crossings) >= 1)
+        assert np.all(np.abs(x[prev + 1 :] - anchor) < 0.25)
 
-    def test_matches_reference_scan(self):
-        shifted = generate_path(CFG, 1.7, 4) + 0.3  # the anchor starts at 0, not at x[0]
-        for x in (generate_path(CFG, 1.0, 11), shifted, np.array([0.0]), np.array([0.0, 1.0])):
-            for eta in (0.001, 0.02, 0.25, 1.0, 100.0):
-                tr = discretize(x, eta)
-                crossings, anchors, _, _, _ = reference_scan(x, eta)
-                assert tr.crossing_indices.tolist() == crossings
-                assert tr.anchor_values.tolist() == anchors
-                assert tr.renewal_count == len(crossings)
-                assert tr.terminal_error == x[-1] - (anchors[-1] if anchors else 0.0)
-
-    def test_rejects_bad_paths(self):
-        for bad in (np.array([]), np.array([0.0, np.nan, 1.0]), np.array([0.0, np.inf]),
-                    np.zeros((2, 3))):
-            with pytest.raises(InvalidDomainError):
-                discretize(bad, 0.5)
-        for eta in (0.0, math.nan, math.inf):
-            with pytest.raises(InvalidDomainError):
-                discretize(np.zeros(3), eta)
+    def test_anchor_increments_near_eta(self):
+        x = generate_path(CFG, 1.0, 23)
+        _, anchors, _, _, max_overshoot = reference_scan(x, eta=0.25)
+        assert len(anchors) >= 2
+        inc = np.abs(np.diff(np.concatenate(([0.0], anchors))))
+        overshoot = inc - 0.25
+        assert np.all(overshoot >= -1e-15)
+        assert overshoot.max() == max_overshoot < 5.0 * np.sqrt(CFG.dt)
 
     def test_mean_renewal_count(self):
         # renewal theorem: E[N_t] ~ t sigma^2/eta^2 (within 5% at this scale)
@@ -342,15 +331,6 @@ class TestBatch:
     def test_overshoot_bound(self, small_batch):
         dt = small_batch.cfg.dt
         assert small_batch.max_overshoot.max() < 5.0 * np.sqrt(dt)
-
-    def test_anchor_increments_near_eta(self):
-        x = generate_path(CFG, 1.0, 23)
-        tr = discretize(x, eta=0.25)
-        if tr.renewal_count >= 2:
-            inc = np.abs(np.diff(np.concatenate(([0.0], tr.anchor_values))))
-            overshoot = inc - 0.25
-            assert np.all(overshoot >= -1e-15)
-            assert overshoot.max() < 5.0 * np.sqrt(CFG.dt)
 
     def test_variance_plateau(self, small_batch):
         var = small_batch.variance(0.5, 0.5)

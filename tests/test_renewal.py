@@ -203,8 +203,12 @@ class TestSolver:
     def test_rejects_bad_inputs(self, unit_law):
         with pytest.raises(InvalidDomainError):
             solve_renewal_density(FirstPassageLaw(ModelParams(1.0, 2.0)), h=0.005)
-        with pytest.raises(InvalidDomainError):
-            solve_renewal_density(unit_law, h=0.005, horizon=0.5)
+        # the closed form reads no horizon, so one shorter than the mean gap
+        # (1 here) is served, with the leading nodes of a longer grid
+        short = solve_renewal_density(unit_law, h=0.005, horizon=0.5)
+        full = solve_renewal_density(unit_law, h=0.005, horizon=20.0)
+        assert short.values.size == 101
+        np.testing.assert_allclose(short.values, full.values[:101], rtol=0.0, atol=1e-14)
 
     def test_node_ceiling_fails_before_allocating(self, unit_law):
         # 5e10 and 1e325 (inf) nodes; the largest grid that passes holds 1e7
@@ -294,10 +298,10 @@ class TestErrorDensity:
             ed = tracking_error_density(ModelParams(sigma, 1.0), rg, T, z)
             f_z = _error_density_images(np.full(z.shape, v), za)
             atom = absorbed_density(ModelParams(sigma, 1.0), T, z)
-            np.testing.assert_array_equal(ed.grid.f, atom + np.maximum(f_z - atom, 0.0))
-            np.testing.assert_array_equal(
-                convolution_term(ModelParams(sigma, 1.0), rg, T, z), np.maximum(f_z - atom, 0.0)
-            )
+            conv = np.maximum(f_z - atom, 0.0)
+            np.testing.assert_array_equal(ed.grid.f, atom + conv)
+            np.testing.assert_array_equal(ed.convolution, conv)
+            np.testing.assert_array_equal(convolution_term(ModelParams(sigma, 1.0), rg, T, z), conv)
 
     def test_rejects_grid_of_another_sigma(self, renewal_grid):
         params = ModelParams(1.7, 1.0)
