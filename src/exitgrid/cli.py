@@ -22,7 +22,13 @@ import functools
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, InvalidDomainError, NoConvergenceError, ToleranceNotMetError
+from .errors import (
+    ConfigError,
+    DegenerateSampleError,
+    InvalidDomainError,
+    NoConvergenceError,
+    ToleranceNotMetError,
+)
 from .experiments import (
     ExperimentConfig,
     run_density_table,
@@ -182,7 +188,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         files = _RUNNERS[cfg.experiment](cfg)
-    except (ConfigError, InvalidDomainError, OSError) as exc:
+    except (ConfigError, DegenerateSampleError, InvalidDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ToleranceNotMetError, NoConvergenceError) as exc:

@@ -127,25 +127,21 @@ def _content_hash(payload: str) -> str:
     return hashlib.sha1(blob).hexdigest()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 @functools.lru_cache(maxsize=64)
-def _float_row_format(types: tuple[type, ...]) -> str | None:
-    """The ``%``-format of a CSV line of floats, one ``%.17g`` per value, else None.
+def _row_format(types: tuple[type, ...]) -> str:
+    """The ``%``-format of a CSV line whose values have these types.
 
-    ``%.17g`` formats a float (numpy float64 included) exactly as ``_fmt``
-    does.  The key is the type of each value, never the value, so ``-0.0``
-    and ``0`` cannot share a line.
+    ``%.17g`` for a float (numpy floats included), ``%d`` for an integer
+    (numpy integers and ``bool`` included), ``%s`` for anything else.  The
+    key is the type of each value, never the value, so ``-0.0`` and ``0``
+    cannot share a line.
     """
-    if all(issubclass(t, float) for t in types):
-        return ",".join(["%.17g"] * len(types)) + "\n"
-    return None
+    return ",".join([
+        "%.17g" if issubclass(t, (float, np.floating))
+        else "%d" if issubclass(t, (int, np.integer))
+        else "%s"
+        for t in types
+    ]) + "\n"
 
 
 def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
@@ -157,12 +153,7 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     buf.write(f"# config = {payload}\n")
     buf.write(f"# content-hash = {_content_hash(payload)}\n")
     buf.write(",".join(columns) + "\n")
-    # all-float rows take one cached %-format per type signature; _fmt does the rest
-    buf.write("".join([
-        fmt % tuple(row) if (fmt := _float_row_format(tuple(map(type, row))))
-        else ",".join(map(_fmt, row)) + "\n"
-        for row in rows
-    ]))
+    buf.write("".join([_row_format(tuple(map(type, row))) % tuple(row) for row in rows]))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(buf.getvalue())

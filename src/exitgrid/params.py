@@ -47,6 +47,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         sigma, eta = float(self.sigma), float(self.eta)
         sigma2, eta2 = sigma * sigma, eta * eta
+        # the squares reject nothing the ratios do not; they keep a 0 square from dividing below
         if not (
             all(0.0 < v < math.inf for v in (sigma, eta, sigma2, eta2))
             and all(0.0 < r < math.inf for r in (eta2 / sigma2, sigma2 / eta2))

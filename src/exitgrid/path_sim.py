@@ -18,14 +18,14 @@ never held.
 
 The scan state is flat over (threshold, path) rows, so one loop of numpy
 rounds serves every threshold of a group: a chunk costs the largest number
-of rounds over its thresholds, not their sum.  Each round finds at most one
-crossing per live row in a window after its last crossing; the window is
-the smallest over the batch's thresholds (about twice the mean gap between
-crossings), so a round gathers at most ``rows x window`` doubles (at most
-``n_eta x 150 x 512 x 8`` bytes, 1.8 MB for three thresholds).  A row whose
-window found nothing, or that is new to the chunk, first jumps to the first
-cell of ``_CELL`` grid points whose exact extrema can hold a crossing, and
-leaves the loop when no cell can.
+of rounds over its thresholds, not their sum.  A row enters a chunk's scan
+only if the chunk's extrema for its path hold a point at least ``eta`` from
+its anchor; that is the one skip rule.  Each round then finds at most one
+crossing per live row in a window after its last crossing, or moves the row
+on by one window; the window is the smallest over the batch's thresholds
+(about twice the mean gap between crossings), so a round gathers at most
+``rows x window`` doubles (at most ``n_eta x 150 x 512 x 8`` bytes, 1.8 MB
+for three thresholds).  A row leaves the loop at the end of the chunk.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -57,7 +57,6 @@ __all__ = [
 
 _GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equal groups
 _CHUNK = 2048  # grid steps drawn per path between scans
-_CELL = 512  # width of the cells whose extrema decide which paths can cross
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
 
 # resource ceilings, checked before anything is allocated: the grid steps
@@ -159,26 +158,14 @@ def _window(eta: float, sigma: float, dt: float) -> int:
 
 
 def _buffer(rows: int, n: int, width: int) -> np.ndarray:
-    """Room for a carry column, ``n`` steps rounded up to whole cells, and a window pad."""
-    return np.empty((rows, 1 + -(-n // _CELL) * _CELL + width))
+    """Room for a carry column, ``n`` steps and a window pad."""
+    return np.empty((rows, 1 + n + width))
 
 
 def _groups(n: int) -> np.ndarray:
     """Bounds of the equal groups, of at most ``_GROUP`` paths each, of ``n`` paths."""
     k = -(-n // _GROUP)
     return np.arange(k + 1) * n // k
-
-
-def _pad_and_extrema(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the columns after ``n`` with the value at ``n``; return per-cell extrema.
-
-    ``hi[:, c]`` and ``lo[:, c]`` are the max and min of columns
-    ``1 + c*_CELL .. (c+1)*_CELL``.  The padding repeats a value the chunk
-    already has, so it changes no extremum and no first crossing.
-    """
-    buf[:, n + 1 :] = buf[:, n : n + 1]
-    cells = buf[:, 1 : 1 + -(-n // _CELL) * _CELL].reshape(len(buf), -1, _CELL)
-    return cells.max(axis=2), cells.min(axis=2)
 
 
 def _may_cross(hi, lo, anchor, eta):
@@ -209,37 +196,20 @@ class _Tracks:
         return a.reshape(-1, self.n).T
 
 
-def _first_touches(buf, win, hi, lo, n, tr, rows, offset) -> None:
+def _first_touches(buf, win, n, tr, rows, offset) -> None:
     """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
     ``win`` is a sliding-window view of ``buf``; column ``j`` is grid index
-    ``offset + j``.  Each round tests every live row's window after its last
-    crossing and updates the anchors and counters of the rows that found one.
-    A row that is new to the chunk, or whose last window found nothing, first
-    jumps to the first cell that may hold a crossing, or leaves the loop if
-    there is none.
+    ``offset + j``, and the columns after ``n`` repeat the value at ``n``.
+    Each round tests every live row's window after its last crossing,
+    updates the anchors and counters of the rows that found one and moves
+    the others on by one window.
     """
     anchor, eta_of, path_of = tr.anchor, tr.eta, tr.path
     count, ups, over, first = tr.count, tr.ups, tr.over, tr.first
-    pending = bool((count[rows] == 0).any())  # some row still lacks its first crossing
     width = win.shape[-1]
-    cell_last = np.arange(1, hi.shape[1] + 1) * _CELL
     start = np.ones(rows.size, dtype=np.int64)
-    jump = np.ones(rows.size, dtype=bool)
     while rows.size:
-        if jump.any():
-            j = np.flatnonzero(jump)
-            r, s = rows[j], start[j]
-            p = path_of[r]
-            cells = (_may_cross(hi[p], lo[p], anchor[r][:, None], eta_of[r][:, None])
-                     & (cell_last >= s[:, None]))
-            c = cells.argmax(axis=1)
-            start[j] = np.maximum(s, c * _CELL + 1)
-            live = np.ones(rows.size, dtype=bool)
-            live[j] = cells[np.arange(j.size), c]
-            rows, start = rows[live], start[live]
-            if not rows.size:
-                return
         p, a, eta = path_of[rows], anchor[rows], eta_of[rows]
         dev = win[p, start]
         dev -= a[:, None]
@@ -254,13 +224,11 @@ def _first_touches(buf, win, hi, lo, n, tr, rows, offset) -> None:
             over[r] = np.maximum(over[r], np.abs(move) - e)
             ups[r] += move > 0.0
             count[r] += 1
-            if pending:
-                new = count[r] == 1
-                first[r[new]] = offset + j[new]
-                pending = bool((count[rows] == 0).any())
+            new = first[r] < 0
+            first[r[new]] = offset + j[new]
             anchor[r] = x
         keep = last < n
-        rows, start, jump = rows[keep], last[keep] + 1, ~found[keep]
+        rows, start = rows[keep], last[keep] + 1
 
 
 @dataclass(frozen=True)
@@ -294,8 +262,9 @@ class SimulationBatch:
         return EmpiricalSample(self.errors[:, self._t_index(t), self._eta_index(eta)])
 
     def variance(self, eta: float, t: float) -> float:
+        """Sample variance (``ddof=1``) of the errors at one (threshold, time); 0 for one path."""
         col = self.errors[:, self._t_index(t), self._eta_index(eta)]
-        return float(np.var(col, ddof=1))
+        return float(np.var(col, ddof=1)) if col.size > 1 else 0.0
 
 
 def _chunk_ends(t_idx, n_steps: int):
@@ -342,11 +311,12 @@ def _run_chunk(args) -> tuple:
         for end in _chunk_ends(t_idx, cfg.n_steps):
             n = end - done
             _extend(rngs, xs, n, scale)
-            hi, lo = _pad_and_extrema(xs, n)
-            live = _may_cross(hi.max(axis=1)[tr.path], lo.min(axis=1)[tr.path], tr.anchor,
+            xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
+            span = xs[:, 1 : n + 1]
+            live = _may_cross(span.max(axis=1)[tr.path], span.min(axis=1)[tr.path], tr.anchor,
                               tr.eta)
             if live.any():
-                _first_touches(xs, win, hi, lo, n, tr, np.flatnonzero(live), done)
+                _first_touches(xs, win, n, tr, np.flatnonzero(live), done)
             x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas

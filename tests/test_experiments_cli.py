@@ -30,7 +30,6 @@ from exitgrid.experiments import (
     LIMIT_LADDER,
     ExperimentConfig,
     _convergence_ladder,
-    _fmt,
     read_csv,
     run_fig2,
     run_limit_check,
@@ -176,10 +175,13 @@ class TestConfigHandling:
             ["tau", "--sigma", "1e-300"],
             ["density", "--sigma", "1e300"],
             ["density", "--eta", "1e300"],
+            ["fig1", *SMALL, "--sigma", "0"],
+            ["fig1", *SMALL, "--t", "0"],
         ],
     )
     def test_unusable_model_params_exit_2(self, tmp_path, capsys, argv):
-        # sigma or eta is infinite, or a square or eta^2/sigma^2 leaves double range
+        # sigma or eta is infinite, or a square or eta^2/sigma^2 leaves double
+        # range, or every error is 0 so the kernel estimate has no spread
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -278,6 +280,15 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    def test_one_path_has_zero_variance(self, tmp_path):
+        # the sample variance of one path is 0, not nan, in both CSVs that report it
+        argv = ["--paths", "1", "--steps", "1000", "--seed", "7", "--out", str(tmp_path)]
+        assert main(["fig3", *argv]) == 0
+        assert main(["simulate", *argv]) == 0
+        for name in ("fig3.csv", "simulate_moments.csv"):
+            _, columns, data = read_csv(tmp_path / name)
+            assert (data[:, columns.index("variance")] == 0.0).all(), name
+
 
 class TestCsvContract:
     def test_metadata_block(self, tmp_path):
@@ -316,7 +327,14 @@ class TestCsvContract:
         assert data[5, 1] == float(format(data[5, 1], ".17g"))
 
     def test_writer_matches_csv_module(self, tmp_path):
-        # the rows the csv module wrote, one value at a time through _fmt
+        # the rows the csv module writes, one value at a time through fmt
+        def fmt(v):
+            if isinstance(v, (float, np.floating)):
+                return format(float(v), ".17g")
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return str(v)
+
         rows = [
             (0.1, 3, np.float64(-0.0), np.int64(-7)),
             (-0.0, 1e-300, float("nan"), np.float64(1.0 / 3.0)),
@@ -327,13 +345,17 @@ class TestCsvContract:
             (np.float64(-0.0), 0.0, np.float64(np.nan), 5e-324),
             (0.1, np.float64(-5e-324), float("-inf"), 1.0 / 3.0),
             (np.float64(1e308), -2.5e-310, np.float64(np.inf), float("nan")),
+            # text, None, bools and other numpy widths take %s, %d or %.17g by type
+            ("eta", None, True, np.bool_(True)),
+            (np.float32(0.1), np.uint64(2**64 - 1), 10**30, False),
+            (np.int8(-3), np.float32(-0.0), "x y", np.bool_(False)),
         ]
         columns = ("a", "b", "c", "d")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([fmt(v) for v in row])
         path = write_csv(tmp_path / "rows.csv", ExperimentConfig(), columns, rows)
         body = [ln for ln in path.read_text().splitlines(keepends=True) if ln[0] != "#"]
         assert "".join(body) == buf.getvalue()

@@ -289,6 +289,10 @@ class TestBatch:
              log_etas=[math.log10(0.02), math.log10(2.0)], extra_times=[0.5])
     @example(n_steps=_CHUNK + 300, n_paths=2 * _GROUP + 1, start=0, sigma=1.0,
              log_etas=[math.log10(2.0), math.log10(0.02)], extra_times=[0.25])
+    # evaluation steps 1024 and 1026 make a 2-step chunk, shorter than the
+    # 32-point window, and eta 0.5 rows cross and then scan on to a chunk end
+    @example(n_steps=2 * _CHUNK + 1, n_paths=70, start=1, sigma=1.0,
+             log_etas=[math.log10(0.02), math.log10(0.5)], extra_times=[0.25, 0.2505])
     def test_matches_reference_engine(self, n_steps, n_paths, start, sigma, log_etas,
                                       extra_times):
         etas = tuple(dict.fromkeys(10.0**u for u in log_etas))
