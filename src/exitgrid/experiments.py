@@ -297,11 +297,8 @@ def run_density_table(cfg: ExperimentConfig) -> list[Path]:
     params = ModelParams(cfg.sigma, cfg.eta)
     ts = np.geomspace(1e-3 * params.timescale, 1e2 * params.timescale, 40)
     xs = np.linspace(-params.eta, params.eta, 41)
-    rows = []
-    for t in ts:
-        vals = absorbed_density(params, t=np.full(xs.shape, t), x=xs)
-        for x, v in zip(xs, np.atleast_1d(vals)):
-            rows.append((t, x, v))
+    vals = absorbed_density(params, t=ts[:, None], x=xs[None, :])
+    rows = [(t, x, v) for t, row in zip(ts, vals) for x, v in zip(xs, row)]
     out = write_csv(Path(cfg.out_dir) / "density_table.csv", cfg, ("t", "x", "p"), rows)
     return [out]
 
@@ -463,18 +460,20 @@ def _convergence_ladder(sigma: float, rg, z: np.ndarray) -> list[tuple]:
     The sup gap must shrink along the ladder while it is above the series
     truncation floor ``100 * TERM_TOL``; below the floor the gaps are
     rounding noise, so they need only stay below it.  The last gap must be
-    under 1e-3.  Raises ToleranceNotMetError otherwise.
+    under 1e-3.  Raises ToleranceNotMetError otherwise.  ``z`` must hold 0,
+    where the ``atom`` column is read off each rung's density.
     """
     floor = 100.0 * TERM_TOL
     tri_vals = triangular_pdf(z)
     tri = TriangularLaw()
     p1 = ModelParams(sigma, 1.0)
+    (zero,) = np.flatnonzero(z == 0.0)
     rows = []
     for T in LIMIT_LADDER:
         ed = tracking_error_density(p1, rg, T, z)
         gap = float(np.max(np.abs(ed.convolution - tri_vals)))
         d_w = wasserstein1(ed.law(), tri)
-        atom = absorbed_density(p1, t=T, x=0.0)
+        atom = float(ed.atom[zero])
         rows.append((T, gap, d_w, atom, 4.0 / (3.0 * sigma**2 * T), ed.mass))
     gaps = [row[1] for row in rows]
     if any(b >= max(a, floor) for a, b in zip(gaps, gaps[1:])):

@@ -12,6 +12,12 @@ point at ``v = SWITCH_V``, and each kernel takes its term count from
 before summing when more than ``MAX_TERMS`` terms would be needed.  The
 kernels see ``v`` only, so every ``ModelParams`` evaluates without
 overflow.
+
+Quantiles come from safeguarded Newton steps with the closed-form density,
+seeded by the leading term of each series (its small-``v`` and large-``v``
+asymptote) inside a bisection bracket; each is within ``tol`` of the exact
+quantile, ``|t - t*| < tol``, and most take three rounds of survival
+evaluations.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import ndtr
+from ._normal import ndtr, ndtri
 from .errors import InvalidDomainError, ToleranceNotMetError
-from .params import ModelParams, evaluate, series_terms
+from .params import SWITCH_V, ModelParams, evaluate, series_terms
 
 __all__ = ["FirstPassageLaw"]
 
@@ -166,39 +172,81 @@ class FirstPassageLaw:
         return 1.0 - self.survival(t)
 
     def quantile(self, p, tol: float | None = None) -> float | np.ndarray:
-        """Inverse CDF by bracketed bisection, to |t - t*| < tol.
+        """Inverse CDF by safeguarded Newton steps, to ``|t - t*| < tol``.
 
-        The bracket starts at [0, 8 eta^2/sigma^2] and the upper end grows
-        geometrically until it covers p.
+        ``t*`` is where ``cdf = 1 - survival`` reaches ``p``; ``tol`` defaults
+        to ``1e-10 eta^2/sigma^2``.  The bracket starts at
+        ``[0, 8 eta^2/sigma^2]`` and its upper end grows geometrically until
+        it covers p.  Each point starts from the leading term of its series
+        in unit time, ``v = 1 / ndtri(p/4)^2`` (images) or, where that is at
+        least ``SWITCH_V``, ``v = -(8/pi^2) log(pi (1-p)/4)`` (spectral).
+        Every round evaluates F at ``t +- 0.45 tol``, which shrinks the
+        bracket, and steps to ``t' - (F(t') - p) / f(t')`` from the upper
+        probe ``t'`` with the closed-form density.  A step that leaves the
+        bracket, or does not halve the last move, goes to the bracket
+        midpoint instead.  A point is done once its bracket is narrower than
+        ``tol``; its quantile is then that last step, or the midpoint.
+        Raises ToleranceNotMetError when ``tol`` is below the double spacing
+        at the quantile.
         """
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
-        pp = np.atleast_1d(p)
+        pp = p.ravel()
         if np.any((pp <= 0.0) | (pp >= 1.0)):
             raise InvalidDomainError("quantile needs p in (0, 1)")
+        scale = self.params.timescale
         if tol is None:
-            tol = 1e-10 * self.params.timescale
+            tol = 1e-10 * scale
 
         lo = np.zeros(pp.shape)
-        hi = np.full(pp.shape, 8.0 * self.params.timescale)
+        hi = np.full(pp.shape, 8.0 * scale)
         for _ in range(64):
-            need = 1.0 - self.survival(hi) < pp
+            need = self.cdf(hi) < pp
             if not np.any(need):
                 break
             hi[need] *= 2.0
         else:
             raise ToleranceNotMetError("quantile bracket did not cover p")
 
+        v = 1.0 / ndtri(pp / 4.0) ** 2
+        v_spectral = -np.log(math.pi * (1.0 - pp) / 4.0) / _MU
+        t = np.where(v_spectral >= SWITCH_V, v_spectral, v) * scale
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        h = 0.45 * tol
+        moved = hi - lo  # how far each point's iterate moved last
+        q = np.empty(pp.shape)
+        todo = np.arange(pp.size)  # the points not yet done; the arrays below hold only them
         for _ in range(200):
+            probes = np.stack([np.maximum(t - h, 0.0), t + h])
+            cdf = self.cdf(probes)
+            below = cdf < pp
+            lo = np.max(np.where(below, probes, lo), axis=0)
+            hi = np.min(np.where(below, hi, probes), axis=0)
             mid = 0.5 * (lo + hi)
-            below = 1.0 - self.survival(mid) < pp
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if float(np.max(hi - lo)) < tol:
+            # the Newton step from the upper probe, taken only when it lands
+            # inside the bracket; the room test keeps f > 0 and g / f finite
+            base, g = probes[1], cdf[1] - pp
+            f = self.density(base)
+            newton = np.abs(g) < f * np.where(g < 0.0, hi - base, base - lo)
+            t_new = base - np.divide(g, f, out=np.zeros(g.shape), where=newton)
+            newton &= (lo < t_new) & (t_new < hi)
+            done = hi - lo < tol
+            q[todo[done]] = np.where(newton, t_new, mid)[done]
+            left = ~done
+            if not np.any(left):
                 break
+            if np.any((mid[left] <= lo[left]) | (mid[left] >= hi[left])):
+                raise ToleranceNotMetError(
+                    f"quantile tolerance {tol:.3g} is below the double spacing at the quantile"
+                )
+            # where F is flat to rounding (p near 0 or 1) Newton creeps: it
+            # must at least halve the last move, or the point bisects
+            newton &= np.abs(t_new - t) <= 0.5 * moved
+            t_new = np.where(newton, t_new, mid)
+            moved = np.abs(t_new - t)
+            todo, pp, lo, hi, t, moved = (a[left] for a in (todo, pp, lo, hi, t_new, moved))
         else:
-            raise ToleranceNotMetError("quantile bisection hit its iteration cap")
-        q = 0.5 * (lo + hi)
+            raise ToleranceNotMetError("quantile iteration hit its round cap")
         return float(q[0]) if scalar else q.reshape(p.shape)
 
     def sample(self, rng: np.random.Generator, size=None, tol: float | None = None):

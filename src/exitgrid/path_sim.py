@@ -23,9 +23,12 @@ only if the chunk's extrema for its path hold a point at least ``eta`` from
 its anchor; that is the one skip rule.  Each round then finds at most one
 crossing per live row in a window after its last crossing, or moves the row
 on by one window; the window is the smallest over the batch's thresholds
-(about twice the mean gap between crossings), so a round gathers at most
-``rows x window`` doubles (at most ``n_eta x 150 x 512 x 8`` bytes, 1.8 MB
-for three thresholds).  A row leaves the loop at the end of the chunk.
+(about twice the mean gap between crossings), so a round gathers
+``rows x window`` doubles.  The live rows of a chunk are scanned in calls
+of at most ``_GATHER / window`` rows, so a round never gathers more than the
+buffer holds (3.1 MB), whatever the number of thresholds; the rows of five
+thresholds at the widest window fit in one call.  A row leaves the loop at
+the end of the chunk.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -58,6 +61,7 @@ __all__ = [
 _GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equal groups
 _CHUNK = 2048  # grid steps drawn per path between scans
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
+_GATHER = _GROUP * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers: one buffer
 
 # resource ceilings, checked before anything is allocated: the grid steps
 # drawn (paths x steps; the full protocol draws 50 000 x 200 000 = 1e10) and
@@ -298,6 +302,7 @@ def _run_chunk(args) -> tuple:
 
     scale = sigma * math.sqrt(cfg.dt)
     width = min(_window(eta, sigma, cfg.dt) for eta in cfg.etas)
+    per_call = _GATHER // width  # live rows scanned together
     bounds = _groups(n_paths)
     buf = _buffer(int(np.diff(bounds).max()), _CHUNK, width)
     win = sliding_window_view(buf, width, axis=1)
@@ -313,10 +318,10 @@ def _run_chunk(args) -> tuple:
             _extend(rngs, xs, n, scale)
             xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
             span = xs[:, 1 : n + 1]
-            live = _may_cross(span.max(axis=1)[tr.path], span.min(axis=1)[tr.path], tr.anchor,
-                              tr.eta)
-            if live.any():
-                _first_touches(xs, win, n, tr, np.flatnonzero(live), done)
+            live = np.flatnonzero(_may_cross(span.max(axis=1)[tr.path],
+                                             span.min(axis=1)[tr.path], tr.anchor, tr.eta))
+            for i in range(0, live.size, per_call):
+                _first_touches(xs, win, n, tr, live[i : i + per_call], done)
             x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas

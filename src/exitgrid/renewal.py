@@ -257,12 +257,14 @@ def convolution_term(
 class ErrorDensity:
     """Analytic density of the normalized tracking error on a z grid.
 
-    ``convolution`` is the renewal part, :func:`convolution_term` on the same
-    grid; ``grid.f`` is the atom plus it.
+    ``atom`` is the no-detection part ``p1(T, z)`` and ``convolution`` the
+    renewal part, :func:`convolution_term`, on the same grid; ``grid.f`` is
+    their sum.
     """
 
     grid: DensityGrid
     convolution: np.ndarray
+    atom: np.ndarray
 
     @property
     def mass(self) -> float:
@@ -287,4 +289,4 @@ def tracking_error_density(
     z_grid = np.asarray(z_grid, dtype=float)
     f_z, atom = _error_density_and_atom(params, rg, t, z_grid)
     conv = np.maximum(f_z - atom, 0.0)
-    return ErrorDensity(DensityGrid(z_grid, atom + conv), conv)
+    return ErrorDensity(DensityGrid(z_grid, atom + conv), conv, atom)

@@ -24,15 +24,18 @@ from exitgrid import (
     cli,
     solve_renewal_density,
 )
-from exitgrid import path_sim, renewal
+from exitgrid import experiments, path_sim, renewal
 from exitgrid.cli import main
+from exitgrid.density import absorbed_density
 from exitgrid.experiments import (
     LIMIT_LADDER,
     ExperimentConfig,
     _convergence_ladder,
     read_csv,
+    run_density_table,
     run_fig2,
     run_limit_check,
+    run_tau_table,
     svg_from_csv,
     write_csv,
 )
@@ -439,20 +442,29 @@ class TestRunners:
         assert not list(tmp_path.iterdir())
 
     def test_limit_evaluates_error_law_once_per_rung(self, monkeypatch, tmp_path):
-        # one f_Z series evaluation per ladder rung, plus one at the operating point
+        # one f_Z series evaluation per ladder rung, plus one at the operating
+        # point, and as many atom evaluations: the atom column reads the z grid
         calls = []
+        atoms = []
 
         def counting(images, spectral, *args):
             if images is renewal._error_density_images:
                 calls.append(args)
             return evaluate(images, spectral, *args)
 
+        def counting_atom(*args, **kwargs):
+            atoms.append(args)
+            return absorbed_density(*args, **kwargs)
+
         monkeypatch.setattr(renewal, "evaluate", counting)
+        monkeypatch.setattr(renewal, "absorbed_density", counting_atom)
+        monkeypatch.setattr(experiments, "absorbed_density", counting_atom)
         cfg = ExperimentConfig(experiment="limit", paths=60, steps=1500, seed=7,
                                out_dir=str(tmp_path))
         with pytest.raises(ToleranceNotMetError, match="Monte Carlo"):
             run_limit_check(cfg)
         assert len(calls) == len(LIMIT_LADDER) + 1
+        assert len(atoms) == len(LIMIT_LADDER) + 1
 
     def test_limit_failure_exits_3(self, tmp_path):
         # far too few paths for the Monte Carlo cross-check tolerance
@@ -483,6 +495,42 @@ class TestRunners:
         rg = solve_renewal_density(law, horizon=max(LIMIT_LADDER) * 1.05)
         rows = _convergence_ladder(sigma, rg, np.linspace(-1.0, 1.0, 1001))
         assert [row[0] for row in rows] == list(LIMIT_LADDER)
+        # the atom column, read off the z grid, is the scalar atom bit for bit
+        p1 = ModelParams(sigma, 1.0)
+        assert [row[3] for row in rows] == [absorbed_density(p1, T, 0.0) for T in LIMIT_LADDER]
+
+    @pytest.mark.parametrize("sigma,eta", [(1.0, 0.5), (1.7, 2.0), (1.0, 1.0), (0.3, 2.0)])
+    def test_density_table_matches_row_loop(self, tmp_path, sigma, eta):
+        # the one-call table against one absorbed_density call per time row; a
+        # call sums as many terms as its extreme v need, so the two may differ
+        # by rounding, at most one double spacing of the unit-band density
+        params = ModelParams(sigma, eta)
+        cfg = ExperimentConfig(experiment="density", sigma=sigma, eta=eta, out_dir=str(tmp_path))
+        _, cols, data = read_csv(run_density_table(cfg)[0])
+        ts = np.geomspace(1e-3 * params.timescale, 1e2 * params.timescale, 40)
+        xs = np.linspace(-eta, eta, 41)
+        loop = np.array([absorbed_density(params, t=np.full(xs.shape, t), x=xs) for t in ts])
+        assert cols == ["t", "x", "p"]
+        np.testing.assert_array_equal(data[:, 0], np.repeat(ts, xs.size))
+        np.testing.assert_array_equal(data[:, 1], np.tile(xs, ts.size))
+        assert np.max(np.abs(data[:, 2] - loop.ravel())) * eta <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("sigma,eta", [(1.0, 0.5), (1.7, 2.0), (0.3, 0.02)])
+    def test_tau_table_evaluates_survival_a_few_times(self, monkeypatch, tmp_path, sigma, eta):
+        # one survival call for the table, one for the quantile bracket and one
+        # per Newton round, three here (a worse seed takes six): a count, not a
+        # timing, so it is exact
+        calls = []
+        survival = FirstPassageLaw.survival
+
+        def counting(self, t):
+            calls.append(np.size(t))
+            return survival(self, t)
+
+        monkeypatch.setattr(FirstPassageLaw, "survival", counting)
+        cfg = ExperimentConfig(experiment="tau", sigma=sigma, eta=eta, out_dir=str(tmp_path))
+        run_tau_table(cfg)
+        assert len(calls) <= 2 + 4
 
     def test_limit_passes_at_moderate_scale(self, tmp_path):
         code = main(

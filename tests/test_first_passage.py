@@ -152,6 +152,38 @@ def reference_exit_density(params: ModelParams, t) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def bisection_quantile(law: FirstPassageLaw, p, tol=None):
+    """The inverse CDF by bracketed bisection, to |t - t*| < tol: the former
+    ``FirstPassageLaw.quantile``, kept as the oracle of the Newton iteration."""
+    p = np.asarray(p, dtype=float)
+    scalar = p.ndim == 0
+    pp = np.atleast_1d(p)
+    if tol is None:
+        tol = 1e-10 * law.params.timescale
+
+    lo = np.zeros(pp.shape)
+    hi = np.full(pp.shape, 8.0 * law.params.timescale)
+    for _ in range(64):
+        need = 1.0 - law.survival(hi) < pp
+        if not np.any(need):
+            break
+        hi[need] *= 2.0
+    else:
+        raise ToleranceNotMetError("quantile bracket did not cover p")
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = 1.0 - law.survival(mid) < pp
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if float(np.max(hi - lo)) < tol:
+            break
+    else:
+        raise ToleranceNotMetError("quantile bisection hit its iteration cap")
+    q = 0.5 * (lo + hi)
+    return float(q[0]) if scalar else q.reshape(p.shape)
+
+
 @pytest.fixture(scope="module")
 def law():
     return FirstPassageLaw(ModelParams(1.0, 1.0))
@@ -278,6 +310,25 @@ class TestQuantileAndSampling:
     def test_tolerance_cap(self, law):
         with pytest.raises(ToleranceNotMetError):
             law.quantile(0.5, tol=1e-300)
+
+    @pytest.mark.parametrize("sigma,eta", [(1.0, 0.5), (1.7, 2.0), (1.0, 1.0), (0.3, 2.0)])
+    def test_matches_bisection(self, sigma, eta):
+        law = FirstPassageLaw(ModelParams(sigma, eta))
+        tol = 1e-10 * law.params.timescale
+        ps = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(law.quantile(ps) - bisection_quantile(law, ps))) < tol
+        # the clip points of `sample`, one at a time: where F = 1 - survival is
+        # flat to rounding, its value depends on the other points of a call
+        for p in (1e-300, 1.0 - 1e-16):
+            assert abs(law.quantile(p) - bisection_quantile(law, p)) < tol
+
+    @given(sigma=st.floats(0.1, 10.0), eta=st.floats(0.01, 10.0), p=st.floats(1e-6, 1.0 - 1e-6))
+    @settings(max_examples=200, deadline=None)
+    def test_brackets_the_quantile(self, sigma, eta, p):
+        law = FirstPassageLaw(ModelParams(sigma, eta))
+        tol = 1e-10 * law.params.timescale
+        q = law.quantile(p)
+        assert law.cdf(q - tol) < p <= law.cdf(q + tol)
 
     def test_sampling_statistics(self, law):
         rng = np.random.default_rng(2024)

@@ -17,6 +17,7 @@ from exitgrid import (
     generate_path,
     simulate_batch,
 )
+from exitgrid import path_sim
 from exitgrid.path_sim import (
     _CHUNK,
     _GROUP,
@@ -268,6 +269,27 @@ class TestBatch:
                          etas=(0.5, 1.0))
         with pytest.raises(InvalidDomainError, match="result cells"):
             simulate_batch(cfg, 1.0, (0.5,))
+
+    def test_scan_gathers_at_most_the_cap(self, monkeypatch):
+        # 60 thresholds x 20 paths are 1200 rows; with a cap of 100 doubles and
+        # a 32-point window a scan call takes 3 rows, and nothing else changes
+        cfg = PathConfig(t_end=0.5, n_steps=1500, n_paths=20, seed=5,
+                         etas=tuple(0.02 + 0.01 * k for k in range(60)))
+        want = simulate_batch(cfg, 1.0, (0.25, 0.5))
+        gathered = []
+        scan = path_sim._first_touches
+
+        def recording(buf, win, n, tr, rows, offset):
+            gathered.append(rows.size * win.shape[-1])
+            scan(buf, win, n, tr, rows, offset)
+
+        monkeypatch.setattr(path_sim, "_first_touches", recording)
+        monkeypatch.setattr(path_sim, "_GATHER", 100)
+        got = simulate_batch(cfg, 1.0, (0.25, 0.5))
+        assert max(gathered) == 3 * 32
+        for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
+                     "down_counts", "max_overshoot"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
 
     @settings(max_examples=25, deadline=None)
     @given(
