@@ -73,9 +73,11 @@ def _spectral(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     n = series_terms(bound, f"absorbed-density spectral series at v = {vmin:.4g}")
     total = np.zeros(v.shape)
     arg = math.pi * (xi + 1.0) / 2.0
-    for j in range(n):
-        k = 2 * j + 1
-        total += (-1.0) ** j * np.exp(-lam * k * k * v) * np.sin(k * arg)
+    # past v ~ 1.5e308 the exponent overflows to -inf, whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        for j in range(n):
+            k = 2 * j + 1
+            total += (-1.0) ** j * np.exp(-lam * k * k * v) * np.sin(k * arg)
     np.maximum(total, 0.0, out=total)
     total[xi == 1.0] = 0.0  # sine factor vanishes identically on the barrier
     return total
@@ -99,8 +101,6 @@ def _images(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     norm_max = 1.0 / math.sqrt(2.0 * math.pi * varmin)
 
     def bound(k: int) -> float:
-        if k == 0:
-            return math.inf  # the k = 0 images are always summed
         d = 4.0 * k - 2.0  # closest image distance for |xi| <= 1
         return 4.0 * norm_max * math.exp(-(d * d) / (2.0 * varmax))
 

@@ -29,7 +29,7 @@ from .distributions import (
     triangular_pdf,
     wasserstein1,
 )
-from .errors import ConfigError, ToleranceNotMetError
+from .errors import ConfigError, InvalidDomainError, ToleranceNotMetError
 from .first_passage import FirstPassageLaw
 from .params import TERM_TOL, ModelParams
 from .path_sim import PathConfig, SimulationBatch, simulate_batch
@@ -292,10 +292,21 @@ def svg_from_csv(csv_path: Path, svg_path: Path | None = None) -> Path:
 # tabulation subcommands
 
 
+def _table_end(params: ModelParams, multiple: float) -> float:
+    """``multiple * eta^2/sigma^2``, the last time of a table; InvalidDomainError past the double range."""
+    end = multiple * params.timescale
+    if end == math.inf:
+        raise InvalidDomainError(
+            f"time scale eta^2/sigma^2 = {params.timescale:.4g} is too large: the table"
+            f" would end at {multiple:g} times it, past the double range"
+        )
+    return end
+
+
 def run_density_table(cfg: ExperimentConfig) -> list[Path]:
     """Tabulate the absorbed density on a (t, x) grid."""
     params = ModelParams(cfg.sigma, cfg.eta)
-    ts = np.geomspace(1e-3 * params.timescale, 1e2 * params.timescale, 40)
+    ts = np.geomspace(1e-3 * params.timescale, _table_end(params, 1e2), 40)
     xs = np.linspace(-params.eta, params.eta, 41)
     vals = absorbed_density(params, t=ts[:, None], x=xs[None, :])
     rows = [(t, x, v) for t, row in zip(ts, vals) for x, v in zip(xs, row)]
@@ -307,7 +318,7 @@ def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
     """Tabulate survival, density and quantiles of the exit time."""
     params = ModelParams(cfg.sigma, cfg.eta)
     law = FirstPassageLaw(params)
-    ts = np.linspace(0.0, 8.0 * params.timescale, 321)
+    ts = np.linspace(0.0, _table_end(params, 8.0), 321)
     surv = law.survival(ts)
     dens = np.concatenate(([0.0], law.density(ts[1:])))
     rows = [(t, s, d) for t, s, d in zip(ts, surv, dens)]

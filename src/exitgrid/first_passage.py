@@ -46,8 +46,7 @@ def _survival_images(v: np.ndarray) -> np.ndarray:
     smax = float(np.max(s))
 
     def bound(k: int) -> float:
-        # 4 ndtr(-(4k - 3) / smax) = 2 erfc((4k - 3) / (smax sqrt 2)); at k = 0
-        # it is at least 2, above the k = 0 term, which is <= 1
+        # 4 ndtr(-(4k - 3) / smax) = 2 erfc((4k - 3) / (smax sqrt 2))
         return 2.0 * math.erfc((4.0 * k - 3.0) / smax * _SQRTH)
 
     n = series_terms(bound, f"survival image series at v = {smax * smax:.4g}")
@@ -76,9 +75,11 @@ def _survival_spectral(v: np.ndarray) -> np.ndarray:
         return (4.0 / (math.pi * k)) * math.exp(-_MU * k * k * vmin)
 
     acc = np.zeros(v.shape)
-    for j in range(series_terms(bound, f"survival spectral series at v = {vmin:.4g}")):
-        k = 2 * j + 1
-        acc += ((-1.0) ** j / k) * np.exp(-_MU * k * k * v)
+    # past v ~ 1.5e308 the exponent overflows to -inf, whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        for j in range(series_terms(bound, f"survival spectral series at v = {vmin:.4g}")):
+            k = 2 * j + 1
+            acc += ((-1.0) ** j / k) * np.exp(-_MU * k * k * v)
     return (4.0 / math.pi) * acc
 
 
@@ -95,8 +96,6 @@ def _density_images(v: np.ndarray) -> np.ndarray:
     varmax = float(np.max(var))
 
     def bound(k: int) -> float:
-        if k == 0:
-            return math.inf  # kterm(0) is always summed
         d = 4.0 * k - 3.0
         return 16.0 * (k + 1.0) * prefmax * math.exp(-(d * d) / (2.0 * varmax))
 
@@ -127,9 +126,10 @@ def _density_spectral(v: np.ndarray) -> np.ndarray:
         return lead * k * math.exp(-_MU * k * k * vmin)
 
     acc = np.zeros(v.shape)
-    for j in range(series_terms(bound, f"exit-density spectral series at v = {vmin:.4g}")):
-        k = 2 * j + 1
-        acc += ((-1.0) ** j * k) * np.exp(-_MU * k * k * v)
+    with np.errstate(over="ignore"):  # as in _survival_spectral
+        for j in range(series_terms(bound, f"exit-density spectral series at v = {vmin:.4g}")):
+            k = 2 * j + 1
+            acc += ((-1.0) ** j * k) * np.exp(-_MU * k * k * v)
     return lead * acc
 
 

@@ -4,8 +4,8 @@ Every law here is a truncated theta-type series on the unit band
 (``sigma = eta = 1``) at the time ``v = sigma^2 t / eta^2``.  Three
 constants fix how all of them are cut off:
 
-* ``TERM_TOL``: a series stops at the first term index ``n`` whose bound on
-  every term from ``n`` on is below it;
+* ``TERM_TOL``: a series stops at the first term index ``n >= 1`` whose
+  bound on every term from ``n`` on is below it;
 * ``MAX_TERMS``: the most terms any series may sum, counted in the
   series's own term index; past it :func:`series_terms` raises
   ``NoConvergenceError`` before a term is summed;
@@ -77,14 +77,16 @@ class ModelParams:
 
 
 def series_terms(bound, what: str) -> int:
-    """The number of terms to sum: the first index ``n`` with ``bound(n) < TERM_TOL``.
+    """The number of terms to sum: the first index ``n >= 1`` with ``bound(n) < TERM_TOL``.
 
     ``bound(n)`` must bound every term of index ``n`` and above, so summing
-    the terms ``0 .. n-1`` leaves out only terms below ``TERM_TOL``.  When
-    that index passes ``MAX_TERMS``, raises NoConvergenceError naming
-    ``what`` after at most ``MAX_TERMS + 1`` calls of ``bound``.
+    the terms ``0 .. n-1`` leaves out only terms below ``TERM_TOL``.  The
+    leading term is summed whatever its size, so a point deep in a series'
+    tail keeps it whether or not the other points of its call need more
+    terms.  When that index passes ``MAX_TERMS``, raises NoConvergenceError
+    naming ``what`` after at most ``MAX_TERMS`` calls of ``bound``.
     """
-    for n in range(MAX_TERMS + 1):
+    for n in range(1, MAX_TERMS + 1):
         if bound(n) < TERM_TOL:
             return n
     raise NoConvergenceError(f"{what}: more than {MAX_TERMS} terms")

@@ -171,8 +171,6 @@ def _error_density_spectral(v: np.ndarray, za: np.ndarray) -> np.ndarray:
     vmin = float(np.min(v))
 
     def bound(k: int) -> float:
-        if k == 0:
-            return math.inf  # the triangle is always summed
         return (4.0 * math.pi * k * vmin + 2.0) * math.exp(-_TWO_PI2 * k * k * vmin)
 
     n_terms = series_terms(bound, f"error-density spectral series at v = {vmin:.4g}")

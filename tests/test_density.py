@@ -270,6 +270,14 @@ class TestRepresentations:
             right = absorbed_density(P11, t, xs)
             np.testing.assert_array_equal(left, right)
 
+    def test_value_alone_equals_value_in_batch(self):
+        # the spectral series always sums its leading mode, so a point keeps
+        # it even where it is below TERM_TOL, alone or beside smaller times
+        alone = absorbed_density(P11, 30.0, 0.3)
+        assert alone == absorbed_density(P11, np.array([1.0, 30.0]), 0.3)[1]
+        lead = math.exp(-(math.pi**2) / 8.0 * 30.0) * math.sin(1.3 * math.pi / 2.0)
+        assert alone == pytest.approx(lead, rel=1e-12)
+
     def test_monotone_decreasing_in_t_at_origin(self):
         # each spectral term at x = 0 decreases in t, so the sum must too
         ts = np.linspace(0.5, 40.0, 200)
@@ -362,8 +370,8 @@ class TestUnitBand:
         eta, sigma = 10.0**log_eta, 10.0**log_sigma
         params = ModelParams(sigma, eta)
         t = v * (eta / sigma) ** 2
-        # a spectral sum whose first term is below TERM_TOL is 0, so values
-        # near that cut-off may differ by one term of about TERM_TOL
+        # v and sigma^2 t / eta^2 may round to either side of a term cut-off,
+        # so the two sums may differ by one term below TERM_TOL
         tol = {"rel": 1e-12, "abs": 2.0 * TERM_TOL}
         p = absorbed_density(params, t, xi * eta)
         assert eta * p == pytest.approx(absorbed_density(P11, v, xi), **tol)

@@ -55,23 +55,40 @@ def meta_block(path):
 SMALL = ["--paths", "250", "--steps", "2500", "--seed", "7"]
 
 
-def test_import_and_runs_leave_scipy_unloaded(tmp_path):
-    # scipy is a test dependency only: importing the package and running the
-    # subcommands that use the normal CDF and quantile must not load it
+def _fresh_python(code: str) -> str:
+    """The last line ``code`` prints in a new interpreter that imports this checkout."""
     src = str(Path(exitgrid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_and_runs_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: importing the package and running the
+    # subcommands that use the normal CDF and quantile must not load it
     code = (
         "import sys, exitgrid, exitgrid.cli\n"
         "for argv in (['density'], ['tau'], ['fig2', '--paths', '40', '--steps', '400']):\n"
         f"    assert exitgrid.cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert _fresh_python(code) == "[]"
     assert (tmp_path / "fig2.csv").is_file()
+
+
+def test_import_and_density_run_leave_statistics_unloaded(tmp_path):
+    # statistics, which loads fractions and decimal, serves only the normal
+    # quantile: the import and a run that never inverts the CDF skip it
+    code = (
+        "import sys, exitgrid, exitgrid.cli\n"
+        f"assert exitgrid.cli.main(['density', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules))\n"
+    )
+    assert _fresh_python(code) == "[]"
+    assert (tmp_path / "density_table.csv").is_file()
 
 
 def test_src_never_mentions_scipy():
@@ -210,6 +227,16 @@ class TestConfigHandling:
         assert written if code == 0 else not written
         for path in written:
             assert np.isfinite(read_csv(path)[2]).all(), path.name
+
+    @pytest.mark.parametrize("name,multiple", [("tau", "8"), ("density", "100")])
+    def test_table_end_past_double_range_exits_2(self, tmp_path, capsys, name, multiple):
+        # eta^2/sigma^2 = 1e308 is a double, but the table's last time, a
+        # multiple of it, is not: refused before any array is built
+        argv = [name, "--sigma", "1e-154", "--eta", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "time scale eta^2/sigma^2 = 1e+308" in err and f"end at {multiple} times" in err
+        assert not list(tmp_path.iterdir())
 
     @settings(max_examples=150, deadline=None)
     @given(

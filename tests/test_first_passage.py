@@ -225,6 +225,13 @@ class TestSurvival:
         with pytest.raises(InvalidDomainError):
             law.survival(-0.1)
 
+    @pytest.mark.parametrize("t", [26.4, 30.0, 50.0])
+    def test_value_alone_equals_value_in_batch(self, law, t):
+        # the spectral series always sums its leading mode, so a point keeps
+        # it even where it is below TERM_TOL, alone or beside smaller times
+        assert law.survival(t) == law.survival(np.array([1.0, t]))[1] > 0.0
+        assert law.density(t) == law.density(np.array([1.0, t]))[1] > 0.0
+
 
 class TestDensity:
     def test_normalization(self, law):
@@ -279,8 +286,8 @@ class TestUnitBand:
         dens = law.density(ts)
         dens_ref = reference_exit_density(params, ts)
         if sigma == eta == 1.0:
-            # bit for bit given the same normal CDF; exitgrid's port of it is
-            # a few ulp off scipy's where |x| >= sqrt(2)
+            # bit for bit given the same normal CDF; exitgrid's, from
+            # math.erfc, may differ from scipy's in the last bits
             same_cdf = reference_survival(params, np.concatenate(([0.0], ts)), ndtr=exitgrid_ndtr)
             np.testing.assert_array_equal(surv, same_cdf)
             np.testing.assert_array_equal(dens, dens_ref)
@@ -317,10 +324,20 @@ class TestQuantileAndSampling:
         tol = 1e-10 * law.params.timescale
         ps = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(law.quantile(ps) - bisection_quantile(law, ps))) < tol
-        # the clip points of `sample`, one at a time: where F = 1 - survival is
-        # flat to rounding, its value depends on the other points of a call
+        # the clip points of `sample`, where F = 1 - survival is flat to rounding
         for p in (1e-300, 1.0 - 1e-16):
             assert abs(law.quantile(p) - bisection_quantile(law, p)) < tol
+
+    def test_far_tail_quantile_follows_the_leading_mode(self, law):
+        # F = 1 - S reaches p = 1 - 2^-53 where S falls to 1.5 * 2^-53 (above
+        # it 1 - S rounds below p), and there S is its leading spectral mode
+        # (4/pi) exp(-pi^2 v / 8); without that mode F would reach 1 at the
+        # truncation edge near 26.33
+        p = 1.0 - 1e-16
+        v = math.log(4.0 / (math.pi * 1.5 * 2.0**-53)) / (math.pi**2 / 8.0)
+        q = law.quantile(p)
+        assert q == pytest.approx(v, abs=1e-10)
+        assert law.quantile(np.array([0.99, p]))[1] == q
 
     @given(sigma=st.floats(0.1, 10.0), eta=st.floats(0.01, 10.0), p=st.floats(1e-6, 1.0 - 1e-6))
     @settings(max_examples=200, deadline=None)

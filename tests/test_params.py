@@ -29,10 +29,11 @@ class TestSeriesTerms:
             calls.append(n)
             return values[n]
 
-        # TERM_TOL itself is not below TERM_TOL, so index 3 is the first
+        # TERM_TOL itself is not below TERM_TOL, so index 3 is the first; the
+        # leading term (index 0) is always summed, so its bound is never asked
         assert series_terms(bound, "test series") == 3
-        assert calls == [0, 1, 2, 3]
-        assert series_terms(lambda n: 0.0, "test series") == 0
+        assert calls == [1, 2, 3]
+        assert series_terms(lambda n: 0.0, "test series") == 1
 
     def test_cap_counts_terms(self):
         # MAX_TERMS terms are allowed, one more is not
