@@ -11,8 +11,6 @@ saturates at 1/6 and the distance crossover in eta.
 this script trades sample size for speed.)
 """
 
-import numpy as np
-
 from exitgrid import (
     PathConfig,
     ScaledNormalLaw,
@@ -52,10 +50,3 @@ for t in t_eval:
     row = "  ".join(f"{batch.variance(e, t):8.4f}" for e in etas[:4])
     print(f"{t:5.2f} {row}")
 
-print()
-print("== sign balance of anchor moves ==")
-ups = batch.up_counts.sum()
-downs = batch.down_counts.sum()
-print(f"up moves {ups}, down moves {downs} (each move is +/-eta with equal probability)")
-print(f"max grid overshoot {batch.max_overshoot.max():.5f} "
-      f"(resolution scale 5*sigma*sqrt(dt) = {5 * sigma * np.sqrt(cfg.dt):.5f})")

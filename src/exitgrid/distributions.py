@@ -178,6 +178,10 @@ class ScaledNormalLaw:
         if sigma <= 0 or t <= 0 or eta <= 0:
             raise InvalidDomainError("scaled normal needs sigma, t, eta > 0")
         self.sd = sigma * math.sqrt(t) / eta
+        if not 0.0 < self.sd < math.inf:
+            raise InvalidDomainError(
+                f"scaled normal sd = sigma sqrt(t) / eta = {self.sd} must be finite and > 0"
+            )
 
     def support(self):
         return (-np.inf, np.inf)

@@ -133,6 +133,16 @@ def _density_spectral(v: np.ndarray) -> np.ndarray:
     return lead * acc
 
 
+def _unit_survival(v: np.ndarray) -> np.ndarray:
+    """Unit-band survival at the unit times ``v``, clamped to [0, 1]."""
+    return np.clip(evaluate(_survival_images, _survival_spectral, v), 0.0, 1.0)
+
+
+def _unit_density(v: np.ndarray) -> np.ndarray:
+    """Unit-band exit-time density at the unit times ``v > 0``, clamped to >= 0."""
+    return np.maximum(evaluate(_density_images, _density_spectral, v), 0.0)
+
+
 @dataclass(frozen=True)
 class FirstPassageLaw:
     """Distribution of the first two-sided exit time from a centred band."""
@@ -145,9 +155,7 @@ class FirstPassageLaw:
         scalar = t.ndim == 0
         if np.any(t < 0.0):
             raise InvalidDomainError("survival needs t >= 0")
-        v = self.params.unit_time(np.atleast_1d(t))
-        out = evaluate(_survival_images, _survival_spectral, v)
-        np.clip(out, 0.0, 1.0, out=out)
+        out = _unit_survival(self.params.unit_time(np.atleast_1d(t)))
         return float(out[0]) if scalar else out.reshape(t.shape)
 
     def density(self, t) -> float | np.ndarray:
@@ -156,9 +164,7 @@ class FirstPassageLaw:
         scalar = t.ndim == 0
         if np.any(t <= 0.0):
             raise InvalidDomainError("density needs t > 0")
-        v = self.params.unit_time(np.atleast_1d(t))
-        f1 = evaluate(_density_images, _density_spectral, v)
-        np.maximum(f1, 0.0, out=f1)
+        f1 = _unit_density(self.params.unit_time(np.atleast_1d(t)))
         out = self.params.unit_time(f1)  # f(t) = f1(v) dv/dt, and v is linear in t
         return float(out[0]) if scalar else out.reshape(t.shape)
 
@@ -175,33 +181,33 @@ class FirstPassageLaw:
         """Inverse CDF by safeguarded Newton steps, to ``|t - t*| < tol``.
 
         ``t*`` is where ``cdf = 1 - survival`` reaches ``p``; ``tol`` defaults
-        to ``1e-10 eta^2/sigma^2``.  The bracket starts at
-        ``[0, 8 eta^2/sigma^2]`` and its upper end grows geometrically until
-        it covers p.  Each point starts from the leading term of its series
-        in unit time, ``v = 1 / ndtri(p/4)^2`` (images) or, where that is at
-        least ``SWITCH_V``, ``v = -(8/pi^2) log(pi (1-p)/4)`` (spectral).
-        Every round evaluates F at ``t +- 0.45 tol``, which shrinks the
-        bracket, and steps to ``t' - (F(t') - p) / f(t')`` from the upper
-        probe ``t'`` with the closed-form density.  A step that leaves the
-        bracket, or does not halve the last move, goes to the bracket
-        midpoint instead.  A point is done once its bracket is narrower than
-        ``tol``; its quantile is then that last step, or the midpoint.
-        Raises ToleranceNotMetError when ``tol`` is below the double spacing
-        at the quantile.
+        to ``1e-10 eta^2/sigma^2``.  The iteration runs in unit time ``v``, to
+        ``tol sigma^2/eta^2``, and scales the result by ``eta^2/sigma^2`` once
+        at the end, as the kernels do.  The bracket starts at ``[0, 8]`` and
+        its upper end grows geometrically until it covers p.  Each point
+        starts from the leading term of its series, ``v = 1 / ndtri(p/4)^2``
+        (images) or, where that is at least ``SWITCH_V``,
+        ``v = -(8/pi^2) log(pi (1-p)/4)`` (spectral).  Every round evaluates
+        F at ``v +- 0.45 tol``, which shrinks the bracket, and steps to
+        ``v' - (F(v') - p) / f(v')`` from the upper probe ``v'`` with the
+        closed-form density.  A step that leaves the bracket, or does not
+        halve the last move, goes to the bracket midpoint instead.  A point
+        is done once its bracket is narrower than ``tol``; its quantile is
+        then that last step, or the midpoint.  Raises ToleranceNotMetError
+        when ``tol`` is below the double spacing at the quantile, and
+        InvalidDomainError when a quantile lies past the double range.
         """
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
         pp = p.ravel()
         if np.any((pp <= 0.0) | (pp >= 1.0)):
             raise InvalidDomainError("quantile needs p in (0, 1)")
-        scale = self.params.timescale
-        if tol is None:
-            tol = 1e-10 * scale
+        tol = 1e-10 if tol is None else self.params.unit_time(tol)
 
         lo = np.zeros(pp.shape)
-        hi = np.full(pp.shape, 8.0 * scale)
+        hi = np.full(pp.shape, 8.0)
         for _ in range(64):
-            need = self.cdf(hi) < pp
+            need = 1.0 - _unit_survival(hi) < pp
             if not np.any(need):
                 break
             hi[need] *= 2.0
@@ -210,15 +216,15 @@ class FirstPassageLaw:
 
         v = 1.0 / ndtri(pp / 4.0) ** 2
         v_spectral = -np.log(math.pi * (1.0 - pp) / 4.0) / _MU
-        t = np.where(v_spectral >= SWITCH_V, v_spectral, v) * scale
-        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        v = np.where(v_spectral >= SWITCH_V, v_spectral, v)
+        v = np.where((lo < v) & (v < hi), v, 0.5 * (lo + hi))
         h = 0.45 * tol
         moved = hi - lo  # how far each point's iterate moved last
         q = np.empty(pp.shape)
         todo = np.arange(pp.size)  # the points not yet done; the arrays below hold only them
         for _ in range(200):
-            probes = np.stack([np.maximum(t - h, 0.0), t + h])
-            cdf = self.cdf(probes)
+            probes = np.stack([np.maximum(v - h, 0.0), v + h])
+            cdf = 1.0 - _unit_survival(probes)
             below = cdf < pp
             lo = np.max(np.where(below, probes, lo), axis=0)
             hi = np.min(np.where(below, hi, probes), axis=0)
@@ -226,27 +232,36 @@ class FirstPassageLaw:
             # the Newton step from the upper probe, taken only when it lands
             # inside the bracket; the room test keeps f > 0 and g / f finite
             base, g = probes[1], cdf[1] - pp
-            f = self.density(base)
+            f = _unit_density(base)
             newton = np.abs(g) < f * np.where(g < 0.0, hi - base, base - lo)
-            t_new = base - np.divide(g, f, out=np.zeros(g.shape), where=newton)
-            newton &= (lo < t_new) & (t_new < hi)
+            v_new = base - np.divide(g, f, out=np.zeros(g.shape), where=newton)
+            newton &= (lo < v_new) & (v_new < hi)
             done = hi - lo < tol
-            q[todo[done]] = np.where(newton, t_new, mid)[done]
+            q[todo[done]] = np.where(newton, v_new, mid)[done]
             left = ~done
             if not np.any(left):
                 break
             if np.any((mid[left] <= lo[left]) | (mid[left] >= hi[left])):
                 raise ToleranceNotMetError(
-                    f"quantile tolerance {tol:.3g} is below the double spacing at the quantile"
+                    f"quantile tolerance {tol:.3g} eta^2/sigma^2 is below the double spacing"
+                    " at the quantile"
                 )
             # where F is flat to rounding (p near 0 or 1) Newton creeps: it
             # must at least halve the last move, or the point bisects
-            newton &= np.abs(t_new - t) <= 0.5 * moved
-            t_new = np.where(newton, t_new, mid)
-            moved = np.abs(t_new - t)
-            todo, pp, lo, hi, t, moved = (a[left] for a in (todo, pp, lo, hi, t_new, moved))
+            newton &= np.abs(v_new - v) <= 0.5 * moved
+            v_new = np.where(newton, v_new, mid)
+            moved = np.abs(v_new - v)
+            todo, pp, lo, hi, v, moved = (a[left] for a in (todo, pp, lo, hi, v_new, moved))
         else:
             raise ToleranceNotMetError("quantile iteration hit its round cap")
+        with np.errstate(over="ignore"):  # a quantile past the double range is reported below
+            q *= self.params.timescale
+        past = q == math.inf
+        if np.any(past):
+            raise InvalidDomainError(
+                f"time scale eta^2/sigma^2 = {self.params.timescale:.4g} is too large: the"
+                f" quantile at p = {p.ravel()[past][0]:.17g} lies past the double range"
+            )
         return float(q[0]) if scalar else q.reshape(p.shape)
 
     def sample(self, rng: np.random.Generator, size=None, tol: float | None = None):

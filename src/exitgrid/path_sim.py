@@ -49,14 +49,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .distributions import EmpiricalSample
 from .errors import InvalidDomainError
 
-__all__ = [
-    "MAX_PATH_STEPS",
-    "MAX_RESULTS",
-    "PathConfig",
-    "SimulationBatch",
-    "generate_path",
-    "simulate_batch",
-]
+__all__ = ["MAX_PATH_STEPS", "MAX_RESULTS", "PathConfig", "SimulationBatch", "generate_path",
+           "simulate_batch"]
 
 _GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equal groups
 _CHUNK = 2048  # grid steps drawn per path between scans
@@ -69,6 +63,10 @@ _GATHER = _GROUP * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gather
 # bytes each)
 MAX_PATH_STEPS = 2 * 10**10
 MAX_RESULTS = 10**7
+
+# numpy's ziggurat normals are below 14 in magnitude (its tail draw is at
+# most 3.66 + 36.8 / 3.66), so a path of n steps of size s stays in 14 n s
+_NORMAL_MAX = 14.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,8 @@ class PathConfig:
             raise InvalidDomainError("t_end must be finite and > 0")
         if self.n_steps < 1 or self.n_paths < 1:
             raise InvalidDomainError("n_steps and n_paths must be >= 1")
+        if self.dt == 0.0:
+            raise InvalidDomainError(f"grid step {self.t_end:g} / {self.n_steps} underflows to 0")
         if self.seed < 0:
             raise InvalidDomainError("seed must be a non-negative integer")
         if len(self.etas) == 0 or not all(0.0 < e < math.inf for e in self.etas):
@@ -105,11 +105,15 @@ class PathConfig:
         return self.t_end / self.n_steps
 
     def time_index(self, t: float) -> int:
-        """Grid index of an evaluation time; the time must sit on the grid."""
-        if not math.isfinite(t):
-            raise InvalidDomainError(f"t={t} is not on the simulation grid (dt={self.dt})")
-        idx = int(round(t / self.dt))
-        if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(self.t_end, 1.0):
+        """Grid index of an evaluation time; the time must sit on the grid, up to ``t_end``."""
+        slack = 1e-9 * max(self.t_end, 1.0)
+        if t - self.t_end > slack:
+            raise InvalidDomainError(
+                f"t={t} is past the simulation horizon t_end={self.t_end} (set by --t-end)"
+            )
+        # t / dt is finite above -t_end; a t at or below it, or nan, is off the grid
+        idx = int(round(t / self.dt)) if t > -self.t_end else -1
+        if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > slack:
             raise InvalidDomainError(f"t={t} is not on the simulation grid (dt={self.dt})")
         return idx
 
@@ -150,20 +154,15 @@ def generate_path(cfg: PathConfig, sigma: float, path_index: int) -> np.ndarray:
     return x[0]
 
 
-def _window(eta: float, sigma: float, dt: float) -> int:
-    """Scan window: twice the mean gap between crossings, ``eta^2/(sigma^2 dt)``, clipped.
+def _window(eta: float, scale: float) -> int:
+    """Scan window: twice the mean gap between crossings, ``(eta/scale)^2``, clipped.
 
-    Twice the mean lets most crossings be found in the first window while
-    keeping the per-round work small.
+    ``scale`` is the step size ``sigma sqrt(dt)``.  Twice the mean lets most
+    crossings be found in the first window while keeping the per-round work
+    small.
     """
-    var = sigma * sigma * dt
-    gap = 2.0 * eta * eta / var if var > 0.0 else math.inf
-    return int(min(max(gap, _WINDOW[0]), _WINDOW[1]))
-
-
-def _buffer(rows: int, n: int, width: int) -> np.ndarray:
-    """Room for a carry column, ``n`` steps and a window pad."""
-    return np.empty((rows, 1 + n + width))
+    ratio = eta / scale if scale > 0.0 else math.inf
+    return int(min(max(2.0 * ratio * ratio, _WINDOW[0]), _WINDOW[1]))
 
 
 def _groups(n: int) -> np.ndarray:
@@ -191,26 +190,21 @@ class _Tracks:
         self.path = np.tile(np.arange(n), etas.size)
         self.anchor = np.zeros(self.eta.size)
         self.count = np.zeros(self.eta.size, dtype=np.int64)
-        self.ups = np.zeros(self.eta.size, dtype=np.int64)
-        self.over = np.zeros(self.eta.size)
-        self.first = np.full(self.eta.size, -1, dtype=np.int64)
 
     def by_path(self, a: np.ndarray) -> np.ndarray:
         """A per-row array as a (path, threshold) view."""
         return a.reshape(-1, self.n).T
 
 
-def _first_touches(buf, win, n, tr, rows, offset) -> None:
+def _first_touches(buf, win, n, tr, rows) -> None:
     """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
-    ``win`` is a sliding-window view of ``buf``; column ``j`` is grid index
-    ``offset + j``, and the columns after ``n`` repeat the value at ``n``.
-    Each round tests every live row's window after its last crossing,
-    updates the anchors and counters of the rows that found one and moves
-    the others on by one window.
+    ``win`` is a sliding-window view of ``buf``; the columns after ``n``
+    repeat the value at ``n``.  Each round tests every live row's window
+    after its last crossing, counts a detection and moves the anchor of the
+    rows that found one, and moves the others on by one window.
     """
-    anchor, eta_of, path_of = tr.anchor, tr.eta, tr.path
-    count, ups, over, first = tr.count, tr.ups, tr.over, tr.first
+    anchor, eta_of, path_of, count = tr.anchor, tr.eta, tr.path, tr.count
     width = win.shape[-1]
     start = np.ones(rows.size, dtype=np.int64)
     while rows.size:
@@ -222,52 +216,36 @@ def _first_touches(buf, win, n, tr, rows, offset) -> None:
         found = hit[np.arange(rows.size), k]
         last = start + np.where(found, k, width - 1)
         if found.any():
-            r, j, a_old, e = rows[found], last[found], a[found], eta[found]
-            x = buf[p[found], j]
-            move = x - a_old
-            over[r] = np.maximum(over[r], np.abs(move) - e)
-            ups[r] += move > 0.0
+            r = rows[found]
             count[r] += 1
-            new = first[r] < 0
-            first[r[new]] = offset + j[new]
-            anchor[r] = x
+            anchor[r] = buf[p[found], last[found]]
         keep = last < n
         rows, start = rows[keep], last[keep] + 1
 
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """Reduced batch output; arrays are indexed (path, time, threshold)."""
+    """Normalized errors and detection counts of a batch, indexed (path, time, threshold)."""
 
     cfg: PathConfig
-    sigma: float
     t_eval: tuple[float, ...]
     errors: np.ndarray  # normalized tracking errors Z/eta, (n_paths, n_t, n_eta)
     renewal_counts: np.ndarray  # detections up to t_end, (n_paths, n_eta)
-    first_crossing: np.ndarray  # time of first detection or nan, (n_paths, n_eta)
-    up_counts: np.ndarray  # (n_paths, n_eta)
-    down_counts: np.ndarray  # (n_paths, n_eta)
-    max_overshoot: np.ndarray  # (n_paths, n_eta)
 
-    def _eta_index(self, eta: float) -> int:
-        try:
-            return self.cfg.etas.index(float(eta))
-        except ValueError:
-            raise InvalidDomainError(f"eta={eta} not in batch thresholds {self.cfg.etas}")
-
-    def _t_index(self, t: float) -> int:
-        try:
-            return self.t_eval.index(float(t))
-        except ValueError:
+    def _column(self, eta: float, t: float) -> np.ndarray:
+        if float(t) not in self.t_eval:
             raise InvalidDomainError(f"t={t} not in batch evaluation times {self.t_eval}")
+        if float(eta) not in self.cfg.etas:
+            raise InvalidDomainError(f"eta={eta} not in batch thresholds {self.cfg.etas}")
+        return self.errors[:, self.t_eval.index(float(t)), self.cfg.etas.index(float(eta))]
 
     def sample(self, eta: float, t: float) -> EmpiricalSample:
         """Sorted normalized errors for one (threshold, time) pair."""
-        return EmpiricalSample(self.errors[:, self._t_index(t), self._eta_index(eta)])
+        return EmpiricalSample(self._column(eta, t))
 
     def variance(self, eta: float, t: float) -> float:
         """Sample variance (``ddof=1``) of the errors at one (threshold, time); 0 for one path."""
-        col = self.errors[:, self._t_index(t), self._eta_index(eta)]
+        col = self._column(eta, t)
         return float(np.var(col, ddof=1)) if col.size > 1 else 0.0
 
 
@@ -286,25 +264,21 @@ def _chunk_ends(t_idx, n_steps: int):
             last = end
 
 
-def _run_chunk(args) -> tuple:
-    """Simulate paths ``start..stop-1`` group by group and reduce them."""
+def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Errors and detection counts of paths ``start..stop-1``, simulated group by group."""
     cfg, sigma, t_idx, start, stop = args
     n_paths = stop - start
     etas = np.asarray(cfg.etas)
     errors = np.empty((n_paths, len(t_idx), etas.size))
     counts = np.zeros((n_paths, etas.size), dtype=np.int64)
-    first = np.full((n_paths, etas.size), np.nan)
-    ups = np.zeros((n_paths, etas.size), dtype=np.int64)
-    downs = np.zeros((n_paths, etas.size), dtype=np.int64)
-    over = np.zeros((n_paths, etas.size))
     t_idx_arr = np.asarray(t_idx, dtype=np.int64)
     errors[:, t_idx_arr == 0, :] = 0.0  # X_0 = 0 and the anchor starts at 0
 
     scale = sigma * math.sqrt(cfg.dt)
-    width = min(_window(eta, sigma, cfg.dt) for eta in cfg.etas)
+    width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
     bounds = _groups(n_paths)
-    buf = _buffer(int(np.diff(bounds).max()), _CHUNK, width)
+    buf = np.empty((int(np.diff(bounds).max()), 1 + _CHUNK + width))  # carry, chunk, window pad
     win = sliding_window_view(buf, width, axis=1)
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         out = slice(g0, g1)
@@ -321,18 +295,14 @@ def _run_chunk(args) -> tuple:
             live = np.flatnonzero(_may_cross(span.max(axis=1)[tr.path],
                                              span.min(axis=1)[tr.path], tr.anchor, tr.eta))
             for i in range(0, live.size, per_call):
-                _first_touches(xs, win, n, tr, live[i : i + per_call], done)
+                _first_touches(xs, win, n, tr, live[i : i + per_call])
             x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas
             xs[:, 0] = x_end
             done = end
         counts[out] = tr.by_path(tr.count)
-        ups[out] = tr.by_path(tr.ups)
-        downs[out] = tr.by_path(tr.count - tr.ups)
-        over[out] = tr.by_path(tr.over)
-        first[out] = tr.by_path(np.where(tr.first >= 0, tr.first * cfg.dt, np.nan))
-    return errors, counts, first, ups, downs, over
+    return errors, counts
 
 
 def _usable_cpus() -> int:
@@ -354,7 +324,8 @@ def simulate_batch(
     by its index and chunks are reassembled in path order.  At most
     ``min(workers, n_paths, usable CPUs)`` processes run.  Raises
     InvalidDomainError before any allocation when the result array would
-    hold more than ``MAX_RESULTS`` cells.
+    hold more than ``MAX_RESULTS`` cells, or when a path could leave half
+    the double range.
     """
     _check_sigma(sigma)
     t_eval = tuple(float(t) for t in np.atleast_1d(t_eval))
@@ -363,6 +334,12 @@ def simulate_batch(
     t_idx = tuple(cfg.time_index(t) for t in t_eval)
     if workers < 1:
         raise InvalidDomainError("workers must be >= 1")
+    reach = _NORMAL_MAX * cfg.n_steps * (sigma * math.sqrt(cfg.dt))
+    if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
+        raise InvalidDomainError(
+            f"sigma = {sigma:g} with t_end = {cfg.t_end:g} is too large: a path of {cfg.n_steps}"
+            f" steps could reach {reach:.3g}, past half the double range"
+        )
     cells = cfg.n_paths * len(t_eval) * len(cfg.etas)
     if cells > MAX_RESULTS:
         raise InvalidDomainError(
@@ -386,18 +363,6 @@ def simulate_batch(
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_run_chunk, jobs))
 
-    errors, counts, first, ups, downs, over = (
-        np.concatenate([p[i] for p in parts], axis=0) for i in range(6)
-    )
-    return SimulationBatch(
-        cfg=cfg,
-        sigma=sigma,
-        t_eval=t_eval,
-        errors=errors,
-        renewal_counts=counts,
-        first_crossing=first,
-        up_counts=ups,
-        down_counts=downs,
-        max_overshoot=over,
-    )
+    errors, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+    return SimulationBatch(cfg=cfg, t_eval=t_eval, errors=errors, renewal_counts=counts)
 

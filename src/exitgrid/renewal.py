@@ -88,6 +88,13 @@ def _renewal_images(v: np.ndarray) -> np.ndarray:
     ``n^2 >= 3 max(v)`` on, the value at ``max(v)`` bounds the term everywhere
     and decreases in ``n``; below that no bound is claimed.
     """
+    out = np.zeros(v.shape)
+    # below this every exponential underflows to an exact zero, while v^1.5
+    # may underflow too and leave 0 / 0; the sum is identically 0
+    live = v >= 1.0 / 1500.0
+    if not np.any(live):
+        return out
+    v = v[live]
     vmax = float(np.max(v))
     coeff = 2.0 / (_SQRT_2PI * vmax**1.5)
 
@@ -101,7 +108,8 @@ def _renewal_images(v: np.ndarray) -> np.ndarray:
     acc = np.zeros(v.shape)
     for n in range(1, n_terms):  # term 0 vanishes
         acc += n * n * np.exp(-n * n * inv2v)
-    return 2.0 * acc / (_SQRT_2PI * v**1.5)
+    out[live] = 2.0 * acc / (_SQRT_2PI * v**1.5)
+    return out
 
 
 def _renewal_spectral(v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The benchmark in ``perfbench/`` resolves exitgrid functions by name.
 
-A renamed or re-signatured function would show up there only as failed
-benchmark operations, so this runs the benchmark's own tracer and its
-``analytic`` workload against the package.  Nothing under ``perfbench/`` is
+A renamed or re-signatured function, or a changed field of a result it
+reads, would show up there only as failed benchmark operations, so this
+runs the benchmark's own tracer with its ``analytic`` workload and a small
+``mc_fine`` workload against the package.  Nothing under ``perfbench/`` is
 written: its modules are imported without bytecode caching.
 """
 
@@ -46,3 +47,22 @@ def test_analytic_workload_runs_traced(perfbench, tmp_path):
     assert result["analytic_max_err"] <= oracle.ORACLE_TOL
     names = {s["name"] for s in tracer.spans}
     assert {"cli.main", "renewal.solve", "renewal.convolution", "density.absorbed"} <= names
+
+
+def test_mc_fine_workload_runs_traced(perfbench, monkeypatch, tmp_path):
+    # the workload at 30 paths, patched in memory; its check reads the same constant
+    spans, workloads = perfbench["spans"], perfbench["workloads"]
+    monkeypatch.setattr(workloads, "MC_FINE_PATHS", 30)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ops = workloads.Ops()
+        state = workloads.mc_fine_body(exitgrid, 11, tmp_path, ops)
+    finally:
+        tracer.uninstall()
+    workloads.mc_fine_check(exitgrid, state, tmp_path, ops)
+
+    assert ops.failures == []
+    assert ops.attempted > 0
+    scans = [s for s in tracer.spans if s["name"] == "path_sim.scan"]
+    assert scans and all(s["counts"]["crossings"] > 0 for s in scans)

@@ -141,6 +141,10 @@ class TestScaledNormal:
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidDomainError):
             ScaledNormalLaw(0.0, 0.5, 1.0)
+        # positive parameters whose sd underflows to 0 or overflows
+        for args in ((5.7e-304, 5.7e-304, 1.0), (1e300, 1e300, 1e-300)):
+            with pytest.raises(InvalidDomainError, match="finite and > 0"):
+                ScaledNormalLaw(*args)
 
 
 class TestKde:

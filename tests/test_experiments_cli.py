@@ -24,7 +24,7 @@ from exitgrid import (
     cli,
     solve_renewal_density,
 )
-from exitgrid import experiments, path_sim, renewal
+from exitgrid import experiments, first_passage, path_sim, renewal
 from exitgrid.cli import main
 from exitgrid.density import absorbed_density
 from exitgrid.experiments import (
@@ -179,6 +179,10 @@ class TestConfigHandling:
             ["--etas", "0.5,0.5"],
             ["--t-eval", "0.25,0.5,0.25"],
             ["--t-eval", "nan"],
+            ["--t-eval=-1e308"],  # t / dt would overflow
+            ["--t-end", "5e-324"],  # the grid step underflows to 0
+            ["--sigma", "1e306"],  # a path could pass the double range
+            ["--sigma", "1e211", "--eta", "1e211", "--t-end", "1e211"],
         ],
     )
     def test_unservable_simulation_exits_2(self, tmp_path, capsys, extra):
@@ -259,6 +263,37 @@ class TestConfigHandling:
             if code == 2:
                 assert not out.exists() or not list(out.iterdir())
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["simulate", "fig1", "fig2", "fig3", "limit"]),
+        paths=st.integers(1, 8),
+        steps=st.integers(1, 64),
+        values=st.fixed_dictionaries(
+            {},
+            optional={
+                option: st.one_of(st.text(), st.floats().map(repr), st.floats(1e-6, 1e6).map(repr),
+                                  st.sampled_from(["0.5", "0.25", "1", "2"]))
+                for option in ("sigma", "eta", "t", "t-end", "t-eval")
+            },
+        ),
+    )
+    def test_arbitrary_simulation_text_fails_as_documented(self, name, paths, steps, values):
+        # the simulating subcommands on a small grid, one worker: any text for
+        # the model and the times gives 0, 2 or 3 and no traceback, and a
+        # configuration error writes nothing
+        argv = [name, "--paths", str(paths), "--steps", str(steps), "--workers", "1"]
+        for option, text in values.items():
+            argv += [f"--{option}={text}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not out.exists() or not list(out.iterdir())
+
     def test_huge_equal_scales_give_the_unit_table(self, tmp_path):
         # sigma = eta = 1e150 has the unit band's time scale, so eta * p must
         # reproduce the sigma = eta = 1 table
@@ -309,6 +344,24 @@ class TestConfigHandling:
              "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,t",
+        [
+            (["fig2", "--t", "0.7"], "0.7"),
+            (["simulate", "--t-eval", "0.7"], "0.7"),
+            (["fig3", "--t-eval", "0.25,0.7"], "0.7"),
+            (["simulate", "--t-eval", "1e308"], "1e+308"),
+        ],
+    )
+    def test_time_past_the_horizon_exits_2(self, tmp_path, capsys, argv, t):
+        # 0.7 is a multiple of dt = 0.05 but lies past t_end = 0.5; 1e308 / dt
+        # is past the double range
+        assert main([*argv, "--paths", "4", "--steps", "10", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"t={t} is past the simulation horizon t_end=0.5 (set by --t-end)" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_one_path_has_zero_variance(self, tmp_path):
         # the sample variance of one path is 0, not nan, in both CSVs that report it
@@ -546,15 +599,16 @@ class TestRunners:
     def test_tau_table_evaluates_survival_a_few_times(self, monkeypatch, tmp_path, sigma, eta):
         # one survival call for the table, one for the quantile bracket and one
         # per Newton round, three here (a worse seed takes six): a count, not a
-        # timing, so it is exact
+        # timing, so it is exact; the quantile evaluates the unit-band kernel
+        # directly, so the kernel is what is counted
         calls = []
-        survival = FirstPassageLaw.survival
+        survival = first_passage._unit_survival
 
-        def counting(self, t):
-            calls.append(np.size(t))
-            return survival(self, t)
+        def counting(v):
+            calls.append(np.size(v))
+            return survival(v)
 
-        monkeypatch.setattr(FirstPassageLaw, "survival", counting)
+        monkeypatch.setattr(first_passage, "_unit_survival", counting)
         cfg = ExperimentConfig(experiment="tau", sigma=sigma, eta=eta, out_dir=str(tmp_path))
         run_tau_table(cfg)
         assert len(calls) <= 2 + 4

@@ -15,7 +15,7 @@ from exitgrid import (
     NoConvergenceError,
     PathConfig,
     ToleranceNotMetError,
-    simulate_batch,
+    generate_path,
 )
 from exitgrid._normal import ndtr as exitgrid_ndtr
 from exitgrid.params import MAX_TERMS, SWITCH_V, TERM_TOL
@@ -314,6 +314,25 @@ class TestQuantileAndSampling:
             with pytest.raises(InvalidDomainError):
                 law.quantile(p)
 
+    @pytest.mark.parametrize("sigma,far_is_finite", [(3e-154, True), (2.2e-154, False)])
+    def test_quantiles_near_the_double_range(self, law, sigma, far_is_finite):
+        # time scales 1.1e307 and 2.1e307: the iteration runs in unit time, so
+        # a quantile is the unit-band one scaled once, and only a quantile
+        # that is itself past the double range fails, as a typed error; p =
+        # 0.999999 sits at unit time 11.4, which is 1.27e308 at the first
+        # scale and 2.35e308 at the second
+        wide = FirstPassageLaw(ModelParams(sigma, 1.0))
+        scale = wide.params.timescale
+        for p in [0.5, 0.99] + [0.999999] * far_is_finite:
+            q = wide.quantile(p)
+            assert q == law.quantile(p) * scale
+            assert wide.cdf(q * (1.0 - 1e-9)) < p <= wide.cdf(q * (1.0 + 1e-9))
+        for p in [1.0 - 1e-16] + [0.999999] * (not far_is_finite):
+            with pytest.raises(InvalidDomainError, match="time scale .* past the double range"):
+                wide.quantile(p)
+        with pytest.raises(InvalidDomainError, match="past the double range"):
+            wide.quantile(np.array([0.5, 1.0 - 1e-16]))
+
     def test_tolerance_cap(self, law):
         with pytest.raises(ToleranceNotMetError):
             law.quantile(0.5, tol=1e-300)
@@ -370,8 +389,12 @@ class TestAgainstSimulation:
         eta = 0.5
         law = FirstPassageLaw(ModelParams(1.0, eta))
         cfg = PathConfig(t_end=0.4, n_steps=160000, n_paths=4000, seed=7, etas=(eta,))
-        batch = simulate_batch(cfg, 1.0, (0.4,), workers=1)
-        hits = batch.first_crossing[:, 0]
+        hits = np.full(cfg.n_paths, np.nan)
+        for i in range(cfg.n_paths):
+            # the first detection is the first grid point with |x| >= eta
+            touched = np.abs(generate_path(cfg, 1.0, i)) >= eta
+            if touched.any():
+                hits[i] = touched.argmax() * cfg.dt
         # paths that never crossed count as +inf; the median is still
         # identified as long as most paths crossed
         assert np.isnan(hits).mean() < 0.3

@@ -40,15 +40,12 @@ _REF_BLOCK = 4096
 
 
 def reference_scan(x, eta):
-    """Sequential first-touch scan; returns crossings, anchors and statistics."""
+    """Sequential first-touch scan; returns the crossing indices and the anchors set there."""
     n = x.size
     anchor = 0.0
     idx = 0
     crossings = []
     anchors = []
-    ups = 0
-    downs = 0
-    max_overshoot = 0.0
     while True:
         j = idx + 1
         found = -1
@@ -62,19 +59,16 @@ def reference_scan(x, eta):
             j = hi
         if found < 0:
             break
-        move = float(x[found]) - anchor
-        over = abs(move) - eta
-        if over > max_overshoot:
-            max_overshoot = over
-        if move > 0.0:
-            ups += 1
-        else:
-            downs += 1
         anchor = float(x[found])
         crossings.append(found)
         anchors.append(anchor)
         idx = found
-    return crossings, anchors, ups, downs, max_overshoot
+    return crossings, anchors
+
+
+def anchor_moves(anchors):
+    """Signed anchor increments, the first one from the start at 0."""
+    return np.diff(np.concatenate(([0.0], anchors)))
 
 
 def reference_chunk(cfg, sigma, t_idx, start, stop):
@@ -84,10 +78,6 @@ def reference_chunk(cfg, sigma, t_idx, start, stop):
     n_eta = len(cfg.etas)
     errors = np.empty((n, n_t, n_eta))
     counts = np.zeros((n, n_eta), dtype=np.int64)
-    first = np.full((n, n_eta), np.nan)
-    ups = np.zeros((n, n_eta), dtype=np.int64)
-    downs = np.zeros((n, n_eta), dtype=np.int64)
-    over = np.zeros((n, n_eta))
     t_idx_arr = np.asarray(t_idx, dtype=np.int64)
     for row, pidx in enumerate(range(start, stop)):
         x = generate_path(cfg, sigma, pidx)
@@ -97,21 +87,17 @@ def reference_chunk(cfg, sigma, t_idx, start, stop):
             if eta > xmax:  # the band is never left; skip the scan
                 errors[row, :, e] = xt / eta
                 continue
-            crossings, anchors, u, d, mo = reference_scan(x, eta)
+            crossings, anchors = reference_scan(x, eta)
             counts[row, e] = len(crossings)
-            ups[row, e] = u
-            downs[row, e] = d
-            over[row, e] = mo
             if crossings:
                 ci = np.asarray(crossings, dtype=np.int64)
                 av = np.asarray(anchors)
-                first[row, e] = crossings[0] * cfg.dt
                 pos = np.searchsorted(ci, t_idx_arr, side="right") - 1
                 anchor_at = np.where(pos >= 0, av[np.maximum(pos, 0)], 0.0)
                 errors[row, :, e] = (xt - anchor_at) / eta
             else:
                 errors[row, :, e] = xt / eta
-    return errors, counts, first, ups, downs, over
+    return errors, counts
 
 
 def assert_same_bits(got, want):
@@ -159,6 +145,12 @@ class TestGeneratePath:
                 PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0, etas=etas)
         with pytest.raises(InvalidDomainError):
             CFG.time_index(math.nan)
+        with pytest.raises(InvalidDomainError, match="past the simulation horizon"):
+            CFG.time_index(math.inf)
+        with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
+            CFG.time_index(-1e308)
+        with pytest.raises(InvalidDomainError, match="grid step .* underflows to 0"):
+            PathConfig(t_end=5e-324, n_steps=2, n_paths=1, seed=0)
         small = PathConfig(t_end=0.5, n_steps=10, n_paths=2, seed=0)
         with pytest.raises(InvalidDomainError):
             simulate_batch(small, 1.0, (0.25, 0.5, 0.25))
@@ -172,14 +164,13 @@ class TestFirstTouchRule:
 
     def test_no_crossing_when_band_too_wide(self):
         x = generate_path(CFG, 1.0, 3)
-        crossings, anchors, ups, downs, _ = reference_scan(x, eta=100.0)
+        crossings, anchors = reference_scan(x, eta=100.0)
         assert crossings == [] and anchors == []
-        assert ups == downs == 0
 
     def test_crossing_invariants(self):
         x = generate_path(CFG, 1.0, 11)
-        crossings, anchors, ups, downs, _ = reference_scan(x, eta=0.25)
-        assert len(crossings) == len(anchors) == ups + downs > 0
+        crossings, anchors = reference_scan(x, eta=0.25)
+        assert len(crossings) == len(anchors) > 0
         anchor = 0.0
         prev = 0
         for ci, av in zip(crossings, anchors):
@@ -194,12 +185,18 @@ class TestFirstTouchRule:
 
     def test_anchor_increments_near_eta(self):
         x = generate_path(CFG, 1.0, 23)
-        _, anchors, _, _, max_overshoot = reference_scan(x, eta=0.25)
+        _, anchors = reference_scan(x, eta=0.25)
         assert len(anchors) >= 2
-        inc = np.abs(np.diff(np.concatenate(([0.0], anchors))))
-        overshoot = inc - 0.25
+        overshoot = np.abs(anchor_moves(anchors)) - 0.25
         assert np.all(overshoot >= -1e-15)
-        assert overshoot.max() == max_overshoot < 5.0 * np.sqrt(CFG.dt)
+        assert overshoot.max() < 5.0 * np.sqrt(CFG.dt)
+
+    def test_sign_balance(self):
+        # anchor moves are +eta or -eta with equal probability; about 50 per path
+        moves = np.concatenate([anchor_moves(reference_scan(generate_path(CFG, 1.0, i), 0.1)[1])
+                                for i in range(CFG.n_paths)])
+        ups, total = np.count_nonzero(moves > 0.0), moves.size
+        assert abs(ups - total / 2.0) < 3.0 * np.sqrt(total) / 2.0
 
     def test_mean_renewal_count(self):
         # renewal theorem: E[N_t] ~ t sigma^2/eta^2 (within 5% at this scale)
@@ -224,8 +221,7 @@ class TestBatch:
         assert _groups(150).tolist() == [0, 150] and _groups(151).tolist() == [0, 75, 151]
         a = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         b = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=2)
-        for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
-                     "down_counts", "max_overshoot"):
+        for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(a, name), getattr(b, name))
 
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
@@ -255,14 +251,23 @@ class TestBatch:
         assert asked == [3, 2]
         one = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         assert asked == [3, 2]
-        for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
-                     "down_counts", "max_overshoot"):
+        for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(wide, name), getattr(one, name))
 
     def test_work_ceiling(self):
         PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS, n_paths=1, seed=0)
         with pytest.raises(InvalidDomainError, match="paths x steps"):
             PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS // 2 + 1, n_paths=2, seed=0)
+
+    def test_extreme_scales(self):
+        # sigma^2 and eta^2 overflow, but the step size sigma sqrt(dt) = 1e49
+        # and the window ratio eta / step are doubles; ten steps of 3e306,
+        # whose sum could pass the double range, are refused
+        cfg = PathConfig(t_end=1e-300, n_steps=10, n_paths=2, seed=0, etas=(1e200,))
+        batch = simulate_batch(cfg, 1e200, (1e-300,))
+        assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts.any()
+        with pytest.raises(InvalidDomainError, match="past half the double range"):
+            simulate_batch(PathConfig(t_end=1.0, n_steps=10, n_paths=2, seed=0), 1e307, (1.0,))
 
     def test_result_ceiling(self):
         cfg = PathConfig(t_end=0.5, n_steps=2, n_paths=MAX_RESULTS // 2 + 1, seed=0,
@@ -279,16 +284,15 @@ class TestBatch:
         gathered = []
         scan = path_sim._first_touches
 
-        def recording(buf, win, n, tr, rows, offset):
+        def recording(buf, win, n, tr, rows):
             gathered.append(rows.size * win.shape[-1])
-            scan(buf, win, n, tr, rows, offset)
+            scan(buf, win, n, tr, rows)
 
         monkeypatch.setattr(path_sim, "_first_touches", recording)
         monkeypatch.setattr(path_sim, "_GATHER", 100)
         got = simulate_batch(cfg, 1.0, (0.25, 0.5))
         assert max(gathered) == 3 * 32
-        for name in ("errors", "renewal_counts", "first_crossing", "up_counts",
-                     "down_counts", "max_overshoot"):
+        for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(got, name), getattr(want, name))
 
     @settings(max_examples=25, deadline=None)
@@ -346,17 +350,6 @@ class TestBatch:
     def test_chunk_ends_match_sorted_set(self, t_idx, n_steps):
         want = sorted({i for i in t_idx if i > 0} | {*range(_CHUNK, n_steps, _CHUNK), n_steps})
         assert list(_chunk_ends(t_idx, n_steps)) == want
-
-    def test_sign_balance(self, small_batch):
-        # anchor moves are +eta or -eta with equal probability
-        ups = small_batch.up_counts[:, 0].sum()
-        downs = small_batch.down_counts[:, 0].sum()
-        total = ups + downs
-        assert abs(ups - total / 2.0) < 3.0 * np.sqrt(total) / 2.0
-
-    def test_overshoot_bound(self, small_batch):
-        dt = small_batch.cfg.dt
-        assert small_batch.max_overshoot.max() < 5.0 * np.sqrt(dt)
 
     def test_variance_plateau(self, small_batch):
         var = small_batch.variance(0.5, 0.5)

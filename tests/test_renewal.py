@@ -231,6 +231,16 @@ class TestSolver:
         assert rg.values.size == 20001
         assert np.max(np.abs(rg.values[1:] - 1.0)) <= 1e-15
 
+    def test_image_kernel_is_zero_where_every_term_underflows(self):
+        # below v = 1/1500 each exp(-n^2/(2v)) is an exact 0, and v^1.5 may
+        # be 0 as well; the other points keep their values
+        v = np.array([1e-300, 1e-4, 0.01, 0.3])
+        out = _renewal_images(v)
+        assert out[0] == 0.0 and out[1] == 0.0
+        np.testing.assert_array_equal(out[2:], _renewal_images(v[2:]))
+        tiny = FirstPassageLaw(ModelParams(1.3e-149, 1.0))
+        assert not np.any(solve_renewal_density(tiny, horizon=52.5).values)
+
     @pytest.mark.parametrize("sigma", [1.0, 1.7, 0.3])
     def test_image_kernel_below_switch_bit_for_bit(self, sigma):
         # nodes below SWITCH_V are the image series summed over the whole
