@@ -3,7 +3,7 @@
 
 Produces the three standard verification figures plus the convergence report
 as CSV (and SVG) under ./demo_output.  The CSV metadata block carries the
-tool version, the full configuration echo, the seed and a content hash, and
+tool version, the full configuration echo, the seed and its hash, and
 rerunning with the same configuration reproduces the bytes exactly.
 
 For the full protocol use the CLI directly, e.g.

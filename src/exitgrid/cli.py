@@ -2,10 +2,12 @@
 
 Usage::
 
-    exitgrid <subcommand> [--config FILE] [--seed N] [--paths N] [--eta LIST]
-             [--out DIR] [--paper-scale] [--svg] [...]
+    exitgrid <subcommand> [--config FILE] [--seed N] [--sigma X] [--eta X]
+             [--etas LIST] [--t X] [--t-eval LIST] [--out DIR] [...]
 
-Subcommands: density, tau, limit, simulate, fig1, fig2, fig3.
+Subcommands: density, tau, limit, simulate, fig1, fig2, fig3.  Each takes
+only the options its runner reads (see :data:`_SUBCOMMANDS`); any other flag
+is a usage error.
 
 Options may also come from a plain-text configuration file of ``key = value``
 lines (``#`` comments allowed); command-line flags override file values.
@@ -40,25 +42,15 @@ from .experiments import (
     run_tau_table,
 )
 
-_RUNNERS = {
-    "density": run_density_table,
-    "tau": run_tau_table,
-    "limit": run_limit_check,
-    "simulate": run_simulate,
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-}
-
 _PAPER_PATHS = 50000
 _PAPER_STEPS = 200000  # 200001 grid points
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.replace(" ", "").split(",") if v)
-    except ValueError as exc:
-        raise ConfigError(f"bad list value: {text!r}") from exc
+    values = tuple(float(v) for v in text.replace(" ", "").split(",") if v)
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -67,23 +59,44 @@ def _parse_bool(text: str) -> bool:
 
 # option -> (ExperimentConfig field, parser of its text value, help); the
 # command line and the config file both go through the parser, and the
-# defaults are the dataclass's own
+# defaults are the dataclass's own.  paper_scale is no field: it only raises
+# the paths and steps defaults.
 _OPTIONS = {
     "seed": ("seed", int, "reproducibility seed"),
     "paths": ("paths", int, "number of trajectories"),
-    "steps": ("steps", int, "grid intervals"),
+    "steps": ("steps", int, "grid intervals over [0, last evaluation time]"),
     "workers": ("workers", int, "parallel workers"),
     "sigma": ("sigma", float, "diffusion coefficient"),
     "eta": ("eta", float, "single threshold"),
-    "etas": ("etas", _parse_float_list, "comma list of thresholds (figures)"),
+    "etas": ("etas", _parse_float_list, "comma list of thresholds"),
     "t": ("t", float, "observation time"),
-    "t-end": ("t_end", float, "simulation horizon"),
     "t-eval": ("t_eval", _parse_float_list, "comma list of evaluation times"),
     "sample-cap": ("sample_cap", int, "max emitted sample rows, >= 1"),
     "out": ("out_dir", str, "output directory"),
     "svg": ("emit_svg", _parse_bool, "also emit SVG plots"),
+    "paper-scale": ("paper_scale", _parse_bool,
+                    f"full-scale protocol: {_PAPER_PATHS} paths, {_PAPER_STEPS + 1} grid points"),
 }
 _DEFAULTS = ExperimentConfig()
+
+_TABLE = ("seed", "sigma", "eta", "out")
+_MONTE_CARLO = ("seed", "sigma", "out", "paths", "steps", "workers", "paper-scale")
+
+# subcommand -> (runner, help, the options the runner reads); --config is on every one
+_SUBCOMMANDS = {
+    "density": (run_density_table, "tabulate the absorbed transition density to CSV", _TABLE),
+    "tau": (run_tau_table, "tabulate exit-time survival/density/quantiles to CSV", _TABLE),
+    "limit": (run_limit_check, "closed-form triangular-limit ladder + Monte Carlo cross-check",
+              _MONTE_CARLO + ("eta", "t", "svg")),
+    "simulate": (run_simulate, "raw tracking-error samples, moments and renewal histograms",
+                 _MONTE_CARLO + ("eta", "etas", "t", "t-eval", "sample-cap")),
+    "fig1": (run_fig1, "kernel density estimates vs the two reference laws",
+             _MONTE_CARLO + ("etas", "t", "svg")),
+    "fig2": (run_fig2, "Wasserstein distances to both laws across thresholds",
+             _MONTE_CARLO + ("etas", "t", "svg")),
+    "fig3": (run_fig3, "error variance as a function of time",
+             _MONTE_CARLO + ("etas", "t-eval", "svg")),
+}
 
 
 def _parse(option: str, text: str):
@@ -94,8 +107,9 @@ def _parse(option: str, text: str):
         raise ConfigError(f"bad value for {option}: {text!r}") from exc
 
 
-def _read_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; keys match the long CLI option names."""
+def _read_config_file(path: str, name: str) -> dict:
+    """Parse ``key = value`` lines; keys are the long options of subcommand ``name``."""
+    options = _SUBCOMMANDS[name][2]
     values: dict = {}
     p = Path(path)
     if not p.is_file():
@@ -108,11 +122,8 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
-        if key == "paper-scale":
-            values[key] = _parse_bool(val)
-            continue
-        if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        if key not in options:
+            raise ConfigError(f"{path}:{ln}: key {key!r} is not an option of {name}")
         try:
             values[_OPTIONS[key][0]] = _parse(key, val)
         except ConfigError as exc:
@@ -122,31 +133,22 @@ def _read_config_file(path: str) -> dict:
 
 @functools.cache  # built once per process; it reads only constants
 def _build_parser() -> argparse.ArgumentParser:
-    epilog = (
-        "exit codes: 0 success, 2 configuration error, 3 numerical failure "
-        "(a tolerance not met, or a series past its term cap). Integer options ("
-        + ", ".join(f"--{o}" for o, (_, parse, _) in _OPTIONS.items() if parse is int)
-        + ") take integer literals: 1000, not 1e3."
-    )
+    codes = ("exit codes: 0 success, 2 configuration error, 3 numerical failure "
+             "(a tolerance not met, or a series past its term cap).")
     parser = argparse.ArgumentParser(
         prog="exitgrid",
         description="First-exit discretization of the Wiener process: "
         "tables, simulations and verification figures.",
-        epilog=epilog,
+        epilog=codes,
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="subcommand")
-    for name, helptext in (
-        ("density", "tabulate the absorbed transition density to CSV"),
-        ("tau", "tabulate exit-time survival/density/quantiles to CSV"),
-        ("limit", "closed-form triangular-limit ladder + Monte Carlo cross-check"),
-        ("simulate", "raw tracking-error samples, moments and renewal histograms"),
-        ("fig1", "kernel density estimates vs the two reference laws"),
-        ("fig2", "Wasserstein distances to both laws across thresholds"),
-        ("fig3", "error variance as a function of time"),
-    ):
-        sp = sub.add_parser(name, help=helptext, epilog=epilog)
+    for name, (_, helptext, options) in _SUBCOMMANDS.items():
+        integers = ", ".join(f"--{o}" for o in options if _OPTIONS[o][1] is int)
+        sp = sub.add_parser(name, help=helptext, allow_abbrev=False, epilog=(
+            f"{codes} Integer options ({integers}) take integer literals: 1000, not 1e3."))
         sp.add_argument("--config", metavar="FILE", help="key = value configuration file")
-        for option, (field, parse, text) in _OPTIONS.items():
+        for option in options:
+            field, parse, text = _OPTIONS[option]
             if parse is _parse_bool:
                 sp.add_argument(f"--{option}", dest=field, action="store_true", default=None,
                                 help=text)
@@ -155,28 +157,22 @@ def _build_parser() -> argparse.ArgumentParser:
             if not isinstance(default, tuple):
                 text = f"{text} (default {default})"
             sp.add_argument(f"--{option}", dest=field, help=text)
-        sp.add_argument(
-            "--paper-scale",
-            dest="paper_scale",
-            action="store_true",
-            default=None,
-            help=f"full-scale protocol: {_PAPER_PATHS} paths, {_PAPER_STEPS + 1} grid points",
-        )
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """Command-line values over config-file values over the dataclass defaults."""
-    values = _read_config_file(args.config) if args.config else {}
-    paper = values.pop("paper-scale", False) or bool(args.paper_scale)
-    for option, (field, parse, _) in _OPTIONS.items():
+    name = args.experiment
+    values = _read_config_file(args.config, name) if args.config else {}
+    for option in _SUBCOMMANDS[name][2]:
+        field, parse, _ = _OPTIONS[option]
         given = getattr(args, field)
         if given is not None:
             values[field] = given if parse is _parse_bool else _parse(option, given)
-    if paper:
+    if values.pop("paper_scale", False):
         values.setdefault("paths", _PAPER_PATHS)
         values.setdefault("steps", _PAPER_STEPS)
-    return ExperimentConfig(experiment=args.experiment, **values)
+    return ExperimentConfig(experiment=name, **values)
 
 
 def main(argv=None) -> int:
@@ -187,7 +183,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _merge_config(args)
-        files = _RUNNERS[cfg.experiment](cfg)
+        files = _SUBCOMMANDS[cfg.experiment][0](cfg)
     except (ConfigError, DegenerateSampleError, InvalidDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

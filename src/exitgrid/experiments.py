@@ -3,8 +3,8 @@
 Each ``run_*`` function executes one study from an :class:`ExperimentConfig`
 and writes CSV files whose data rows are byte-reproducible for a fixed seed
 and configuration, independent of the worker count.  Every CSV starts with a
-commented metadata block (tool version, configuration echo, seed, content
-hash of the configuration); SVG plots are regenerated purely from CSV
+commented metadata block (tool version, configuration echo, seed, hash of
+the configuration); SVG plots are regenerated purely from CSV
 content, never from in-memory state.
 """
 
@@ -69,7 +69,8 @@ _MC_CROSSCHECK_TOL = 0.01  # analytic-vs-empirical Wasserstein gate in `limit`
 class ExperimentConfig:
     """One experiment run: model, protocol and output options.
 
-    The field defaults are the command line's defaults as well.
+    The field defaults are the command line's defaults as well.  A
+    simulation's grid spans ``[0, last evaluation time]``.
     """
 
     experiment: str = "fig1"
@@ -78,7 +79,6 @@ class ExperimentConfig:
     etas: tuple[float, ...] = ()
     t: float = 0.5
     t_eval: tuple[float, ...] = ()
-    t_end: float = 0.5
     paths: int = 20000
     steps: int = 100000
     seed: int = 987654321
@@ -91,15 +91,6 @@ class ExperimentConfig:
         if self.sample_cap < 1:
             raise ConfigError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
-    def path_config(self, etas) -> PathConfig:
-        return PathConfig(
-            t_end=self.t_end,
-            n_steps=self.steps,
-            n_paths=self.paths,
-            seed=self.seed,
-            etas=tuple(etas),
-        )
-
     def canonical(self) -> str:
         """Configuration echo that determines the CSV bodies.
 
@@ -107,8 +98,8 @@ class ExperimentConfig:
         they must not change any emitted number.
         """
         keys = (
-            "experiment", "sigma", "eta", "etas", "t", "t_eval", "t_end",
-            "paths", "steps", "seed", "sample_cap",
+            "experiment", "sigma", "eta", "etas", "t", "t_eval", "paths", "steps", "seed",
+            "sample_cap",
         )
         parts = []
         for k in keys:
@@ -122,7 +113,7 @@ class ExperimentConfig:
         return ";".join(parts)
 
 
-def _content_hash(payload: str) -> str:
+def _config_hash(payload: str) -> str:
     blob = f"blob {len(payload)}\0".encode() + payload.encode()
     return hashlib.sha1(blob).hexdigest()
 
@@ -151,7 +142,7 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     buf.write(f"# exitgrid-version = {__version__}\n")
     buf.write(f"# seed = {cfg.seed}\n")
     buf.write(f"# config = {payload}\n")
-    buf.write(f"# content-hash = {_content_hash(payload)}\n")
+    buf.write(f"# config-hash = {_config_hash(payload)}\n")
     buf.write(",".join(columns) + "\n")
     buf.write("".join([_row_format(tuple(map(type, row))) % tuple(row) for row in rows]))
     path = Path(path)
@@ -336,15 +327,16 @@ def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _fig_batch(cfg: ExperimentConfig, etas, t_eval) -> SimulationBatch:
-    return simulate_batch(
-        cfg.path_config(etas), cfg.sigma, t_eval, workers=cfg.workers
-    )
+    """The batch of ``cfg`` at these thresholds and times, on a grid to the last time."""
+    pc = PathConfig(t_end=max(t_eval), n_steps=cfg.steps, n_paths=cfg.paths, seed=cfg.seed,
+                    etas=tuple(etas))
+    return simulate_batch(pc, cfg.sigma, t_eval, workers=cfg.workers)
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Raw error samples, moment summaries and renewal-count histograms."""
     etas = cfg.etas or (cfg.eta,)
-    t_eval = cfg.t_eval or (cfg.t_end,)
+    t_eval = cfg.t_eval or (cfg.t,)
     batch = _fig_batch(cfg, etas, t_eval)
 
     stride = max(1, math.ceil(cfg.paths * len(etas) * len(t_eval) / cfg.sample_cap))
@@ -439,6 +431,8 @@ def run_fig3(cfg: ExperimentConfig) -> list[Path]:
     """
     etas = cfg.etas or FIG3_ETAS
     t_eval = cfg.t_eval or FIG3_T_EVAL
+    if not all(0.0 < e * e < math.inf for e in etas):  # the reference line divides by eta^2
+        raise InvalidDomainError(f"every eta^2 must be finite and > 0, got etas={etas}")
     batch = _fig_batch(cfg, etas, t_eval)
     rows = []
     for e in etas:

@@ -109,7 +109,7 @@ class PathConfig:
         slack = 1e-9 * max(self.t_end, 1.0)
         if t - self.t_end > slack:
             raise InvalidDomainError(
-                f"t={t} is past the simulation horizon t_end={self.t_end} (set by --t-end)"
+                f"t={t} is past the simulation horizon t_end={self.t_end}"
             )
         # t / dt is finite above -t_end; a t at or below it, or nan, is off the grid
         idx = int(round(t / self.dt)) if t > -self.t_end else -1
@@ -118,9 +118,17 @@ class PathConfig:
         return idx
 
 
-def _check_sigma(sigma: float) -> None:
+def _check_path(cfg: PathConfig, sigma: float) -> None:
+    """InvalidDomainError for a ``sigma`` that is not finite and >= 0, or a path that could
+    pass half the double range."""
     if not (0.0 <= sigma < math.inf):
         raise InvalidDomainError(f"sigma must be finite and >= 0, got {sigma}")
+    reach = _NORMAL_MAX * cfg.n_steps * (sigma * math.sqrt(cfg.dt))
+    if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
+        raise InvalidDomainError(
+            f"sigma = {sigma:g} with t_end = {cfg.t_end:g} is too large: a path of {cfg.n_steps}"
+            f" steps could reach {reach:.3g}, past half the double range"
+        )
 
 
 def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
@@ -143,7 +151,7 @@ def generate_path(cfg: PathConfig, sigma: float, path_index: int) -> np.ndarray:
     ``sigma = 0`` is allowed here (degenerate all-zero path) even though the
     analytic modules require a positive diffusion coefficient.
     """
-    _check_sigma(sigma)
+    _check_path(cfg, sigma)
     if path_index < 0:
         raise InvalidDomainError("path_index must be >= 0")
     x = np.empty((1, cfg.n_steps + 1))
@@ -327,19 +335,13 @@ def simulate_batch(
     hold more than ``MAX_RESULTS`` cells, or when a path could leave half
     the double range.
     """
-    _check_sigma(sigma)
+    _check_path(cfg, sigma)
     t_eval = tuple(float(t) for t in np.atleast_1d(t_eval))
     if len(set(t_eval)) != len(t_eval):
         raise InvalidDomainError(f"evaluation times must be distinct, got {t_eval}")
     t_idx = tuple(cfg.time_index(t) for t in t_eval)
     if workers < 1:
         raise InvalidDomainError("workers must be >= 1")
-    reach = _NORMAL_MAX * cfg.n_steps * (sigma * math.sqrt(cfg.dt))
-    if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
-        raise InvalidDomainError(
-            f"sigma = {sigma:g} with t_end = {cfg.t_end:g} is too large: a path of {cfg.n_steps}"
-            f" steps could reach {reach:.3g}, past half the double range"
-        )
     cells = cfg.n_paths * len(t_eval) * len(cfg.etas)
     if cells > MAX_RESULTS:
         raise InvalidDomainError(

@@ -65,6 +65,7 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI2 = 2.0 * math.pi**2  # decay rate of the slowest renewal mode
 _MAX_NODES = 10**7  # ceiling on renewal grid nodes: 80 MB per tabulated array
+_V_MIN = float(np.finfo(float).tiny)  # least unit time of f_Z: 1 / (2 v) is a double above it
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,9 @@ def _error_density_and_atom(params: ModelParams, rg: RenewalGrid, t: float, z_gr
     """``f_Z`` and the atom ``p1(T, z)`` on ``z_grid``, with ``T = t / eta^2``."""
     sigma = params.sigma
     T = t / params.eta**2
-    if T <= 0.0:
-        raise InvalidDomainError("need t > 0")
+    v = sigma * sigma * T
+    if not v >= _V_MIN:  # the image series multiplies by 1 / (2 v)
+        raise InvalidDomainError(f"need sigma^2 t / eta^2 >= {_V_MIN:.4g}, got {v:.4g}")
     if rg.sigma != sigma:
         raise InvalidDomainError(f"renewal grid has sigma={rg.sigma}, params have sigma={sigma}")
     z_grid = np.asarray(z_grid, dtype=float)
@@ -237,8 +239,7 @@ def _error_density_and_atom(params: ModelParams, rg: RenewalGrid, t: float, z_gr
         raise InvalidDomainError("z grid must lie in [-1, 1]")
 
     za = np.minimum(np.abs(z_grid), 1.0)
-    v = np.full(za.shape, sigma * sigma * T)
-    f_z = evaluate(_error_density_images, _error_density_spectral, v, za)
+    f_z = evaluate(_error_density_images, _error_density_spectral, np.full(za.shape, v), za)
     atom = absorbed_density(ModelParams(sigma, 1.0), T, za)
     return f_z, atom
 

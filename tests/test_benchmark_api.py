@@ -2,8 +2,9 @@
 
 A renamed or re-signatured function, or a changed field of a result it
 reads, would show up there only as failed benchmark operations, so this
-runs the benchmark's own tracer with its ``analytic`` workload and a small
-``mc_fine`` workload against the package.  Nothing under ``perfbench/`` is
+runs the benchmark's own tracer with its ``analytic`` workload and small
+``mc_fine`` and ``mc_wide`` workloads against the package, so every
+command-line flag the benchmark passes meets the parser.  Nothing under ``perfbench/`` is
 written: its modules are imported without bytecode caching.
 """
 
@@ -66,3 +67,22 @@ def test_mc_fine_workload_runs_traced(perfbench, monkeypatch, tmp_path):
     assert ops.attempted > 0
     scans = [s for s in tracer.spans if s["name"] == "path_sim.scan"]
     assert scans and all(s["counts"]["crossings"] > 0 for s in scans)
+
+
+def test_mc_wide_workload_runs_traced(perfbench, monkeypatch, tmp_path):
+    # fig2 with every flag the workload passes, at 100 paths (1e7 normals),
+    # patched in memory; its check reads the 15 rows and both distance orders
+    spans, workloads = perfbench["spans"], perfbench["workloads"]
+    monkeypatch.setattr(workloads, "MC_WIDE_PATHS", 100)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ops = workloads.Ops()
+        state = workloads.mc_wide_body(exitgrid, 11, tmp_path, ops)
+    finally:
+        tracer.uninstall()
+    workloads.mc_wide_check(exitgrid, state, tmp_path, ops)
+
+    assert ops.failures == []
+    assert ops.attempted > 0
+    assert any(s["name"] == "path_sim.scan" for s in tracer.spans)

@@ -102,36 +102,123 @@ def test_src_never_mentions_scipy():
 
 def _help_entries(text: str) -> dict[str, str]:
     """``option -> help text`` for the value-taking options in a subcommand's ``--help``."""
-    body = " ".join(text.split("options:", 1)[1].split())
+    listing = text.split("options:", 1)[1].split("exit codes:", 1)[0]  # the epilog cut off
+    body = " ".join(listing.split())
     return dict(re.findall(r"--([a-z-]+) [A-Z_]+ (.*?)(?= --|$)", body))
 
 
+# the options each subcommand takes, besides --config: its parser and its
+# config-file reader accept exactly these
+MONTE_CARLO = {"seed", "sigma", "out", "paths", "steps", "workers", "paper-scale"}
+EXPECTED_OPTIONS = {
+    "density": {"seed", "sigma", "eta", "out"},
+    "tau": {"seed", "sigma", "eta", "out"},
+    "limit": MONTE_CARLO | {"eta", "t", "svg"},
+    "fig1": MONTE_CARLO | {"etas", "t", "svg"},
+    "fig2": MONTE_CARLO | {"etas", "t", "svg"},
+    "fig3": MONTE_CARLO | {"etas", "t-eval", "svg"},
+    "simulate": MONTE_CARLO | {"eta", "etas", "t", "t-eval", "sample-cap"},
+}
+FLAGS = {"svg", "paper-scale"}  # take no value
+# every option any subcommand has had, the removed --t-end included
+ALL_OPTIONS = set().union(*EXPECTED_OPTIONS.values()) | {"t-end"}
+# a value each option parses, for the accepting side
+GOOD_VALUES = {
+    "seed": "3", "sigma": "1.5", "eta": "0.25", "etas": "0.25,0.5", "t": "0.25",
+    "t-eval": "0.25", "sample-cap": "9", "paths": "2", "steps": "4", "workers": "1",
+    "svg": "true", "paper-scale": "true",
+}
+
+
+def _capture_runs(monkeypatch, name: str) -> list:
+    """The configurations ``name``'s runner is called with, in place of running it."""
+    seen: list = []
+    _, helptext, options = cli._SUBCOMMANDS[name]
+    monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                        (lambda cfg: seen.append(cfg) or [], helptext, options))
+    return seen
+
+
+def test_option_count():
+    # seven subcommands took all 15 settable options each (105); now 67
+    assert sum(len(options) + 1 for options in EXPECTED_OPTIONS.values()) == 67
+    assert {name: set(options) for name, (_, _, options) in cli._SUBCOMMANDS.items()} == (
+        EXPECTED_OPTIONS
+    )
+
+
+def test_every_field_has_an_option():
+    # every field except the subcommand itself is reachable from some subcommand
+    fields = {cli._OPTIONS[option][0] for option in ALL_OPTIONS - {"t-end", "paper-scale"}}
+    assert fields == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+
+
 class TestDefaults:
-    @pytest.mark.parametrize("name", sorted(cli._RUNNERS))
+    @pytest.mark.parametrize("name", sorted(EXPECTED_OPTIONS))
     def test_no_flags_give_the_dataclass_defaults(self, monkeypatch, capsys, name):
-        seen = []
-        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: seen.append(cfg) or [])
+        seen = _capture_runs(monkeypatch, name)
         assert main([name]) == 0
-        assert main([name, "--paper-scale"]) == 0
-        assert seen[0] == ExperimentConfig(experiment=name)
-        assert seen[1] == ExperimentConfig(experiment=name, paths=50000, steps=200000)
+        assert seen == [ExperimentConfig(experiment=name)]
+        if "paper-scale" in EXPECTED_OPTIONS[name]:
+            assert main([name, "--paper-scale"]) == 0
+            assert seen[1] == ExperimentConfig(experiment=name, paths=50000, steps=200000)
+        else:  # the tables draw no paths
+            assert main([name, "--paper-scale"]) == 2
+            assert len(seen) == 1
+        capsys.readouterr()
 
         assert main([name, "--help"]) == 0
-        entries = _help_entries(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        usage = text.split("options:", 1)[0]
+        assert set(re.findall(r"\[--([a-z-]+)", usage)) == EXPECTED_OPTIONS[name] | {"config"}
+        entries = _help_entries(text)
+        assert set(entries) == EXPECTED_OPTIONS[name] - FLAGS | {"config"}
         defaults = ExperimentConfig()
-        shown = set()
-        for option, (field, _, _) in cli._OPTIONS.items():
-            value = getattr(defaults, field)
-            if isinstance(value, (tuple, bool)):
-                continue  # lists default per subcommand; flags default off
+        for option in EXPECTED_OPTIONS[name] - FLAGS:
+            value = getattr(defaults, cli._OPTIONS[option][0])
+            if isinstance(value, tuple):
+                continue  # lists default per subcommand
             help_text = entries[option]
             assert help_text.endswith(f"(default {value})") and help_text.count("(default") == 1
-            shown.add(field)
-        # every scalar field except the subcommand itself has an option
-        assert shown == {
-            f.name for f in dataclasses.fields(ExperimentConfig)
-            if f.name != "experiment" and not isinstance(f.default, (tuple, bool))
-        }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_OPTIONS))
+    def test_config_file_takes_every_option(self, monkeypatch, tmp_path, name):
+        # a file that sets every option of the subcommand, and the flags that
+        # set the same values, give the same configuration
+        seen = _capture_runs(monkeypatch, name)
+        values = {**GOOD_VALUES, "out": str(tmp_path / "o")}
+        options = sorted(EXPECTED_OPTIONS[name])
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{o.replace('-', '_')} = {values[o]}\n" for o in options))
+        argv = [name]
+        for o in options:
+            argv += [f"--{o}"] if o in FLAGS else [f"--{o}", values[o]]
+        assert main([name, "--config", str(cfg_file)]) == 0
+        assert main(argv) == 0
+        assert seen[0] == seen[1] != ExperimentConfig(experiment=name)
+
+
+@pytest.mark.parametrize(
+    "name,option",
+    [(name, o) for name, options in sorted(EXPECTED_OPTIONS.items())
+     for o in sorted(ALL_OPTIONS - options)],
+)
+def test_option_outside_the_subcommand_exits_2(tmp_path, capsys, name, option):
+    # a flag the subcommand does not read is argparse's usage error, and a
+    # config-file key it does not read is a configuration error naming both
+    small = ["--paths", "2", "--steps", "4"] if "paths" in EXPECTED_OPTIONS[name] else []
+    out = ["--out", str(tmp_path / "out")]
+    flag = [f"--{option}"] if option in FLAGS else [f"--{option}", "1"]
+    assert main([name, *small, *flag, *out]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --{option}" in err and "Traceback" not in err
+
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{option} = 1\n")
+    assert main([name, *small, "--config", str(cfg_file), *out]) == 2
+    err = capsys.readouterr().err
+    assert f"key {option!r} is not an option of {name}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigHandling:
@@ -170,19 +257,43 @@ class TestConfigHandling:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["fig2", "--etas", ","], None),
+            (["fig3", "--t-eval", ", ,"], None),
+            (["simulate", "--etas="], None),
+            (["simulate", "--t-eval", ""], None),
+            (["fig1"], "etas = ,"),
+            (["fig3"], "t_eval ="),
+        ],
+    )
+    def test_empty_list_exits_2(self, tmp_path, capsys, argv, key):
+        # an empty list is refused, as a flag or as a file value; it is not
+        # read as the subcommand's default list
+        if key is not None:
+            (tmp_path / "run.cfg").write_text(key + "\n")
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        assert main([*argv, *SMALL, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "bad value for" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "extra",
         [
-            ["--t-end", "inf"],
-            ["--t-end", "nan"],
+            ["--t", "inf"],
+            ["--t", "nan"],
+            ["--t", "0"],  # the grid ends where it starts
             ["--etas", "inf"],
             ["--etas", "nan"],
             ["--etas", "0.5,0.5"],
             ["--t-eval", "0.25,0.5,0.25"],
             ["--t-eval", "nan"],
-            ["--t-eval=-1e308"],  # t / dt would overflow
-            ["--t-end", "5e-324"],  # the grid step underflows to 0
+            ["--t-eval", "0.5,nan"],
+            ["--t-eval=-1e308,0.5"],  # t / dt would overflow
+            ["--t", "5e-324"],  # the grid step underflows to 0
             ["--sigma", "1e306"],  # a path could pass the double range
-            ["--sigma", "1e211", "--eta", "1e211", "--t-end", "1e211"],
+            ["--sigma", "1e211", "--eta", "1e211", "--t", "1e211"],
         ],
     )
     def test_unservable_simulation_exits_2(self, tmp_path, capsys, extra):
@@ -201,11 +312,15 @@ class TestConfigHandling:
             ["density", "--eta", "1e300"],
             ["fig1", *SMALL, "--sigma", "0"],
             ["fig1", *SMALL, "--t", "0"],
+            ["fig3", *SMALL, "--etas", "0.5,1e-309"],
+            ["fig3", *SMALL, "--etas", "2e154"],
+            ["limit", *SMALL, "--t", "2e-311"],
         ],
     )
     def test_unusable_model_params_exit_2(self, tmp_path, capsys, argv):
         # sigma or eta is infinite, or a square or eta^2/sigma^2 leaves double
-        # range, or every error is 0 so the kernel estimate has no spread
+        # range, or every error is 0 so the kernel estimate has no spread; the
+        # fig3 reference line min(t/eta^2, 1/6) needs a finite positive eta^2
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -273,17 +388,19 @@ class TestConfigHandling:
             optional={
                 option: st.one_of(st.text(), st.floats().map(repr), st.floats(1e-6, 1e6).map(repr),
                                   st.sampled_from(["0.5", "0.25", "1", "2"]))
-                for option in ("sigma", "eta", "t", "t-end", "t-eval")
+                for option in ("sigma", "eta", "etas", "t", "t-eval")
             },
         ),
     )
     def test_arbitrary_simulation_text_fails_as_documented(self, name, paths, steps, values):
         # the simulating subcommands on a small grid, one worker: any text for
-        # the model and the times gives 0, 2 or 3 and no traceback, and a
-        # configuration error writes nothing
+        # the model, the thresholds and the times that the subcommand takes
+        # gives 0, 2 or 3 and no traceback, and a configuration error writes
+        # nothing
         argv = [name, "--paths", str(paths), "--steps", str(steps), "--workers", "1"]
         for option, text in values.items():
-            argv += [f"--{option}={text}"]
+            if option in EXPECTED_OPTIONS[name]:
+                argv += [f"--{option}={text}"]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             err = io.StringIO()
@@ -338,30 +455,56 @@ class TestConfigHandling:
         with pytest.raises(Reached):
             main([name, "--paper-scale", "--out", str(tmp_path)])
 
-    def test_off_grid_time_exits_2(self, tmp_path):
+    def test_off_grid_time_exits_2(self, tmp_path, capsys):
+        # the grid ends at the last time, 0.5, so the other one is off it
         code = main(
-            ["fig3", "--paths", "50", "--steps", "1000", "--t-eval", "0.1234567",
+            ["fig3", "--paths", "50", "--steps", "1000", "--t-eval", "0.1234567,0.5",
              "--out", str(tmp_path)]
         )
         assert code == 2
+        assert "t=0.1234567 is not on the simulation grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv,t",
         [
             (["fig2", "--t", "0.7"], "0.7"),
             (["simulate", "--t-eval", "0.7"], "0.7"),
-            (["fig3", "--t-eval", "0.25,0.7"], "0.7"),
-            (["simulate", "--t-eval", "1e308"], "1e+308"),
+            (["simulate", "--t", "0.7"], "0.7"),
+            (["fig3", "--t-eval", "0.35,0.7"], "0.7"),
+            (["limit", "--t", "0.25"], "0.25"),
+            (["simulate", "--t-eval", "1e308"], "1e308"),
         ],
     )
-    def test_time_past_the_horizon_exits_2(self, tmp_path, capsys, argv, t):
-        # 0.7 is a multiple of dt = 0.05 but lies past t_end = 0.5; 1e308 / dt
-        # is past the double range
-        assert main([*argv, "--paths", "4", "--steps", "10", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"t={t} is past the simulation horizon t_end=0.5 (set by --t-end)" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.iterdir())
+    def test_last_evaluation_time_is_the_horizon(self, monkeypatch, tmp_path, argv, t):
+        # every simulating run's grid ends at its last evaluation time, so a
+        # time past the former fixed horizon of 0.5 runs, and 1e308 / dt is 10
+        seen = []
+        simulate_batch = experiments.simulate_batch
+
+        def recording(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return simulate_batch(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_batch", recording)
+        code = main([*argv, "--paths", "4", "--steps", "10", "--out", str(tmp_path)])
+        assert code == (3 if argv[0] == "limit" else 0)  # 4 paths fail the cross-check
+        assert [(cfg.t_end, cfg.n_steps) for cfg in seen] == [(float(t), 10)]
+        assert list(tmp_path.iterdir())
+
+    def test_renewal_histogram_counts_to_the_last_time(self, tmp_path):
+        # simulate's renewal histogram is the library batch's on [0, 0.25]
+        argv = ["simulate", "--t-eval", "0.25", "--steps", "500", "--paths", "60",
+                "--etas", "0.1,0.3", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, _, hist = read_csv(tmp_path / "simulate_renewals.csv")
+        cfg = path_sim.PathConfig(t_end=0.25, n_steps=500, n_paths=60, seed=7, etas=(0.1, 0.3))
+        batch = path_sim.simulate_batch(cfg, 1.0, (0.25,))
+        for j, eta in enumerate(cfg.etas):
+            counts = np.bincount(batch.renewal_counts[:, j])
+            rows = hist[hist[:, 0] == eta]
+            np.testing.assert_array_equal(rows[:, 1], np.flatnonzero(counts))
+            np.testing.assert_array_equal(rows[:, 2], counts[counts > 0] / 60)
 
     def test_one_path_has_zero_variance(self, tmp_path):
         # the sample variance of one path is 0, not nan, in both CSVs that report it
@@ -381,7 +524,7 @@ class TestCsvContract:
         assert "exitgrid-version" in joined
         assert "seed" in joined
         assert "config" in joined
-        assert "content-hash" in joined
+        assert "config-hash" in joined
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

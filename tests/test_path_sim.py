@@ -147,6 +147,9 @@ class TestGeneratePath:
             CFG.time_index(math.nan)
         with pytest.raises(InvalidDomainError, match="past the simulation horizon"):
             CFG.time_index(math.inf)
+        # 0.7 is a multiple of dt but lies past t_end = 0.5
+        with pytest.raises(InvalidDomainError, match="t=0.7 is past the simulation horizon"):
+            CFG.time_index(0.7)
         with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
             CFG.time_index(-1e308)
         with pytest.raises(InvalidDomainError, match="grid step .* underflows to 0"):
@@ -262,12 +265,16 @@ class TestBatch:
     def test_extreme_scales(self):
         # sigma^2 and eta^2 overflow, but the step size sigma sqrt(dt) = 1e49
         # and the window ratio eta / step are doubles; ten steps of 3e306,
-        # whose sum could pass the double range, are refused
+        # whose sum could pass the double range, are refused by the batch and
+        # by the one-path generator alike
         cfg = PathConfig(t_end=1e-300, n_steps=10, n_paths=2, seed=0, etas=(1e200,))
         batch = simulate_batch(cfg, 1e200, (1e-300,))
         assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts.any()
+        big = PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0)
         with pytest.raises(InvalidDomainError, match="past half the double range"):
-            simulate_batch(PathConfig(t_end=1.0, n_steps=10, n_paths=2, seed=0), 1e307, (1.0,))
+            simulate_batch(big, 1e307, (1.0,))
+        with pytest.raises(InvalidDomainError, match="past half the double range"):
+            generate_path(big, 1e307, 0)
 
     def test_result_ceiling(self):
         cfg = PathConfig(t_end=0.5, n_steps=2, n_paths=MAX_RESULTS // 2 + 1, seed=0,

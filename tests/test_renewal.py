@@ -320,6 +320,16 @@ class TestErrorDensity:
         with pytest.raises(InvalidDomainError):
             tracking_error_density(params, renewal_grid, 0.5)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, 2e-311])
+    def test_rejects_unit_time_below_the_normal_doubles(self, renewal_grid, t):
+        # 1 / (2 v) overflows below v of about 2.8e-309, and the image series
+        # multiplies by it; v = 2.3e-308 still evaluates, finite and warning-free
+        params = ModelParams(1.0, 1.0)
+        with pytest.raises(InvalidDomainError, match="sigma\\^2 t / eta\\^2"):
+            tracking_error_density(params, renewal_grid, t)
+        ed = tracking_error_density(params, renewal_grid, 2.3e-308)
+        assert np.isfinite(ed.grid.f).all()
+
     @pytest.mark.parametrize("sigma", [1.0, 1.7])
     def test_matches_quadrature_convolution(self, sigma):
         law = FirstPassageLaw(ModelParams(sigma, 1.0))
