@@ -16,6 +16,27 @@ chunk's last value; with the widest window (512) that bounds it at
 ``150 x 2561 x 8`` bytes (3.1 MB) per worker, and full path matrices are
 never held.
 
+A chunk fills a path's row in one of two modes.  At the chunk start the
+path's band is where none of its thresholds detects,
+``(max_e(anchor_e - eta_e), min_e(anchor_e + eta_e))``, and ``r`` is the
+distance from the path's value to the band's nearer edge.  A path with
+``sigma > 0`` and ``r >= sigma sqrt(_CHUNK dt)`` (the full chunk length,
+whatever the chunk's own length) walks on spheres (Muller, *Ann. Math.
+Stat.* 27, 1956): it draws whether the continuous path leaves the interval
+of radius ``r`` around its value before the chunk ends and, if not, where
+it is at the end, from the exact exit law.  No grid point inside that
+interval can detect, so a path that stays fills its row with its end value
+and the scan applies the first-touch rule to that point alone.  A path that
+leaves draws the exit time and side, and steps again from the exit point
+while its new radius is at least ``sigma sqrt(h)``, ``h`` the time left in
+the chunk.  Every other path, and a walker once its radius is smaller, is
+filled forward: one normal per grid step, from the exit point and time for
+a walker, with the columns before its first grid point repeating that
+point's value, which leaves every first-touch outcome as it is.  So the
+engine keeps the law of the grid first-touch process while a quiet path
+costs a few draws per chunk instead of one per grid step; when no path
+walks, a chunk costs exactly what the forward fill costs.
+
 The scan state is flat over (threshold, path) rows, so one loop of numpy
 rounds serves every threshold of a group: a chunk costs the largest number
 of rounds over its thresholds, not their sum.  A row enters a chunk's scan
@@ -82,7 +103,8 @@ class PathConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "etas", tuple(float(e) for e in np.atleast_1d(self.etas)))
         if not (0.0 < self.t_end < math.inf):
-            raise InvalidDomainError("t_end must be finite and > 0")
+            raise InvalidDomainError("the last evaluation time (--t / --t-eval) must be finite"
+                                     f" and > 0, got {self.t_end}")
         if self.n_steps < 1 or self.n_paths < 1:
             raise InvalidDomainError("n_steps and n_paths must be >= 1")
         if self.dt == 0.0:
@@ -105,15 +127,20 @@ class PathConfig:
         return self.t_end / self.n_steps
 
     def time_index(self, t: float) -> int:
-        """Grid index of an evaluation time; the time must sit on the grid, up to ``t_end``."""
-        slack = 1e-9 * max(self.t_end, 1.0)
-        if t - self.t_end > slack:
+        """Grid index of an evaluation time; the time must sit on the grid, up to ``t_end``.
+
+        On the grid means within ``1e-9`` of a step of a grid point, plus the
+        rounding of ``t / dt`` (``1e-15`` of it, a few times the double
+        precision).
+        """
+        if t - self.t_end > self.dt * (1e-9 + 1e-15 * self.n_steps):
             raise InvalidDomainError(
-                f"t={t} is past the simulation horizon t_end={self.t_end}"
+                f"t={t} is past the simulation horizon, the last evaluation time {self.t_end}"
             )
         # t / dt is finite above -t_end; a t at or below it, or nan, is off the grid
-        idx = int(round(t / self.dt)) if t > -self.t_end else -1
-        if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > slack:
+        steps = t / self.dt if t > -self.t_end else -1.0
+        idx = round(steps)
+        if idx < 0 or idx > self.n_steps or abs(steps - idx) > 1e-9 + 1e-15 * abs(steps):
             raise InvalidDomainError(f"t={t} is not on the simulation grid (dt={self.dt})")
         return idx
 
@@ -126,23 +153,140 @@ def _check_path(cfg: PathConfig, sigma: float) -> None:
     reach = _NORMAL_MAX * cfg.n_steps * (sigma * math.sqrt(cfg.dt))
     if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
         raise InvalidDomainError(
-            f"sigma = {sigma:g} with t_end = {cfg.t_end:g} is too large: a path of {cfg.n_steps}"
-            f" steps could reach {reach:.3g}, past half the double range"
+            f"sigma = {sigma:g} with the last evaluation time {cfg.t_end:g} is too large: a path"
+            f" of {cfg.n_steps} steps could reach {reach:.3g}, past half the double range"
         )
 
 
 def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
     """Draw ``n`` steps per row and accumulate them onto the value in column 0.
 
-    This is the one definition of the path stream: step ``k`` of a path is
-    the ``k``-th standard normal of its substream times ``sigma sqrt(dt)``,
-    and the path is their running sum.  Drawing in chunks with the carry in
-    column 0 reproduces one long draw and cumsum bit for bit.
+    This is the one definition of the forward path stream: step ``k`` of a
+    path is the ``k``-th standard normal of its substream times
+    ``sigma sqrt(dt)``, and the path is their running sum.  Drawing in
+    chunks with the carry in column 0 reproduces one long draw and cumsum
+    bit for bit, so a batch whose chunks are all forward is
+    :func:`generate_path` path by path.  A chunk in which a path walks on
+    spheres (see the module notes) draws that path's substream differently
+    from then on; its law is the same.
     """
     for rng, row in zip(rngs, rows):
         rng.standard_normal(out=row[1 : n + 1])
     rows[:, 1 : n + 1] *= scale
     np.cumsum(rows[:, : n + 1], axis=1, out=rows[:, : n + 1])
+
+
+def _resume(rng, row: np.ndarray, n: int, scale: float, x: float, u: float) -> None:
+    """Fill columns ``1..n`` of ``row`` forward from the value ``x`` at ``u`` steps in.
+
+    The first grid point after ``u``, column ``k``, gets variance
+    ``(k - u) scale^2``; columns ``1..k-1`` repeat its value.  At ``u = 0``
+    with ``x`` the carry in column 0 this is :func:`_extend` bit for bit.
+    """
+    k = min(int(u) + 1, n)
+    seg = row[k - 1 : n + 1]
+    rng.standard_normal(out=seg[1:])
+    seg[1:] *= scale
+    seg[1] *= math.sqrt(max(k - u, 0.0))
+    seg[0] = x
+    np.cumsum(seg, out=seg)
+    row[1:k] = seg[1]
+
+
+def _stay_ratio(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``p1(v, y) / phi_v(y)`` at ``v = 1/a^2``, ``y = z/a``, for ``a >= 1`` and ``|z| < a``.
+
+    The chance that a Brownian bridge from 0 to ``y`` over unit time ``v``
+    stays inside ``(-1, 1)``: the image series of
+    :func:`~exitgrid.density._images` over its leading image, whose image
+    at ``c`` is ``(-1)^(c/2) exp(-(c a)(c a - 2 z) / 2)``.  The images with
+    ``|c| <= 10`` are summed; the rest are below ``exp(-60 a^2)``.  The sum
+    is elementwise, so a row's value does not depend on the other rows.
+    """
+    acc = np.ones(z.shape)
+    with np.errstate(over="ignore"):  # an exponent past the double range is -inf: exp 0
+        for j in range(1, 6):
+            for ca in (2 * j * a, -2 * j * a):
+                acc += (-1.0) ** j * np.exp(-0.5 * ca * (ca - 2.0 * z))
+    return acc
+
+
+def _exit_ratio(q: np.ndarray) -> np.ndarray:
+    """The unit exit-time density at ``v = 1/q`` over twice its Levy term, for ``q >= 1``.
+
+    ``f1(v) / (2 g(v))`` with ``g(v) = exp(-1 / (2 v)) / sqrt(2 pi v^3)``:
+    ``sum_k (-1)^k (2k + 1) exp(-2 k (k + 1) q)``, the image series of
+    :func:`~exitgrid.first_passage._density_images` over its leading term,
+    summed to ``k = 4``; the next term is below ``1e-25``.  It lies in
+    ``(0, 1]``.
+    """
+    acc = np.ones(q.shape)
+    for k in range(1, 5):
+        acc += (-1.0) ** k * (2 * k + 1) * np.exp(-2.0 * k * (k + 1) * q)
+    return acc
+
+
+def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``tau / h`` for each row: the exit time as a share of the time left, given an exit.
+
+    In unit time the exit time, conditioned on ``tau < v = 1/a^2``, is
+    ``1/q``; the proposal ``q = a^2 + 2E``, ``E`` standard exponential, has
+    density ``exp(-(1/t - 1/v) / 2) / (2 t^2)`` in ``t = 1/q``, and is
+    accepted with ``sqrt(t / v) f1(t) / (2 g(t)) <= 1``, at least 0.65 of the
+    time for ``a >= 1``.  Each row draws from its own generator.
+    """
+    share = np.empty(rows.size)
+    todo = np.arange(rows.size)
+    while todo.size:
+        e, w = np.array([(rngs[i].standard_exponential(), rngs[i].random())
+                         for i in rows[todo]]).T
+        a2 = a[todo] * a[todo]
+        q = a2 + 2.0 * e
+        ok = w * np.sqrt(q / a2) < _exit_ratio(q)
+        share[todo[ok]] = a2[ok] / q[ok]
+        todo = todo[~ok]
+    return share
+
+
+def _walk(rngs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int, scale: float):
+    """Walk-on-spheres steps over a chunk of ``n`` grid steps.
+
+    Row ``i`` starts at ``x[i]`` inside its band ``(lo[i], hi[i])`` and
+    draws from ``rngs[i]``.  A step from ``x`` with radius ``r`` (to the
+    nearer edge) and ``s`` grid steps left proposes the end displacement
+    ``scale sqrt(s) z``, ``z`` standard normal, and keeps it with the
+    chance :func:`_stay_ratio` that the bridge to it stays inside the
+    sphere: a kept row survives, with the exact killed density.  A row that
+    does not stay left the sphere before the end, with chance ``1 - S(v)``;
+    it draws when (:func:`_exit_fractions`) and moves by ``r`` to the side of
+    ``z``, whose sign is a fair coin independent of the exit, as the ratio
+    is even in ``z``.  It steps again while ``r >= scale sqrt(s)``.
+
+    Returns ``(x, u, stay)``: a row with ``stay`` set is at ``x`` at the
+    chunk end; any other is at ``x`` at ``u`` grid steps into the chunk.
+    """
+    x = x.copy()
+    u = np.zeros(x.size)
+    stay = np.zeros(x.size, dtype=bool)
+    rows = np.arange(x.size)
+    while rows.size:
+        r = np.minimum(x[rows] - lo[rows], hi[rows] - x[rows])
+        root = scale * np.sqrt(n - u[rows])  # sd of the displacement to the chunk end
+        step = (r >= root) & (root > 0.0)
+        rows, r, root = rows[step], r[step], root[step]
+        if not rows.size:
+            break
+        with np.errstate(over="ignore"):  # a = inf: the row stays, as for any huge a
+            a = r / root
+        z, w = np.array([(rngs[i].standard_normal(), rngs[i].random()) for i in rows]).T
+        kept = (np.abs(z) < a) & (w < _stay_ratio(a, z))
+        x[rows[kept]] += root[kept] * z[kept]
+        stay[rows[kept]] = True
+        left = ~kept
+        rows, r, a, z = rows[left], r[left], a[left], z[left]
+        u[rows] = np.minimum(u[rows] + (n - u[rows]) * _exit_fractions(rngs, rows, a), n)
+        x[rows] += np.copysign(r, z)
+    return x, u, stay
 
 
 def generate_path(cfg: PathConfig, sigma: float, path_index: int) -> np.ndarray:
@@ -272,6 +416,32 @@ def _chunk_ends(t_idx, n_steps: int):
             last = end
 
 
+def _fill(rngs, xs: np.ndarray, n: int, scale: float, tr: _Tracks) -> None:
+    """Columns ``1..n`` of a group's buffer for one chunk, from the carry in column 0.
+
+    A path whose band radius is at least ``scale sqrt(_CHUNK)`` walks on
+    spheres; the others, and every path when ``scale`` is 0, are filled
+    forward.  With no walker this is one :func:`_extend` call.
+    """
+    x = xs[:, 0].copy()
+    with np.errstate(over="ignore"):  # an infinite edge is a band without that edge
+        lo = tr.by_path(tr.anchor - tr.eta).max(axis=1)
+        hi = tr.by_path(tr.anchor + tr.eta).min(axis=1)
+        walkers = np.flatnonzero(np.minimum(x - lo, hi - x) >= scale * math.sqrt(_CHUNK))
+    if scale == 0.0 or not walkers.size:
+        _extend(rngs, xs, n, scale)
+        return
+    u = np.zeros(x.size)
+    stay = np.zeros(x.size, dtype=bool)
+    x[walkers], u[walkers], stay[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
+                                                  lo[walkers], hi[walkers], n, scale)
+    for i, rng in enumerate(rngs):
+        if stay[i]:
+            xs[i, 1 : n + 1] = x[i]
+        else:
+            _resume(rng, xs[i], n, scale, x[i], u[i])
+
+
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Errors and detection counts of paths ``start..stop-1``, simulated group by group."""
     cfg, sigma, t_idx, start, stop = args
@@ -297,7 +467,7 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         done = 0
         for end in _chunk_ends(t_idx, cfg.n_steps):
             n = end - done
-            _extend(rngs, xs, n, scale)
+            _fill(rngs, xs, n, scale, tr)
             xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
             span = xs[:, 1 : n + 1]
             live = np.flatnonzero(_may_cross(span.max(axis=1)[tr.path],

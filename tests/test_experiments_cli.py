@@ -465,6 +465,25 @@ class TestConfigHandling:
         assert "t=0.1234567 is not on the simulation grid" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_time_near_a_grid_point_is_off_the_grid(self, tmp_path, capsys):
+        # 1e-10 is 2e-7 of a step (dt = 5e-4) from index 0: off the grid, not read there
+        code = main(["fig3", "--paths", "50", "--steps", "1000", "--t-eval", "1e-10,0.5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "t=1e-10 is not on the simulation grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig2", "--t", "0"], "the last evaluation time (--t / --t-eval) must be finite and > 0"),
+        (["simulate", "--sigma", "1e306"],
+         "sigma = 1e+306 with the last evaluation time 0.5 is too large"),
+    ])
+    def test_horizon_messages_name_the_last_evaluation_time(self, tmp_path, capsys, argv,
+                                                            message):
+        assert main([*argv, *SMALL, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "t_end" not in err
+
     @pytest.mark.parametrize(
         "argv,t",
         [

@@ -3,11 +3,13 @@ import itertools
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from exitgrid import (
     EmpiricalSample,
@@ -18,15 +20,25 @@ from exitgrid import (
     simulate_batch,
 )
 from exitgrid import path_sim
+from exitgrid.density import _images
+from exitgrid.experiments import FIG3_T_EVAL
+from exitgrid.first_passage import _unit_density, _unit_survival
 from exitgrid.path_sim import (
     _CHUNK,
     _GROUP,
     MAX_PATH_STEPS,
     MAX_RESULTS,
     _chunk_ends,
+    _exit_fractions,
+    _exit_ratio,
+    _extend,
     _groups,
+    _resume,
     _run_chunk,
+    _stay_ratio,
 )
+
+from conftest import DESK_T_EVAL
 
 CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
 
@@ -152,6 +164,13 @@ class TestGeneratePath:
             CFG.time_index(0.7)
         with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
             CFG.time_index(-1e308)
+        # the slack is a fraction of a step: 2e-7 of one is off the grid
+        coarse = PathConfig(t_end=0.5, n_steps=1000, n_paths=1, seed=0)
+        for t in (1e-10, -1e-10, 0.25 + 1e-10):
+            with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
+                coarse.time_index(t)
+        with pytest.raises(InvalidDomainError, match="past the simulation horizon"):
+            coarse.time_index(0.5 + 1e-10)
         with pytest.raises(InvalidDomainError, match="grid step .* underflows to 0"):
             PathConfig(t_end=5e-324, n_steps=2, n_paths=1, seed=0)
         small = PathConfig(t_end=0.5, n_steps=10, n_paths=2, seed=0)
@@ -160,6 +179,13 @@ class TestGeneratePath:
         for sigma in (-1.0, math.inf, math.nan):
             with pytest.raises(InvalidDomainError):
                 simulate_batch(small, sigma, (0.5,))
+
+
+@pytest.mark.parametrize("n_steps", [100000, 200000])
+@pytest.mark.parametrize("times", [FIG3_T_EVAL, DESK_T_EVAL])
+def test_figure_times_sit_on_the_grid(n_steps, times):
+    cfg = PathConfig(t_end=max(times), n_steps=n_steps, n_paths=1, seed=0)
+    assert [cfg.time_index(t) for t in times] == [round(t * n_steps / cfg.t_end) for t in times]
 
 
 class TestFirstTouchRule:
@@ -270,6 +296,12 @@ class TestBatch:
         cfg = PathConfig(t_end=1e-300, n_steps=10, n_paths=2, seed=0, etas=(1e200,))
         batch = simulate_batch(cfg, 1e200, (1e-300,))
         assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts.any()
+        # a band radius over the step size past the double range, and band
+        # edges anchor +- eta past it: the walk treats both as infinite
+        for sigma, etas in ((1e-10, (1e300,)), (1.0, (1.7e308, 0.5))):
+            cfg = PathConfig(t_end=1.0, n_steps=5000, n_paths=3, seed=1, etas=etas)
+            batch = simulate_batch(cfg, sigma, (0.5, 1.0))
+            assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts[:, 0].any()
         big = PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0)
         with pytest.raises(InvalidDomainError, match="past half the double range"):
             simulate_batch(big, 1e307, (1.0,))
@@ -302,6 +334,11 @@ class TestBatch:
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(got, name), getattr(want, name))
 
+    # Forward configurations only: the smallest eta, which bounds every
+    # path's band radius, is below sigma sqrt(_CHUNK dt) >= 0.62 sigma (at
+    # most 2648 steps over t_end = 0.5), or sigma is 0, so no path walks on
+    # spheres and the engine draws generate_path's stream.  The walk's law
+    # is checked against this engine in TestWalkOnSpheres.
     @settings(max_examples=25, deadline=None)
     @given(
         n_steps=st.one_of(
@@ -310,7 +347,8 @@ class TestBatch:
         n_paths=st.integers(1, 2 * _GROUP + 10),
         start=st.integers(0, 5),
         sigma=st.sampled_from([0.0, 1.0, 1.7]),
-        log_etas=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=3, unique=True),
+        log_etas=st.tuples(st.floats(-3.0, -0.3), st.lists(st.floats(-3.0, 1.0), max_size=2))
+        .map(lambda first_rest: [first_rest[0], *first_rest[1]]),
         extra_times=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
     @example(n_steps=_CHUNK + 37, n_paths=70, start=3, sigma=1.7,
@@ -335,7 +373,9 @@ class TestBatch:
         idx = dict.fromkeys([n_steps, *(round(f * n_steps) for f in extra_times), 0])
         t_idx = tuple(cfg.time_index(i * cfg.dt) for i in idx)
         args = (cfg, sigma, t_idx, start, start + n_paths)
-        for got, want in zip(_run_chunk(args), reference_chunk(*args)):
+        with mock.patch.object(path_sim, "_walk", side_effect=AssertionError("a path walked")):
+            got_all = _run_chunk(args)
+        for got, want in zip(got_all, reference_chunk(*args)):
             assert_same_bits(got, want)
 
     def test_chunk_ends_are_lazy(self):
@@ -368,6 +408,88 @@ class TestBatch:
         var = small_batch.variance(2.0, 0.125)
         expected = 0.125 / 4.0
         assert abs(var - expected) / expected < 0.05
+
+
+class TestWalkOnSpheres:
+    """The walk-on-spheres rows keep the law of the forward grid engine."""
+
+    @pytest.mark.parametrize("a", [1.0, 1.3, 2.0, 5.0, 20.0])
+    def test_stay_ratio_is_the_killed_over_the_free_density(self, a):
+        z = np.linspace(-0.999 * a, 0.999 * a, 201)
+        v = np.full(z.shape, 1.0 / a**2)
+        y = np.abs(z) / a
+        free = np.exp(-y * y / (2.0 * v)) / np.sqrt(2.0 * math.pi * v)
+        # the image form of p1 converges at every v <= 1 that the walk uses
+        want = _images(v, y) / free
+        got = _stay_ratio(np.full(z.shape, a), z)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.all((got >= 0.0) & (got <= 1.0 + 1e-15))
+
+    def test_exit_ratio_is_the_density_over_twice_the_levy_term(self):
+        q = np.linspace(1.0, 300.0, 400)
+        t = 1.0 / q
+        levy = np.exp(-0.5 * q) / np.sqrt(2.0 * math.pi * t**3)
+        got = _exit_ratio(q)
+        assert np.max(np.abs(got - _unit_density(t) / (2.0 * levy))) < 1e-13
+        assert np.all((got > 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+    def test_exit_fractions_follow_the_exit_law_before_the_chunk_end(self, a):
+        # v * share is the unit exit time given an exit before v = 1/a^2
+        n = 20000
+        share = _exit_fractions([np.random.default_rng(7)] * n, np.arange(n), np.full(n, a))
+        v = 1.0 / a**2
+        exit_by = 1.0 - _unit_survival(np.array([v]))[0]
+        cdf = lambda t: (1.0 - _unit_survival(np.atleast_1d(t))) / exit_by  # noqa: E731
+        assert stats.kstest(v * share, cdf).pvalue > 0.01
+
+    def test_resume_from_the_carry_is_the_forward_fill(self):
+        want = np.zeros((1, 300))
+        want[0, 0] = 0.3
+        got = want[0].copy()
+        _extend([np.random.default_rng(4)], want, 299, 0.01)
+        _resume(np.random.default_rng(4), got, 299, 0.01, 0.3, 0.0)
+        assert_same_bits(got, want[0])
+
+    def test_law_matches_reference_engine(self, monkeypatch):
+        # sigma sqrt(_CHUNK dt) = 0.5 < 0.8: every path starts on a sphere,
+        # and one within 0.3 of its eta-0.8 anchor walks again; the two
+        # engines run on independent seeds and are compared at the 1 % level
+        walked = []
+        walk = path_sim._walk
+
+        def recording(rngs, x, *args):
+            walked.append(x.size)
+            return walk(rngs, x, *args)
+
+        monkeypatch.setattr(path_sim, "_walk", recording)
+        n = 4000
+        t_idx = (2048, 4096, 6144, 8192)
+        cfg = PathConfig(t_end=1.0, n_steps=8192, n_paths=n, seed=11, etas=(0.8, 1.5))
+        got_errors, got_counts = _run_chunk((cfg, 1.0, t_idx, 0, n))
+        ref = PathConfig(t_end=1.0, n_steps=8192, n_paths=n, seed=12, etas=(0.8, 1.5))
+        want_errors, want_counts = reference_chunk(ref, 1.0, t_idx, 0, n)
+        assert sum(walked) > 2 * n  # more than half the (path, chunk) pairs walk
+        for e in range(2):
+            for k in range(len(t_idx)):
+                assert stats.ks_2samp(got_errors[:, k, e], want_errors[:, k, e]).pvalue > 0.01
+            # the counts from the largest c with 100 at or above it on share a bin
+            tail = np.cumsum(np.bincount(np.concatenate([got_counts[:, e],
+                                                         want_counts[:, e]]))[::-1])[::-1]
+            top = int(np.flatnonzero(tail >= 100).max())
+            table = [np.bincount(np.minimum(c[:, e], top), minlength=top + 1)
+                     for c in (got_counts, want_counts)]
+            assert stats.chi2_contingency(table).pvalue > 0.01
+
+    def test_wide_band_is_brownian(self):
+        # with eta = 1e3 no path detects, and every chunk is one sphere step
+        sigma, n = 1.3, 3000
+        cfg = PathConfig(t_end=1.0, n_steps=4096, n_paths=n, seed=5, etas=(1e3,))
+        batch = simulate_batch(cfg, sigma, (0.25, 1.0))
+        assert not batch.renewal_counts.any()
+        for k, t in enumerate(batch.t_eval):
+            x = batch.errors[:, k, 0] * 1e3
+            assert stats.kstest(x, "norm", args=(0.0, sigma * math.sqrt(t))).pvalue > 0.01
 
 
 def collect_errors(
