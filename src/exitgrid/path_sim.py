@@ -11,31 +11,36 @@ costs a full set of scan rounds.  A group advances in lockstep, one time
 chunk at a time.  A chunk ends every ``_CHUNK`` (2048) grid steps and at
 every evaluation time, so the anchor in force at an evaluation time is the
 anchor at the end of its chunk.  Each chunk is drawn into one reused
-``(group, 1 + chunk + window)`` buffer whose column 0 carries the previous
-chunk's last value; with the widest window (512) that bounds it at
-``150 x 2561 x 8`` bytes (3.1 MB) per worker, and full path matrices are
-never held.
+``(group, 1 + chunk + window)`` buffer; with the widest window (512) that
+bounds it at ``150 x 2561 x 8`` bytes (3.1 MB) per worker, and full path
+matrices are never held.
 
-A chunk fills a path's row in one of two modes.  At the chunk start the
-path's band is where none of its thresholds detects,
-``(max_e(anchor_e - eta_e), min_e(anchor_e + eta_e))``, and ``r`` is the
-distance from the path's value to the band's nearer edge.  A path with
-``sigma > 0`` and ``r >= sigma sqrt(_CHUNK dt)`` (the full chunk length,
-whatever the chunk's own length) walks on spheres (Muller, *Ann. Math.
-Stat.* 27, 1956): it draws whether the continuous path leaves the interval
-of radius ``r`` around its value before the chunk ends and, if not, where
-it is at the end, from the exact exit law.  No grid point inside that
-interval can detect, so a path that stays fills its row with its end value
-and the scan applies the first-touch rule to that point alone.  A path that
-leaves draws the exit time and side, and steps again from the exit point
-while its new radius is at least ``sigma sqrt(h)``, ``h`` the time left in
-the chunk.  Every other path, and a walker once its radius is smaller, is
-filled forward: one normal per grid step, from the exit point and time for
-a walker, with the columns before its first grid point repeating that
-point's value, which leaves every first-touch outcome as it is.  So the
-engine keeps the law of the grid first-touch process while a quiet path
-costs a few draws per chunk instead of one per grid step; when no path
-walks, a chunk costs exactly what the forward fill costs.
+Each path carries a state ``(x, t)``: its value ``x`` at grid time ``t``,
+which may lie chunks ahead.  The path's band is where none of its
+thresholds detects, ``(max_e(anchor_e - eta_e), min_e(anchor_e + eta_e))``,
+and ``r`` is the distance from ``x`` to the band's nearer edge.  A path
+with ``sigma > 0`` that is at the chunk start with ``r >= sigma
+sqrt(_CHUNK dt)`` (the full chunk length, whatever the chunk's own length)
+walks on spheres (Muller, *Ann. Math. Stat.* 27, 1956).  A step runs to a
+horizon: the largest chunk end ``E`` with ``sigma sqrt((E - t) dt) <= r``,
+but no later than the next evaluation time.  It draws whether the
+continuous path leaves the interval of radius ``r`` around ``x`` before
+``E`` and, if not, where it is at ``E``, from the exact exit law; if it
+leaves, it draws the exit time and side.  No grid point inside that
+interval can detect, so the path sleeps until the chunk that holds its new
+``t``: a sleeping path gets no buffer row, no extremum pass and no scan.  A
+path whose horizon is the chunk end gets no row either: its end value is
+both its extrema, so the first-touch rule still applies to that point, and
+its row is written only if that point can cross, which only rounding
+allows.  A path that left its sphere inside the chunk steps again while its
+new radius is at least ``sigma sqrt(h)``, ``h`` the time left in the chunk.
+Every other path is filled forward: one normal per grid step, from the
+exit point and time for a walker, with the columns before its first grid
+point repeating that point's value, which leaves every first-touch outcome
+as it is.  So the engine keeps the law of the grid first-touch process
+while a quiet path costs a few draws per horizon instead of one per grid
+step; when no path walks, a chunk is one :func:`_extend` call over the
+buffer, whose column 0 carries the previous chunk's last value.
 
 The scan state is flat over (threshold, path) rows, so one loop of numpy
 rounds serves every threshold of a group: a chunk costs the largest number
@@ -166,9 +171,9 @@ def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
     ``sigma sqrt(dt)``, and the path is their running sum.  Drawing in
     chunks with the carry in column 0 reproduces one long draw and cumsum
     bit for bit, so a batch whose chunks are all forward is
-    :func:`generate_path` path by path.  A chunk in which a path walks on
-    spheres (see the module notes) draws that path's substream differently
-    from then on; its law is the same.
+    :func:`generate_path` path by path.  A path that walks on spheres (see
+    the module notes) draws its substream differently from then on; its law
+    is the same.
     """
     for rng, row in zip(rngs, rows):
         rng.standard_normal(out=row[1 : n + 1])
@@ -248,45 +253,54 @@ def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     return share
 
 
-def _walk(rngs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int, scale: float):
-    """Walk-on-spheres steps over a chunk of ``n`` grid steps.
+def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
+    """Walk-on-spheres steps from the states ``(x, t)`` in a chunk that ends at ``end``.
 
-    Row ``i`` starts at ``x[i]`` inside its band ``(lo[i], hi[i])`` and
-    draws from ``rngs[i]``.  A step from ``x`` with radius ``r`` (to the
-    nearer edge) and ``s`` grid steps left proposes the end displacement
-    ``scale sqrt(s) z``, ``z`` standard normal, and keeps it with the
-    chance :func:`_stay_ratio` that the bridge to it stays inside the
-    sphere: a kept row survives, with the exact killed density.  A row that
-    does not stay left the sphere before the end, with chance ``1 - S(v)``;
-    it draws when (:func:`_exit_fractions`) and moves by ``r`` to the side of
-    ``z``, whose sign is a fair coin independent of the exit, as the ratio
-    is even in ``z``.  It steps again while ``r >= scale sqrt(s)``.
+    Row ``i`` is at ``x[i]`` at grid time ``t[i] < end``, inside its band
+    ``(lo[i], hi[i])``, and draws from ``rngs[i]``.  A step with radius
+    ``r`` (to the nearer edge) runs to the horizon ``E``: the largest chunk
+    end with ``scale sqrt(E - t) <= r``, and no later than the first of
+    ``stops`` (the positive evaluation indices and ``n_steps``, sorted)
+    after ``t``, so a horizon may lie chunks past ``end`` but never past an
+    evaluation time.  The step proposes the end displacement
+    ``root z = scale sqrt(E - t) z``, ``z`` standard normal, and keeps it
+    with the chance :func:`_stay_ratio` that the bridge to it stays inside
+    the sphere: a kept row survives to ``(x + root z, E)`` with the exact
+    killed density.  A row that does not stay left the sphere before ``E``,
+    with chance ``1 - S(v)``; it draws when (:func:`_exit_fractions`) and
+    moves by ``r`` to the side of ``z``, whose sign is a fair coin
+    independent of the exit, as the ratio is even in ``z``.  A row that
+    leaves before ``end`` steps again while ``r >= scale sqrt(end - t)``.
 
-    Returns ``(x, u, stay)``: a row with ``stay`` set is at ``x`` at the
-    chunk end; any other is at ``x`` at ``u`` grid steps into the chunk.
+    Returns ``(x, t)``: a row with ``t > end`` sleeps until the chunk that
+    holds ``t``, one with ``t == end`` is at ``x`` at the chunk end, and any
+    other is filled forward from ``x`` at ``t``.
     """
-    x = x.copy()
-    u = np.zeros(x.size)
-    stay = np.zeros(x.size, dtype=bool)
+    x, t = x.copy(), t.copy()
     rows = np.arange(x.size)
     while rows.size:
+        rows = rows[t[rows] < end]
         r = np.minimum(x[rows] - lo[rows], hi[rows] - x[rows])
-        root = scale * np.sqrt(n - u[rows])  # sd of the displacement to the chunk end
-        step = (r >= root) & (root > 0.0)
-        rows, r, root = rows[step], r[step], root[step]
+        step = r >= scale * np.sqrt(end - t[rows])
+        rows, r = rows[step], r[step]
         if not rows.size:
             break
+        t0 = t[rows]
+        with np.errstate(over="ignore"):  # r / scale past the double range: no reach limit
+            reach = np.floor((t0 + (r / scale) ** 2) / _CHUNK) * _CHUNK
+        horizon = np.maximum(np.minimum(reach, stops[np.searchsorted(stops, t0, "right")]), end)
+        root = scale * np.sqrt(horizon - t0)  # sd of the displacement to the horizon
         with np.errstate(over="ignore"):  # a = inf: the row stays, as for any huge a
             a = r / root
         z, w = np.array([(rngs[i].standard_normal(), rngs[i].random()) for i in rows]).T
         kept = (np.abs(z) < a) & (w < _stay_ratio(a, z))
         x[rows[kept]] += root[kept] * z[kept]
-        stay[rows[kept]] = True
+        t[rows[kept]] = horizon[kept]
         left = ~kept
-        rows, r, a, z = rows[left], r[left], a[left], z[left]
-        u[rows] = np.minimum(u[rows] + (n - u[rows]) * _exit_fractions(rngs, rows, a), n)
+        rows, r, a, z, t0, horizon = (v[left] for v in (rows, r, a, z, t0, horizon))
+        t[rows] = np.minimum(t0 + (horizon - t0) * _exit_fractions(rngs, rows, a), horizon)
         x[rows] += np.copysign(r, z)
-    return x, u, stay
+    return x, t
 
 
 def generate_path(cfg: PathConfig, sigma: float, path_index: int) -> np.ndarray:
@@ -416,32 +430,6 @@ def _chunk_ends(t_idx, n_steps: int):
             last = end
 
 
-def _fill(rngs, xs: np.ndarray, n: int, scale: float, tr: _Tracks) -> None:
-    """Columns ``1..n`` of a group's buffer for one chunk, from the carry in column 0.
-
-    A path whose band radius is at least ``scale sqrt(_CHUNK)`` walks on
-    spheres; the others, and every path when ``scale`` is 0, are filled
-    forward.  With no walker this is one :func:`_extend` call.
-    """
-    x = xs[:, 0].copy()
-    with np.errstate(over="ignore"):  # an infinite edge is a band without that edge
-        lo = tr.by_path(tr.anchor - tr.eta).max(axis=1)
-        hi = tr.by_path(tr.anchor + tr.eta).min(axis=1)
-        walkers = np.flatnonzero(np.minimum(x - lo, hi - x) >= scale * math.sqrt(_CHUNK))
-    if scale == 0.0 or not walkers.size:
-        _extend(rngs, xs, n, scale)
-        return
-    u = np.zeros(x.size)
-    stay = np.zeros(x.size, dtype=bool)
-    x[walkers], u[walkers], stay[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
-                                                  lo[walkers], hi[walkers], n, scale)
-    for i, rng in enumerate(rngs):
-        if stay[i]:
-            xs[i, 1 : n + 1] = x[i]
-        else:
-            _resume(rng, xs[i], n, scale, x[i], u[i])
-
-
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Errors and detection counts of paths ``start..stop-1``, simulated group by group."""
     cfg, sigma, t_idx, start, stop = args
@@ -451,8 +439,10 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros((n_paths, etas.size), dtype=np.int64)
     t_idx_arr = np.asarray(t_idx, dtype=np.int64)
     errors[:, t_idx_arr == 0, :] = 0.0  # X_0 = 0 and the anchor starts at 0
+    stops = np.array(sorted({i for i in t_idx if i > 0} | {cfg.n_steps}), dtype=float)
 
     scale = sigma * math.sqrt(cfg.dt)
+    full = scale * math.sqrt(_CHUNK)  # the sd of a full chunk's displacement
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
     bounds = _groups(n_paths)
@@ -463,21 +453,45 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         rngs = [np.random.default_rng([cfg.seed, start + p]) for p in range(g0, g1)]
         xs = buf[: g1 - g0]
         tr = _Tracks(etas, g1 - g0)
-        xs[:, 0] = -0.0  # see generate_path
+        x = np.full(g1 - g0, -0.0)  # each path is at x at grid time t; see generate_path
+        t = np.zeros(g1 - g0)
+        top, bottom = np.zeros(g1 - g0), np.zeros(g1 - g0)  # each path's extrema in the chunk
         done = 0
         for end in _chunk_ends(t_idx, cfg.n_steps):
             n = end - done
-            _fill(rngs, xs, n, scale, tr)
-            xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
-            span = xs[:, 1 : n + 1]
-            live = np.flatnonzero(_may_cross(span.max(axis=1)[tr.path],
-                                             span.min(axis=1)[tr.path], tr.anchor, tr.eta))
+            if scale > 0.0:
+                with np.errstate(over="ignore"):  # an infinite edge is a band without it
+                    lo = tr.by_path(tr.anchor - tr.eta).max(axis=1)
+                    hi = tr.by_path(tr.anchor + tr.eta).min(axis=1)
+                r = np.minimum(x - lo, hi - x)
+                # at the chunk start with room for a full chunk, or woken inside it by an exit
+                walkers = np.flatnonzero((t < end) & ((t > done) | (r >= full)))
+                if walkers.size:
+                    x[walkers], t[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
+                                                   t[walkers], lo[walkers], hi[walkers], end,
+                                                   scale, stops)
+            quiet = t == end  # horizons that end here: the end value is both extrema
+            top[quiet] = bottom[quiet] = x[quiet]
+            if (t == done).all():
+                xs[:, 0] = x
+                _extend(rngs, xs, n, scale)
+                xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
+                top[:], bottom[:] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
+                x[:] = xs[:, n]
+            else:
+                for i in np.flatnonzero(t < end):
+                    _resume(rngs[i], xs[i], n, scale, x[i], t[i] - done)
+                    xs[i, n + 1 :] = x[i] = xs[i, n]
+                    top[i], bottom[i] = xs[i, 1 : n + 1].max(), xs[i, 1 : n + 1].min()
+            t[t < end] = end  # a path with t > end sleeps: no row, no extrema, no scan
+            live = np.flatnonzero((t == end)[tr.path]
+                                  & _may_cross(top[tr.path], bottom[tr.path], tr.anchor, tr.eta))
+            touch = tr.path[live][quiet[tr.path[live]]]
+            xs[touch, 1:] = x[touch, None]  # only rounding puts a horizon's end on the band edge
             for i in range(0, live.size, per_call):
                 _first_touches(xs, win, n, tr, live[i : i + per_call])
-            x_end = xs[:, n]
             for k in np.flatnonzero(t_idx_arr == end):
-                errors[out, k, :] = (x_end[:, None] - tr.by_path(tr.anchor)) / etas
-            xs[:, 0] = x_end
+                errors[out, k, :] = (x[:, None] - tr.by_path(tr.anchor)) / etas
             done = end
         counts[out] = tr.by_path(tr.count)
     return errors, counts

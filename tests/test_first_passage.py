@@ -19,6 +19,7 @@ from exitgrid import (
 )
 from exitgrid._normal import ndtr as exitgrid_ndtr
 from exitgrid.params import MAX_TERMS, SWITCH_V, TERM_TOL
+from exitgrid.path_sim import _CHUNK, _extend
 
 # ---------------------------------------------------------------------------
 # Reference: the physical-unit series of the exit-time law, which took sigma
@@ -382,19 +383,55 @@ class TestQuantileAndSampling:
         assert ks < 1.63 / np.sqrt(n)
 
 
+def grid_hits(cfg: PathConfig, sigma: float, eta: float, paths, block: int = 500):
+    """First grid time with ``|x| >= eta`` of each path (nan if none), on generate_path's stream.
+
+    Paths are drawn in blocks, ``_CHUNK`` steps at a time through ``_extend``
+    with the carry in column 0, and a path is no longer drawn once it has
+    touched.
+    """
+    scale = sigma * math.sqrt(cfg.dt)
+    hits = np.full(len(paths), np.nan)
+    for b0 in range(0, len(paths), block):
+        live = np.arange(b0, min(b0 + block, len(paths)))
+        rngs = [np.random.default_rng([cfg.seed, paths[i]]) for i in live]
+        carry = np.full(live.size, -0.0)  # see generate_path
+        done = 0
+        while live.size and done < cfg.n_steps:
+            n = min(_CHUNK, cfg.n_steps - done)
+            rows = np.empty((live.size, n + 1))
+            rows[:, 0] = carry
+            _extend(rngs, rows, n, scale)
+            touched = np.abs(rows[:, 1:]) >= eta
+            hit = touched.any(axis=1)
+            hits[live[hit]] = (done + 1 + touched[hit].argmax(axis=1)) * cfg.dt
+            live, carry = live[~hit], rows[~hit, n]
+            rngs = [rng for rng, h in zip(rngs, hit) if not h]
+            done += n
+    return hits
+
+
 class TestAgainstSimulation:
+    def test_grid_hits_are_generate_path_hits(self):
+        cfg = PathConfig(t_end=0.4, n_steps=160000, n_paths=4000, seed=7, etas=(0.5,))
+        paths = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584]
+        want = np.full(len(paths), np.nan)
+        for j, i in enumerate(paths):
+            touched = np.abs(generate_path(cfg, 1.0, i)) >= 0.5
+            if touched.any():
+                want[j] = touched.argmax() * cfg.dt
+        got = grid_hits(cfg, 1.0, 0.5, paths, block=7)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_median_matches_grid_hitting_times(self):
         # grid detection is slightly late (first-touch at grid points), so the
         # simulated median may exceed the analytic one by the resolution bias
         eta = 0.5
         law = FirstPassageLaw(ModelParams(1.0, eta))
         cfg = PathConfig(t_end=0.4, n_steps=160000, n_paths=4000, seed=7, etas=(eta,))
-        hits = np.full(cfg.n_paths, np.nan)
-        for i in range(cfg.n_paths):
-            # the first detection is the first grid point with |x| >= eta
-            touched = np.abs(generate_path(cfg, 1.0, i)) >= eta
-            if touched.any():
-                hits[i] = touched.argmax() * cfg.dt
+        # the first detection is the first grid point with |x| >= eta
+        hits = grid_hits(cfg, 1.0, eta, range(cfg.n_paths))
         # paths that never crossed count as +inf; the median is still
         # identified as long as most paths crossed
         assert np.isnan(hits).mean() < 0.3

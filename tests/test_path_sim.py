@@ -451,25 +451,36 @@ class TestWalkOnSpheres:
         _resume(np.random.default_rng(4), got, 299, 0.01, 0.3, 0.0)
         assert_same_bits(got, want[0])
 
-    def test_law_matches_reference_engine(self, monkeypatch):
-        # sigma sqrt(_CHUNK dt) = 0.5 < 0.8: every path starts on a sphere,
-        # and one within 0.3 of its eta-0.8 anchor walks again; the two
-        # engines run on independent seeds and are compared at the 1 % level
-        walked = []
-        walk = path_sim._walk
+    @staticmethod
+    def compare_with_reference(monkeypatch, n_steps, t_idx, seeds):
+        """Errors by KS and counts by chi-square against the reference engine, at 1 %.
 
-        def recording(rngs, x, *args):
-            walked.append(x.size)
-            return walk(rngs, x, *args)
+        t_end is 1 and the etas (0.8, 1.5); the two engines run on the
+        independent seeds ``seeds``.  Returns the rows passed to ``_walk`` over
+        all its calls, and how many of them sleep past their chunk end.
+        """
+        steps, spans, ratios = [], [], []
+        walk, stay_ratio = path_sim._walk, path_sim._stay_ratio
+
+        def recording(rngs, x, t, lo, hi, end, *rest):
+            x, t = walk(rngs, x, t, lo, hi, end, *rest)
+            steps.append(x.size)
+            spans.append(np.count_nonzero(t > end))
+            return x, t
+
+        def ratio(a, z):
+            ratios.append(a.min())
+            return stay_ratio(a, z)
 
         monkeypatch.setattr(path_sim, "_walk", recording)
+        monkeypatch.setattr(path_sim, "_stay_ratio", ratio)
         n = 4000
-        t_idx = (2048, 4096, 6144, 8192)
-        cfg = PathConfig(t_end=1.0, n_steps=8192, n_paths=n, seed=11, etas=(0.8, 1.5))
+        cfg = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[0], etas=(0.8, 1.5))
         got_errors, got_counts = _run_chunk((cfg, 1.0, t_idx, 0, n))
-        ref = PathConfig(t_end=1.0, n_steps=8192, n_paths=n, seed=12, etas=(0.8, 1.5))
+        ref = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[1], etas=(0.8, 1.5))
         want_errors, want_counts = reference_chunk(ref, 1.0, t_idx, 0, n)
-        assert sum(walked) > 2 * n  # more than half the (path, chunk) pairs walk
+        # every step's horizon is one its radius allows: r / (sigma sqrt(E - t)) >= 1
+        assert min(ratios) >= 1.0 - 1e-12
         for e in range(2):
             for k in range(len(t_idx)):
                 assert stats.ks_2samp(got_errors[:, k, e], want_errors[:, k, e]).pvalue > 0.01
@@ -480,6 +491,43 @@ class TestWalkOnSpheres:
             table = [np.bincount(np.minimum(c[:, e], top), minlength=top + 1)
                      for c in (got_counts, want_counts)]
             assert stats.chi2_contingency(table).pvalue > 0.01
+        return sum(steps), sum(spans)
+
+    def test_law_matches_reference_engine(self, monkeypatch):
+        # sigma sqrt(_CHUNK dt) = 0.5 < 0.8: every path starts on a sphere,
+        # and one within 0.3 of its eta-0.8 anchor walks again; with an
+        # evaluation time at every chunk end no horizon spans two chunks
+        steps, spans = self.compare_with_reference(monkeypatch, 8192, (2048, 4096, 6144, 8192),
+                                                   (11, 12))
+        assert steps > 2 * 4000  # more than half the (path, chunk) pairs walk
+        assert spans == 0
+
+    def test_law_with_horizons_past_the_chunk_end(self, monkeypatch):
+        # sigma sqrt(_CHUNK dt) = 0.35: a path at its eta-0.8 anchor may sleep
+        # five chunks, but not past the evaluation time 3000, inside a chunk
+        steps, spans = self.compare_with_reference(monkeypatch, 16384, (3000, 10240, 16384),
+                                                   (13, 14))
+        assert spans > 0.5 * steps  # most steps sleep through the next chunk at least
+
+    def test_horizon_end_on_the_band_edge_is_scanned(self, monkeypatch):
+        # the first walk puts every path on the edge of its eta-1.5 band, asleep
+        # until the chunk end 4096; that end value detects, so each path
+        # counts it and re-anchors there, with no row drawn for the chunk
+        walk = path_sim._walk
+        first = []
+
+        def to_edge(rngs, x, t, lo, hi, end, *rest):
+            if first:
+                return walk(rngs, x, t, lo, hi, end, *rest)
+            first.append(end)
+            return hi.copy(), np.full(x.size, 2.0 * _CHUNK)
+
+        monkeypatch.setattr(path_sim, "_walk", to_edge)
+        cfg = PathConfig(t_end=1.0, n_steps=4 * _CHUNK, n_paths=20, seed=3, etas=(1.5,))
+        errors, counts = _run_chunk((cfg, 1.0, (2 * _CHUNK, 4 * _CHUNK), 0, 20))
+        assert first == [_CHUNK]
+        assert np.all(counts[:, 0] >= 1)
+        assert np.all(errors[:, 0, 0] == 0.0)
 
     def test_wide_band_is_brownian(self):
         # with eta = 1e3 no path detects, and every chunk is one sphere step
