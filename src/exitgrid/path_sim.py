@@ -5,15 +5,18 @@ deterministic random substream per path index, so results are bit-identical
 for a given (seed, path index) regardless of how paths are distributed over
 workers.
 
-A worker splits its paths into equal groups of at most ``_GROUP`` (150)
-paths, so 300 paths make two groups of 150, not 128 + 128 + 44; every group
-costs a full set of scan rounds.  A group advances in lockstep, one time
-chunk at a time.  A chunk ends every ``_CHUNK`` (2048) grid steps and at
-every evaluation time, so the anchor in force at an evaluation time is the
-anchor at the end of its chunk.  Each chunk is drawn into one reused
-``(group, 1 + chunk + window)`` buffer; with the widest window (512) that
-bounds it at ``150 x 2561 x 8`` bytes (3.1 MB) per worker, and full path
-matrices are never held.
+A worker splits its paths into equal groups of at most ``_GROUP`` (512)
+paths, so 600 paths make two groups of 300, not 512 + 88.  A group advances
+in lockstep, one time chunk at a time, and pays the Python cost of a chunk
+(band, walk, extrema, scan set-up) once for all its paths, asleep or not.
+A chunk ends every ``_CHUNK`` (2048) grid steps and at every evaluation
+time, so the anchor in force at an evaluation time is the anchor at the end
+of its chunk.  Only the paths that are filled forward in a chunk get buffer
+rows: they are packed into the first rows of one reused ``(_ROWS, 1 + chunk
++ window)`` buffer in blocks of at most ``_ROWS`` (150) paths, and a slot
+map records each path's row.  With the widest window (512) that bounds the
+buffer at ``150 x 2561 x 8`` bytes (3.1 MB) per worker; full path matrices
+are never held.  Neither groups nor blocks enter a path's stream.
 
 Each path carries a state ``(x, t)``: its value ``x`` at grid time ``t``,
 which may lie chunks ahead.  The path's band is where none of its
@@ -39,22 +42,24 @@ exit point and time for a walker, with the columns before its first grid
 point repeating that point's value, which leaves every first-touch outcome
 as it is.  So the engine keeps the law of the grid first-touch process
 while a quiet path costs a few draws per horizon instead of one per grid
-step; when no path walks, a chunk is one :func:`_extend` call over the
-buffer, whose column 0 carries the previous chunk's last value.
+step; a block whose paths are all at the chunk start is one
+:func:`_extend` call over its rows, whose column 0 carries the previous
+chunk's last value.
 
-The scan state is flat over (threshold, path) rows, so one loop of numpy
-rounds serves every threshold of a group: a chunk costs the largest number
-of rounds over its thresholds, not their sum.  A row enters a chunk's scan
-only if the chunk's extrema for its path hold a point at least ``eta`` from
-its anchor; that is the one skip rule.  Each round then finds at most one
-crossing per live row in a window after its last crossing, or moves the row
-on by one window; the window is the smallest over the batch's thresholds
-(about twice the mean gap between crossings), so a round gathers
-``rows x window`` doubles.  The live rows of a chunk are scanned in calls
-of at most ``_GATHER / window`` rows, so a round never gathers more than the
-buffer holds (3.1 MB), whatever the number of thresholds; the rows of five
-thresholds at the widest window fit in one call.  A row leaves the loop at
-the end of the chunk.
+The scan state of a group is flat over (threshold, path) rows, so one loop
+of numpy rounds serves every threshold of a block: a block costs the
+largest number of rounds over its thresholds, not their sum.  A row enters
+a chunk's scan only if the chunk's extrema for its path hold a point at
+least ``eta`` from its anchor; that is the one skip rule.  Each round then
+finds at most one crossing per live row in a window after its last
+crossing, read from its path's buffer row through the slot map, or moves
+the row on by one window; the window is the smallest over the batch's
+thresholds (about twice the mean gap between crossings), so a round gathers
+``rows x window`` doubles.  The live rows of a block are scanned in calls
+of at most ``_GATHER / window`` rows, so a round never gathers more than
+the buffer holds (3.1 MB), whatever the number of thresholds; the rows of
+five thresholds at the widest window fit in one call.  A row leaves the
+loop at the end of the chunk.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -78,10 +83,12 @@ from .errors import InvalidDomainError
 __all__ = ["MAX_PATH_STEPS", "MAX_RESULTS", "PathConfig", "SimulationBatch", "generate_path",
            "simulate_batch"]
 
-_GROUP = 150  # most paths advanced in lockstep; a worker's paths split into equal groups
+# most paths advanced in lockstep, and held at once: a worker's paths split into equal groups
+_GROUP = 512
+_ROWS = 150  # rows of the chunk buffer: a chunk's forward-filled paths fill it in blocks
 _CHUNK = 2048  # grid steps drawn per path between scans
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
-_GATHER = _GROUP * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers: one buffer
+_GATHER = _ROWS * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers: one buffer
 
 # resource ceilings, checked before anything is allocated: the grid steps
 # drawn (paths x steps; the full protocol draws 50 000 x 200 000 = 1e10) and
@@ -361,20 +368,29 @@ class _Tracks:
         """A per-row array as a (path, threshold) view."""
         return a.reshape(-1, self.n).T
 
+    def live(self, paths: np.ndarray, top: np.ndarray, bottom: np.ndarray):
+        """The rows of ``paths``, (threshold, path), and whether their chunk extrema can cross.
 
-def _first_touches(buf, win, n, tr, rows) -> None:
+        ``top`` and ``bottom`` hold each path's extrema in the chunk.
+        """
+        rows = np.arange(0, self.eta.size, self.n)[:, None] + paths
+        return rows, _may_cross(top[paths], bottom[paths], self.anchor[rows], self.eta[rows])
+
+
+def _first_touches(buf, win, n, tr, rows, slot) -> None:
     """First-touch scan of columns 1..n of ``buf`` for the rows ``rows`` of ``tr``.
 
-    ``win`` is a sliding-window view of ``buf``; the columns after ``n``
-    repeat the value at ``n``.  Each round tests every live row's window
-    after its last crossing, counts a detection and moves the anchor of the
-    rows that found one, and moves the others on by one window.
+    Path ``p`` is in buffer row ``slot[p]``.  ``win`` is a sliding-window
+    view of ``buf``; the columns after ``n`` repeat the value at ``n``.  Each
+    round tests every live row's window after its last crossing, counts a
+    detection and moves the anchor of the rows that found one, and moves the
+    others on by one window.
     """
     anchor, eta_of, path_of, count = tr.anchor, tr.eta, tr.path, tr.count
     width = win.shape[-1]
     start = np.ones(rows.size, dtype=np.int64)
     while rows.size:
-        p, a, eta = path_of[rows], anchor[rows], eta_of[rows]
+        p, a, eta = slot[path_of[rows]], anchor[rows], eta_of[rows]
         dev = win[p, start]
         dev -= a[:, None]
         hit = np.abs(dev, out=dev) >= eta[:, None]
@@ -430,8 +446,34 @@ def _chunk_ends(t_idx, n_steps: int):
             last = end
 
 
+def _fill_block(rngs, xs, n: int, scale: float, x, t, done: int, paths, top, bottom) -> None:
+    """Fill the buffer rows ``xs`` forward, row ``j`` for path ``paths[j]``, over the chunk.
+
+    One :func:`_extend` call when every path of the block is at the chunk
+    start, one :func:`_resume` per row otherwise.  Each path's end value and
+    extrema over columns ``1..n`` go to ``x``, ``top`` and ``bottom``, and the
+    columns after ``n`` repeat the end value: a pad that adds no extremum and
+    no crossing.
+    """
+    if (t[paths] == done).all():
+        xs[:, 0] = x[paths]
+        _extend([rngs[i] for i in paths], xs, n, scale)
+    else:
+        for row, i in zip(xs, paths):
+            _resume(rngs[i], row, n, scale, x[i], t[i] - done)
+    xs[:, n + 1 :] = xs[:, n : n + 1]
+    top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
+    x[paths] = xs[:, n]
+
+
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Errors and detection counts of paths ``start..stop-1``, simulated group by group."""
+    """Errors and detection counts of paths ``start..stop-1``, simulated group by group.
+
+    Memory per worker is bounded whatever the number of paths: one buffer of
+    at most ``_ROWS`` rows, reused by every block of every chunk, and the
+    state of at most ``_GROUP`` paths (value, time, extrema, generator and
+    scan rows) at a time, besides the result arrays.
+    """
     cfg, sigma, t_idx, start, stop = args
     n_paths = stop - start
     etas = np.asarray(cfg.etas)
@@ -446,16 +488,17 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
     bounds = _groups(n_paths)
-    buf = np.empty((int(np.diff(bounds).max()), 1 + _CHUNK + width))  # carry, chunk, window pad
+    per_block = min(_ROWS, int(np.diff(bounds).max()))  # paths filled together
+    buf = np.empty((per_block, 1 + _CHUNK + width))  # carry, chunk, window pad
     win = sliding_window_view(buf, width, axis=1)
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         out = slice(g0, g1)
         rngs = [np.random.default_rng([cfg.seed, start + p]) for p in range(g0, g1)]
-        xs = buf[: g1 - g0]
         tr = _Tracks(etas, g1 - g0)
         x = np.full(g1 - g0, -0.0)  # each path is at x at grid time t; see generate_path
         t = np.zeros(g1 - g0)
         top, bottom = np.zeros(g1 - g0), np.zeros(g1 - g0)  # each path's extrema in the chunk
+        slot = np.zeros(g1 - g0, dtype=np.int64)  # each path's buffer row in its block
         done = 0
         for end in _chunk_ends(t_idx, cfg.n_steps):
             n = end - done
@@ -470,26 +513,23 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
                     x[walkers], t[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
                                                    t[walkers], lo[walkers], hi[walkers], end,
                                                    scale, stops)
-            quiet = t == end  # horizons that end here: the end value is both extrema
+            quiet = np.flatnonzero(t == end)  # horizons that end here: x is both extrema
             top[quiet] = bottom[quiet] = x[quiet]
-            if (t == done).all():
-                xs[:, 0] = x
-                _extend(rngs, xs, n, scale)
-                xs[:, n + 1 :] = xs[:, n : n + 1]  # a pad that adds no extremum and no crossing
-                top[:], bottom[:] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
-                x[:] = xs[:, n]
-            else:
-                for i in np.flatnonzero(t < end):
-                    _resume(rngs[i], xs[i], n, scale, x[i], t[i] - done)
-                    xs[i, n + 1 :] = x[i] = xs[i, n]
-                    top[i], bottom[i] = xs[i, 1 : n + 1].max(), xs[i, 1 : n + 1].min()
-            t[t < end] = end  # a path with t > end sleeps: no row, no extrema, no scan
-            live = np.flatnonzero((t == end)[tr.path]
-                                  & _may_cross(top[tr.path], bottom[tr.path], tr.anchor, tr.eta))
-            touch = tr.path[live][quiet[tr.path[live]]]
-            xs[touch, 1:] = x[touch, None]  # only rounding puts a horizon's end on the band edge
-            for i in range(0, live.size, per_call):
-                _first_touches(xs, win, n, tr, live[i : i + per_call])
+            fill = np.flatnonzero(t < end)  # a path with t > end sleeps: no row, no scan
+            edge = quiet[tr.live(quiet, top, bottom)[1].any(axis=0)]  # only rounding puts one here
+            blocks = [(fill[b : b + per_block], True) for b in range(0, fill.size, per_block)]
+            blocks += [(edge[b : b + per_block], False) for b in range(0, edge.size, per_block)]
+            for paths, forward in blocks:
+                if forward:
+                    _fill_block(rngs, buf[: paths.size], n, scale, x, t, done, paths, top, bottom)
+                else:  # a constant row at the end value
+                    buf[: paths.size, 1:] = x[paths, None]
+                slot[paths] = np.arange(paths.size)
+                live, cross = tr.live(paths, top, bottom)
+                live = live[cross]
+                for i in range(0, live.size, per_call):
+                    _first_touches(buf, win, n, tr, live[i : i + per_call], slot)
+            t[fill] = end
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x[:, None] - tr.by_path(tr.anchor)) / etas
             done = end

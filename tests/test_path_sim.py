@@ -26,6 +26,7 @@ from exitgrid.first_passage import _unit_density, _unit_survival
 from exitgrid.path_sim import (
     _CHUNK,
     _GROUP,
+    _ROWS,
     MAX_PATH_STEPS,
     MAX_RESULTS,
     _chunk_ends,
@@ -243,11 +244,12 @@ class TestBatch:
                 assert v.min() >= -1.0 and v.max() <= 1.0
 
     def test_worker_invariance(self):
-        # one worker splits 301 paths into groups 0-99, 100-199 and 200-300; two
-        # workers split at path 150, inside a group, and group 150 and 151 paths
-        cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=301, seed=12, etas=(0.5, 1.5))
-        assert _groups(cfg.n_paths).tolist() == [0, 100, 200, 301]
-        assert _groups(150).tolist() == [0, 150] and _groups(151).tolist() == [0, 75, 151]
+        # one worker splits 1025 paths into groups 0-340, 341-682 and 683-1024;
+        # two workers split at path 512, inside a group, and group 512 and 513
+        # paths
+        cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=1025, seed=12, etas=(0.5, 1.5))
+        assert _groups(cfg.n_paths).tolist() == [0, 341, 683, 1025]
+        assert _groups(512).tolist() == [0, 512] and _groups(513).tolist() == [0, 256, 513]
         a = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         b = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=2)
         for name in ("errors", "renewal_counts"):
@@ -323,9 +325,9 @@ class TestBatch:
         gathered = []
         scan = path_sim._first_touches
 
-        def recording(buf, win, n, tr, rows):
+        def recording(buf, win, n, tr, rows, slot):
             gathered.append(rows.size * win.shape[-1])
-            scan(buf, win, n, tr, rows)
+            scan(buf, win, n, tr, rows, slot)
 
         monkeypatch.setattr(path_sim, "_first_touches", recording)
         monkeypatch.setattr(path_sim, "_GATHER", 100)
@@ -333,6 +335,57 @@ class TestBatch:
         assert max(gathered) == 3 * 32
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537])
+    def test_groups_hold_at_most_the_cap(self, n):
+        # a worker holds the state of one group at a time, so this bounds its
+        # memory whatever the number of paths
+        bounds = _groups(n)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert sizes.size == -(-n // _GROUP)
+        assert sizes.max() <= _GROUP and sizes.max() - sizes.min() <= 1
+
+    # The law test's configuration, where every path starts on a sphere and
+    # some walk again, and a forward one: eta 0.05 is below sigma sqrt(_CHUNK
+    # dt) = 0.71, so no path walks and all 400 are awake in every chunk, more
+    # than _ROWS.  The walk is checked against the reference engine only in
+    # law, so this pins the blocks and the slot map bit for bit.
+    @pytest.mark.parametrize("n_steps,t_idx,etas,walks", [
+        (8192, (2048, 4096, 6144, 8192), (0.8, 1.5), True),
+        (2 * _CHUNK + 5, (0, 1000, 2 * _CHUNK + 5), (0.05, 0.3), False),
+    ])
+    def test_batch_does_not_depend_on_rows_or_group(self, monkeypatch, n_steps, t_idx, etas,
+                                                    walks):
+        cfg = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=400, seed=11, etas=etas)
+        buffers, blocks = [], []
+        scan, fill = path_sim._first_touches, path_sim._fill_block
+
+        def recording_scan(buf, win, n, tr, rows, slot):
+            buffers.append(buf.shape[0])
+            scan(buf, win, n, tr, rows, slot)
+
+        def recording_fill(rngs, xs, *rest):
+            blocks.append(xs.shape[0])
+            fill(rngs, xs, *rest)
+
+        monkeypatch.setattr(path_sim, "_first_touches", recording_scan)
+        monkeypatch.setattr(path_sim, "_fill_block", recording_fill)
+        if not walks:
+            monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
+        want = _run_chunk((cfg, 1.0, t_idx, 0, cfg.n_paths))
+        # more than _ROWS paths are awake in some chunk in both configurations
+        assert max(buffers) <= _ROWS and max(blocks) == _ROWS
+        if not walks:  # 400 awake paths fill blocks of 150, 150 and 100 in each chunk
+            assert blocks == [_ROWS, _ROWS, 100] * 4
+        buffers.clear()
+        blocks.clear()
+        monkeypatch.setattr(path_sim, "_ROWS", 7)
+        monkeypatch.setattr(path_sim, "_GROUP", 23)
+        got = _run_chunk((cfg, 1.0, t_idx, 0, cfg.n_paths))
+        assert max(buffers) <= 7 and max(blocks) == 7
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
     # Forward configurations only: the smallest eta, which bounds every
     # path's band radius, is below sigma sqrt(_CHUNK dt) >= 0.62 sigma (at
@@ -344,7 +397,7 @@ class TestBatch:
         n_steps=st.one_of(
             st.integers(1, 600), st.just(_CHUNK), st.integers(_CHUNK + 1, _CHUNK + 600)
         ),
-        n_paths=st.integers(1, 2 * _GROUP + 10),
+        n_paths=st.integers(1, 2 * _ROWS + 10),
         start=st.integers(0, 5),
         sigma=st.sampled_from([0.0, 1.0, 1.7]),
         log_etas=st.tuples(st.floats(-3.0, -0.3), st.lists(st.floats(-3.0, 1.0), max_size=2))
@@ -355,11 +408,15 @@ class TestBatch:
              log_etas=[-3.0, -1.3, 1.0], extra_times=[0.3, 0.01])
     @example(n_steps=_CHUNK, n_paths=65, start=1, sigma=1.0,
              log_etas=[-2.0, -0.5], extra_times=[0.999])
-    # eta 0.02 and 2 in one batch: scan windows of 32 and 512 points
-    @example(n_steps=2 * _CHUNK + 1, n_paths=_GROUP + 1, start=2, sigma=1.0,
+    # eta 0.02 and 2 in one batch: scan windows of 32 and 512 points; two and
+    # three buffer blocks
+    @example(n_steps=2 * _CHUNK + 1, n_paths=_ROWS + 1, start=2, sigma=1.0,
              log_etas=[math.log10(0.02), math.log10(2.0)], extra_times=[0.5])
-    @example(n_steps=_CHUNK + 300, n_paths=2 * _GROUP + 1, start=0, sigma=1.0,
+    @example(n_steps=_CHUNK + 300, n_paths=2 * _ROWS + 1, start=0, sigma=1.0,
              log_etas=[math.log10(2.0), math.log10(0.02)], extra_times=[0.25])
+    # two groups, of 256 and 257 paths, each filled in two blocks
+    @example(n_steps=_CHUNK + 5, n_paths=_GROUP + 1, start=4, sigma=1.0,
+             log_etas=[-1.0, 0.0], extra_times=[0.3])
     # evaluation steps 1024 and 1026 make a 2-step chunk, shorter than the
     # 32-point window, and eta 0.5 rows cross and then scan on to a chunk end
     @example(n_steps=2 * _CHUNK + 1, n_paths=70, start=1, sigma=1.0,
