@@ -5,18 +5,26 @@ deterministic random substream per path index, so results are bit-identical
 for a given (seed, path index) regardless of how paths are distributed over
 workers.
 
-A worker splits its paths into equal groups of at most ``_GROUP`` (512)
-paths, so 600 paths make two groups of 300, not 512 + 88.  A group advances
-in lockstep, one time chunk at a time, and pays the Python cost of a chunk
-(band, walk, extrema, scan set-up) once for all its paths, asleep or not.
+The paths split into equal groups of at most ``_GROUP`` (512) paths, so 600
+paths make two groups of 300, not 512 + 88.  A group advances in lockstep,
+one time chunk at a time, and pays the Python cost of a chunk (band, walk,
+extrema, scan set-up) once for all its paths, asleep or not.
 A chunk ends every ``_CHUNK`` (2048) grid steps and at every evaluation
 time, so the anchor in force at an evaluation time is the anchor at the end
 of its chunk.  Only the paths that are filled forward in a chunk get buffer
 rows: they are packed into the first rows of one reused ``(_ROWS, 1 + chunk
 + window)`` buffer in blocks of at most ``_ROWS`` (150) paths, and a slot
 map records each path's row.  With the widest window (512) that bounds the
-buffer at ``150 x 2561 x 8`` bytes (3.1 MB) per worker; full path matrices
-are never held.  Neither groups nor blocks enter a path's stream.
+buffer at ``150 x 2561 x 8`` bytes (3.1 MB); full path matrices are never
+held.  Neither groups nor blocks enter a path's stream.
+
+:func:`simulate_batch` allocates the result arrays once.  One process runs
+every group in turn with one buffer and writes each group's results into
+them.  With several processes a pool runs one task per group, at least one
+per process; a task holds one group's buffer, state and results, and the
+parent copies each task's results into place as they arrive.  So the
+parent holds the results once, plus those of the tasks in flight, and a
+process one buffer and one group's state at a time.
 
 Each path carries a state ``(x, t)``: its value ``x`` at grid time ``t``,
 which may lie chunks ahead.  The path's band is where none of its
@@ -33,10 +41,11 @@ leaves, it draws the exit time and side.  No grid point inside that
 interval can detect, so the path sleeps until the chunk that holds its new
 ``t``: a sleeping path gets no buffer row, no extremum pass and no scan.  A
 path whose horizon is the chunk end gets no row either: its end value is
-both its extrema, so the first-touch rule still applies to that point, and
-its row is written only if that point can cross, which only rounding
-allows.  A path that left its sphere inside the chunk steps again while its
-new radius is at least ``sigma sqrt(h)``, ``h`` the time left in the chunk.
+both its extrema, so the first-touch rule still applies to that point:
+only rounding lets it cross, and then the path detects there and
+re-anchors at it, with no scan.  A path that left its sphere inside the
+chunk steps again while its new radius is at least ``sigma sqrt(h)``,
+``h`` the time left in the chunk.
 Every other path is filled forward: one normal per grid step, from the
 exit point and time for a walker, with the columns before its first grid
 point repeating that point's value, which leaves every first-touch outcome
@@ -83,7 +92,7 @@ from .errors import InvalidDomainError
 __all__ = ["MAX_PATH_STEPS", "MAX_RESULTS", "PathConfig", "SimulationBatch", "generate_path",
            "simulate_batch"]
 
-# most paths advanced in lockstep, and held at once: a worker's paths split into equal groups
+# most paths advanced in lockstep, and held at once: a batch's paths split into equal groups
 _GROUP = 512
 _ROWS = 150  # rows of the chunk buffer: a chunk's forward-filled paths fill it in blocks
 _CHUNK = 2048  # grid steps drawn per path between scans
@@ -338,9 +347,9 @@ def _window(eta: float, scale: float) -> int:
     return int(min(max(2.0 * ratio * ratio, _WINDOW[0]), _WINDOW[1]))
 
 
-def _groups(n: int) -> np.ndarray:
-    """Bounds of the equal groups, of at most ``_GROUP`` paths each, of ``n`` paths."""
-    k = -(-n // _GROUP)
+def _groups(n: int, least: int = 1) -> np.ndarray:
+    """Bounds of ``max(ceil(n / _GROUP), least)`` equal groups of ``n`` paths."""
+    k = max(-(-n // _GROUP), least)
     return np.arange(k + 1) * n // k
 
 
@@ -394,6 +403,7 @@ def _first_touches(buf, win, n, tr, rows, slot) -> None:
         dev = win[p, start]
         dev -= a[:, None]
         hit = np.abs(dev, out=dev) >= eta[:, None]
+        del dev  # so the next round's gather is the only one held
         k = hit.argmax(axis=1)
         found = hit[np.arange(rows.size), k]
         last = start + np.where(found, k, width - 1)
@@ -446,14 +456,17 @@ def _chunk_ends(t_idx, n_steps: int):
             last = end
 
 
-def _fill_block(rngs, xs, n: int, scale: float, x, t, done: int, paths, top, bottom) -> None:
+def _fill_block(rngs, xs, n: int, width: int, scale: float, x, t, done: int, paths, top,
+                bottom) -> None:
     """Fill the buffer rows ``xs`` forward, row ``j`` for path ``paths[j]``, over the chunk.
 
     One :func:`_extend` call when every path of the block is at the chunk
     start, one :func:`_resume` per row otherwise.  Each path's end value and
     extrema over columns ``1..n`` go to ``x``, ``top`` and ``bottom``, and the
-    columns after ``n`` repeat the end value: a pad that adds no extremum and
-    no crossing.
+    ``width - 1`` columns after ``n`` that a scan window can reach repeat the
+    end value: a pad that adds no extremum and no crossing.  The pad is
+    written from ``x``, not from column ``n``, since numpy copies the
+    destination of an assignment whose source overlaps it.
     """
     if (t[paths] == done).all():
         xs[:, 0] = x[paths]
@@ -461,24 +474,22 @@ def _fill_block(rngs, xs, n: int, scale: float, x, t, done: int, paths, top, bot
     else:
         for row, i in zip(xs, paths):
             _resume(rngs[i], row, n, scale, x[i], t[i] - done)
-    xs[:, n + 1 :] = xs[:, n : n + 1]
     top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
     x[paths] = xs[:, n]
+    xs[:, n + 1 : n + width] = x[paths, None]
 
 
-def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Errors and detection counts of paths ``start..stop-1``, simulated group by group.
+def _run_groups(cfg: PathConfig, sigma: float, t_idx, bounds, errors, counts) -> None:
+    """Simulate the groups of paths ``bounds[k]..bounds[k+1]-1`` into ``errors`` and ``counts``.
 
-    Memory per worker is bounded whatever the number of paths: one buffer of
-    at most ``_ROWS`` rows, reused by every block of every chunk, and the
-    state of at most ``_GROUP`` paths (value, time, extrema, generator and
-    scan rows) at a time, besides the result arrays.
+    Row ``i`` of the result arrays is path ``bounds[0] + i``; every row is
+    written.  Memory besides the result arrays is bounded whatever the
+    number of paths: one buffer of at most ``_ROWS`` rows, reused by every
+    block of every chunk of every group, and the state of one group (value,
+    time, extrema, generator and scan rows of at most ``_GROUP`` paths) at a
+    time.
     """
-    cfg, sigma, t_idx, start, stop = args
-    n_paths = stop - start
     etas = np.asarray(cfg.etas)
-    errors = np.empty((n_paths, len(t_idx), etas.size))
-    counts = np.zeros((n_paths, etas.size), dtype=np.int64)
     t_idx_arr = np.asarray(t_idx, dtype=np.int64)
     errors[:, t_idx_arr == 0, :] = 0.0  # X_0 = 0 and the anchor starts at 0
     stops = np.array(sorted({i for i in t_idx if i > 0} | {cfg.n_steps}), dtype=float)
@@ -487,13 +498,12 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     full = scale * math.sqrt(_CHUNK)  # the sd of a full chunk's displacement
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
-    bounds = _groups(n_paths)
     per_block = min(_ROWS, int(np.diff(bounds).max()))  # paths filled together
     buf = np.empty((per_block, 1 + _CHUNK + width))  # carry, chunk, window pad
     win = sliding_window_view(buf, width, axis=1)
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
-        out = slice(g0, g1)
-        rngs = [np.random.default_rng([cfg.seed, start + p]) for p in range(g0, g1)]
+        out = slice(g0 - bounds[0], g1 - bounds[0])
+        rngs = [np.random.default_rng([cfg.seed, p]) for p in range(g0, g1)]
         tr = _Tracks(etas, g1 - g0)
         x = np.full(g1 - g0, -0.0)  # each path is at x at grid time t; see generate_path
         t = np.zeros(g1 - g0)
@@ -513,17 +523,17 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
                     x[walkers], t[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
                                                    t[walkers], lo[walkers], hi[walkers], end,
                                                    scale, stops)
-            quiet = np.flatnonzero(t == end)  # horizons that end here: x is both extrema
-            top[quiet] = bottom[quiet] = x[quiet]
+            # a horizon that ends here leaves x as both extrema; only rounding lets it cross,
+            # and then it detects at its first grid point and re-anchors there, once
+            edge, cross = tr.live(np.flatnonzero(t == end), x, x)
+            edge = edge[cross]
+            tr.count[edge] += 1
+            tr.anchor[edge] = x[tr.path[edge]]
             fill = np.flatnonzero(t < end)  # a path with t > end sleeps: no row, no scan
-            edge = quiet[tr.live(quiet, top, bottom)[1].any(axis=0)]  # only rounding puts one here
-            blocks = [(fill[b : b + per_block], True) for b in range(0, fill.size, per_block)]
-            blocks += [(edge[b : b + per_block], False) for b in range(0, edge.size, per_block)]
-            for paths, forward in blocks:
-                if forward:
-                    _fill_block(rngs, buf[: paths.size], n, scale, x, t, done, paths, top, bottom)
-                else:  # a constant row at the end value
-                    buf[: paths.size, 1:] = x[paths, None]
+            for b in range(0, fill.size, per_block):
+                paths = fill[b : b + per_block]
+                _fill_block(rngs, buf[: paths.size], n, width, scale, x, t, done, paths, top,
+                            bottom)
                 slot[paths] = np.arange(paths.size)
                 live, cross = tr.live(paths, top, bottom)
                 live = live[cross]
@@ -534,6 +544,18 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
                 errors[out, k, :] = (x[:, None] - tr.by_path(tr.anchor)) / etas
             done = end
         counts[out] = tr.by_path(tr.count)
+
+
+def _run_group(args) -> tuple[np.ndarray, np.ndarray]:
+    """Errors and detection counts of the one group of paths ``start..stop-1``: a pool task.
+
+    A task holds one group's buffer, state and results; the process that
+    runs it frees them when it returns.
+    """
+    cfg, sigma, t_idx, start, stop = args
+    errors = np.empty((stop - start, len(t_idx), len(cfg.etas)))
+    counts = np.empty((stop - start, len(cfg.etas)), dtype=np.int64)
+    _run_groups(cfg, sigma, t_idx, (start, stop), errors, counts)
     return errors, counts
 
 
@@ -553,11 +575,12 @@ def simulate_batch(
     """Run the full batch and reduce it to per-(eta, t) error samples.
 
     Results are invariant to ``workers``: every path owns a substream keyed
-    by its index and chunks are reassembled in path order.  At most
-    ``min(workers, n_paths, usable CPUs)`` processes run.  Raises
-    InvalidDomainError before any allocation when the result array would
-    hold more than ``MAX_RESULTS`` cells, or when a path could leave half
-    the double range.
+    by its index, and each group's results are written at its paths' rows
+    of the result arrays, which are allocated once.  At most
+    ``min(workers, n_paths, usable CPUs)`` processes run, with one pool task
+    per group.  Raises InvalidDomainError before any allocation when the
+    result array would hold more than ``MAX_RESULTS`` cells, or when a path
+    could leave half the double range.
     """
     _check_path(cfg, sigma)
     t_eval = tuple(float(t) for t in np.atleast_1d(t_eval))
@@ -573,22 +596,17 @@ def simulate_batch(
             f" {MAX_RESULTS:.0e} result cells"
         )
 
-    # one process per job at most, and no more jobs than usable CPUs
-    n_jobs = min(workers, cfg.n_paths, _usable_cpus())
-    bounds = np.linspace(0, cfg.n_paths, n_jobs + 1).astype(int)
-    jobs = [
-        (cfg, sigma, t_idx, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if len(jobs) == 1:
-        parts = [_run_chunk(jobs[0])]
+    errors = np.empty((cfg.n_paths, len(t_idx), len(cfg.etas)))
+    counts = np.empty((cfg.n_paths, len(cfg.etas)), dtype=np.int64)
+    processes = min(workers, cfg.n_paths, _usable_cpus())
+    if processes == 1:
+        _run_groups(cfg, sigma, t_idx, _groups(cfg.n_paths), errors, counts)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
 
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_run_chunk, jobs))
-
-    errors, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+        bounds = _groups(cfg.n_paths, processes)
+        jobs = [(cfg, sigma, t_idx, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            for (*_, a, b), (e, c) in zip(jobs, pool.map(_run_group, jobs)):
+                errors[a:b], counts[a:b] = e, c
     return SimulationBatch(cfg=cfg, t_eval=t_eval, errors=errors, renewal_counts=counts)
-

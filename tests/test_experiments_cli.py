@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -448,10 +449,10 @@ class TestConfigHandling:
         class Reached(Exception):
             pass
 
-        def stop(job):
+        def stop(*args):
             raise Reached
 
-        monkeypatch.setattr(path_sim, "_run_chunk", stop)
+        monkeypatch.setattr(path_sim, "_run_groups", stop)
         with pytest.raises(Reached):
             main([name, "--paper-scale", "--out", str(tmp_path)])
 
@@ -604,6 +605,20 @@ class TestCsvContract:
         path = write_csv(tmp_path / "rows.csv", ExperimentConfig(), columns, rows)
         body = [ln for ln in path.read_text().splitlines(keepends=True) if ln[0] != "#"]
         assert "".join(body) == buf.getvalue()
+
+    def test_body_is_written_in_bounded_batches(self, tmp_path):
+        # 20 000 rows make an 860 KB body, but the text held at once is that
+        # of one batch of rows, whatever their number
+        rows = [(0.1 * i, 1.0 / (i + 1), i) for i in range(20000)]
+        tracemalloc.start()
+        try:
+            path = write_csv(tmp_path / "rows.csv", ExperimentConfig(), ("a", "b", "c"), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = body(path)
+        assert len(text) > 800_000 and peak < 512 * 1024
+        assert text == "a,b,c\n" + "\n".join("%.17g,%.17g,%d" % row for row in rows)
 
 
 class TestSvg:

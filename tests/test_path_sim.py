@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import os
@@ -35,7 +36,7 @@ from exitgrid.path_sim import (
     _extend,
     _groups,
     _resume,
-    _run_chunk,
+    _run_groups,
     _stay_ratio,
 )
 
@@ -85,7 +86,7 @@ def anchor_moves(anchors):
 
 
 def reference_chunk(cfg, sigma, t_idx, start, stop):
-    """Per-path batch loop over paths start..stop-1, in _run_chunk's output order."""
+    """Per-path batch loop over paths start..stop-1, in run_paths' output order."""
     n = stop - start
     n_t = len(t_idx)
     n_eta = len(cfg.etas)
@@ -111,6 +112,41 @@ def reference_chunk(cfg, sigma, t_idx, start, stop):
             else:
                 errors[row, :, e] = xt / eta
     return errors, counts
+
+
+def run_paths(cfg, sigma, t_idx, start, stop):
+    """Errors and counts of paths start..stop-1, in the groups one process runs them in.
+
+    The result arrays start as NaN and -1, so a row the engine leaves
+    unwritten cannot match the reference engine.
+    """
+    errors = np.full((stop - start, len(t_idx), len(cfg.etas)), np.nan)
+    counts = np.full((stop - start, len(cfg.etas)), -1, dtype=np.int64)
+    _run_groups(cfg, sigma, t_idx, start + _groups(stop - start), errors, counts)
+    return errors, counts
+
+
+def engine_bytes(cfg, sigma, paths):
+    """The most the engine may hold besides its results, in groups of ``paths`` paths.
+
+    One buffer; one scan round, its gathered doubles and their hit mask; and
+    one group's state at 2 KB a path (a generator alone takes about 1.1 KB),
+    plus 256 KB.
+    """
+    width = min(path_sim._window(eta, sigma * math.sqrt(cfg.dt)) for eta in cfg.etas)
+    rows = min(path_sim._ROWS, paths)
+    gather = min(len(cfg.etas) * rows, path_sim._GATHER // width) * width
+    return 8 * rows * (1 + _CHUNK + width) + 9 * gather + 2048 * paths + 2**18
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_bits(got, want):
@@ -244,21 +280,26 @@ class TestBatch:
                 assert v.min() >= -1.0 and v.max() <= 1.0
 
     def test_worker_invariance(self):
-        # one worker splits 1025 paths into groups 0-340, 341-682 and 683-1024;
-        # two workers split at path 512, inside a group, and group 512 and 513
-        # paths
+        # one process runs 1025 paths in the groups 0-340, 341-682 and
+        # 683-1024, and two processes run the same groups as three pool
+        # tasks; a pool has at least one task per process, so two processes
+        # split 300 paths at path 150, inside the one group of one process
         cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=1025, seed=12, etas=(0.5, 1.5))
         assert _groups(cfg.n_paths).tolist() == [0, 341, 683, 1025]
+        assert _groups(cfg.n_paths, 2).tolist() == [0, 341, 683, 1025]
+        assert _groups(300).tolist() == [0, 300] and _groups(300, 2).tolist() == [0, 150, 300]
         assert _groups(512).tolist() == [0, 512] and _groups(513).tolist() == [0, 256, 513]
         a = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         b = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=2)
+        few = simulate_batch(dataclasses.replace(cfg, n_paths=300), 1.0, (0.25, 0.5), workers=2)
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(a, name), getattr(b, name))
+            assert_same_bits(getattr(few, name), getattr(a, name)[:300])
 
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
         # an in-process stand-in for the executor: no process is started, and
-        # it records how many the batch asked for
-        asked = []
+        # it records how many the batch asked for and the paths of each task
+        asked, tasks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -271,6 +312,7 @@ class TestBatch:
                 return False
 
             def map(self, fn, jobs):
+                tasks.append([job[3:] for job in jobs])
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -278,10 +320,13 @@ class TestBatch:
         cfg = PathConfig(t_end=0.5, n_steps=300, n_paths=40, seed=4, etas=(0.3, 0.6))
         wide = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=64)
         assert asked == [3]
+        # a task is one group: 3 for 3 processes, or more when groups are small
+        monkeypatch.setattr(path_sim, "_GROUP", 8)
         simulate_batch(cfg, 1.0, (0.5,), workers=2)
         assert asked == [3, 2]
         one = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
         assert asked == [3, 2]
+        assert tasks == [[(0, 13), (13, 26), (26, 40)], [(8 * k, 8 * k + 8) for k in range(5)]]
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(wide, name), getattr(one, name))
 
@@ -336,6 +381,33 @@ class TestBatch:
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(got, name), getattr(want, name))
 
+    # FIG3_T_EVAL's early times cut chunks of 40 steps or fewer here, whose
+    # pad is most of the buffer
+    SHORT_CHUNKS = PathConfig(t_end=0.5, n_steps=10000, n_paths=_ROWS, seed=3,
+                              etas=(0.05, 0.1, 0.2))
+
+    def test_short_chunks_hold_one_buffer(self):
+        cfg = self.SHORT_CHUNKS
+        t_idx = tuple(cfg.time_index(t) for t in FIG3_T_EVAL)
+        errors = np.empty((cfg.n_paths, len(t_idx), len(cfg.etas)))
+        counts = np.empty((cfg.n_paths, len(cfg.etas)), dtype=np.int64)
+        peak = traced_peak(lambda: _run_groups(cfg, 1.0, t_idx, _groups(cfg.n_paths), errors,
+                                               counts))
+        assert peak <= engine_bytes(cfg, 1.0, cfg.n_paths)
+
+    def test_batch_holds_its_results_once(self, monkeypatch):
+        # smaller groups and buffer, so that the 1.7 MB of results are more
+        # than the engine holds besides them
+        monkeypatch.setattr(path_sim, "_ROWS", 32)
+        monkeypatch.setattr(path_sim, "_GROUP", 128)
+        cfg = dataclasses.replace(self.SHORT_CHUNKS, n_steps=2000, n_paths=2000,
+                                  etas=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+        results = cfg.n_paths * len(cfg.etas) * 8 * (len(FIG3_T_EVAL) + 1)
+        engine = engine_bytes(cfg, 1.0, 128)
+        assert results > engine
+        peak = traced_peak(lambda: simulate_batch(cfg, 1.0, FIG3_T_EVAL, workers=1))
+        assert peak <= results + engine
+
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537])
     def test_groups_hold_at_most_the_cap(self, n):
         # a worker holds the state of one group at a time, so this bounds its
@@ -373,7 +445,7 @@ class TestBatch:
         monkeypatch.setattr(path_sim, "_fill_block", recording_fill)
         if not walks:
             monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
-        want = _run_chunk((cfg, 1.0, t_idx, 0, cfg.n_paths))
+        want = run_paths(cfg, 1.0, t_idx, 0, cfg.n_paths)
         # more than _ROWS paths are awake in some chunk in both configurations
         assert max(buffers) <= _ROWS and max(blocks) == _ROWS
         if not walks:  # 400 awake paths fill blocks of 150, 150 and 100 in each chunk
@@ -382,7 +454,7 @@ class TestBatch:
         blocks.clear()
         monkeypatch.setattr(path_sim, "_ROWS", 7)
         monkeypatch.setattr(path_sim, "_GROUP", 23)
-        got = _run_chunk((cfg, 1.0, t_idx, 0, cfg.n_paths))
+        got = run_paths(cfg, 1.0, t_idx, 0, cfg.n_paths)
         assert max(buffers) <= 7 and max(blocks) == 7
         for g, w in zip(got, want):
             assert_same_bits(g, w)
@@ -431,7 +503,7 @@ class TestBatch:
         t_idx = tuple(cfg.time_index(i * cfg.dt) for i in idx)
         args = (cfg, sigma, t_idx, start, start + n_paths)
         with mock.patch.object(path_sim, "_walk", side_effect=AssertionError("a path walked")):
-            got_all = _run_chunk(args)
+            got_all = run_paths(*args)
         for got, want in zip(got_all, reference_chunk(*args)):
             assert_same_bits(got, want)
 
@@ -533,7 +605,7 @@ class TestWalkOnSpheres:
         monkeypatch.setattr(path_sim, "_stay_ratio", ratio)
         n = 4000
         cfg = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[0], etas=(0.8, 1.5))
-        got_errors, got_counts = _run_chunk((cfg, 1.0, t_idx, 0, n))
+        got_errors, got_counts = run_paths(cfg, 1.0, t_idx, 0, n)
         ref = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[1], etas=(0.8, 1.5))
         want_errors, want_counts = reference_chunk(ref, 1.0, t_idx, 0, n)
         # every step's horizon is one its radius allows: r / (sigma sqrt(E - t)) >= 1
@@ -581,7 +653,7 @@ class TestWalkOnSpheres:
 
         monkeypatch.setattr(path_sim, "_walk", to_edge)
         cfg = PathConfig(t_end=1.0, n_steps=4 * _CHUNK, n_paths=20, seed=3, etas=(1.5,))
-        errors, counts = _run_chunk((cfg, 1.0, (2 * _CHUNK, 4 * _CHUNK), 0, 20))
+        errors, counts = run_paths(cfg, 1.0, (2 * _CHUNK, 4 * _CHUNK), 0, 20)
         assert first == [_CHUNK]
         assert np.all(counts[:, 0] >= 1)
         assert np.all(errors[:, 0, 0] == 0.0)
