@@ -140,7 +140,9 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     """Write a CSV with the standard metadata block; returns the path.
 
     The body goes to the open file ``_CSV_BATCH`` rows at a time, so the
-    text held at once does not grow with the number of rows.
+    text held at once does not grow with the number of rows.  Within a
+    batch, each run of consecutive rows whose values have the same types is
+    formatted by one ``%`` operation.
     """
     payload = cfg.canonical()
     path = Path(path)
@@ -153,7 +155,11 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
         fh.write(",".join(columns) + "\n")
         it = iter(rows)
         while batch := list(itertools.islice(it, _CSV_BATCH)):
-            fh.write("".join([_row_format(tuple(map(type, row))) % tuple(row) for row in batch]))
+            text = []
+            for types, run in itertools.groupby(batch, lambda row: tuple(map(type, row))):
+                run = list(run)
+                text.append((_row_format(types) * len(run)) % tuple(itertools.chain(*run)))
+            fh.write("".join(text))
     return path
 
 
@@ -332,6 +338,23 @@ def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
 # simulation studies
 
 
+class _SampleRows:
+    """The sized iterable of sample rows ``(eta, t, z)``: ``parts`` holds one
+    array of ``z`` per (eta, t) pair, and a row's tuple is made when it is read."""
+
+    def __init__(self) -> None:
+        self.parts = []
+
+    def __len__(self) -> int:
+        return sum(z.size for *_, z in self.parts)
+
+    def __iter__(self):
+        for e, t, z in self.parts:
+            for i in range(0, z.size, _CSV_BATCH):
+                yield from zip(itertools.repeat(e), itertools.repeat(t),
+                               z[i : i + _CSV_BATCH].tolist())
+
+
 def _fig_batch(cfg: ExperimentConfig, etas, t_eval) -> SimulationBatch:
     """The batch of ``cfg`` at these thresholds and times, on a grid to the last time."""
     pc = PathConfig(t_end=max(t_eval), n_steps=cfg.steps, n_paths=cfg.paths, seed=cfg.seed,
@@ -346,13 +369,13 @@ def run_simulate(cfg: ExperimentConfig) -> list[Path]:
     batch = _fig_batch(cfg, etas, t_eval)
 
     stride = max(1, math.ceil(cfg.paths * len(etas) * len(t_eval) / cfg.sample_cap))
-    sample_rows = []
+    sample_rows = _SampleRows()
     moment_rows = []
     hist_rows = []
     for e in etas:
         for t in t_eval:
             s = batch.sample(e, t)
-            sample_rows.extend([(e, t, v) for v in s.values[::stride].tolist()])
+            sample_rows.parts.append((e, t, s.values[::stride].copy()))
             moment_rows.append(
                 (e, t, s.n, s.mean(), s.variance(), float(s.values[0]), float(s.values[-1]))
             )

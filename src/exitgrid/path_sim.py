@@ -67,8 +67,10 @@ thresholds (about twice the mean gap between crossings), so a round gathers
 ``rows x window`` doubles.  The live rows of a block are scanned in calls
 of at most ``_GATHER / window`` rows, so a round never gathers more than
 the buffer holds (3.1 MB), whatever the number of thresholds; the rows of
-five thresholds at the widest window fit in one call.  A row leaves the
-loop at the end of the chunk.
+five thresholds at the widest window fit in one call.  A call allocates
+one hit mask, ``rows x window`` booleans, whose first rows each round
+overwrites; the rows of one threshold are one run, compared with that
+threshold's scalar ``eta``.  A row leaves the loop at the end of the chunk.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -393,26 +395,37 @@ def _first_touches(buf, win, n, tr, rows, slot) -> None:
     view of ``buf``; the columns after ``n`` repeat the value at ``n``.  Each
     round tests every live row's window after its last crossing, counts a
     detection and moves the anchor of the rows that found one, and moves the
-    others on by one window.
+    others on by one window.  ``rows`` is increasing, so a threshold's live
+    rows are one run, compared with its scalar ``eta``.  The call allocates
+    one hit mask, and each round writes its first rows.
     """
-    anchor, eta_of, path_of, count = tr.anchor, tr.eta, tr.path, tr.count
+    anchor, eta_of, count = tr.anchor, tr.eta, tr.count
     width = win.shape[-1]
+    firsts = np.arange(tr.n, eta_of.size, tr.n)  # the first row of each threshold but the first
+    line = slot[tr.path[rows]]  # each row's buffer row
     start = np.ones(rows.size, dtype=np.int64)
+    mask = np.empty((rows.size, width), dtype=bool)
+    flat = np.arange(0, mask.size, width)  # where each mask row starts in mask.ravel()
     while rows.size:
-        p, a, eta = slot[path_of[rows]], anchor[rows], eta_of[rows]
-        dev = win[p, start]
-        dev -= a[:, None]
-        hit = np.abs(dev, out=dev) >= eta[:, None]
+        m = rows.size
+        dev = win[line, start]
+        dev -= anchor[rows][:, None]
+        np.abs(dev, out=dev)
+        hit = mask[:m]
+        cuts = [0, *np.searchsorted(rows, firsts).tolist(), m]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a < b:  # rows a..b-1 share one threshold
+                np.greater_equal(dev[a:b], eta_of[rows[a]], out=hit[a:b])
         del dev  # so the next round's gather is the only one held
         k = hit.argmax(axis=1)
-        found = hit[np.arange(rows.size), k]
-        last = start + np.where(found, k, width - 1)
-        if found.any():
-            r = rows[found]
-            count[r] += 1
-            anchor[r] = buf[p[found], last[found]]
-        keep = last < n
-        rows, start = rows[keep], last[keep] + 1
+        found = hit.ravel()[flat[:m] + k]
+        r = rows[found]
+        count[r] += 1
+        k[~found] = width - 1
+        start += k
+        anchor[r] = buf[line[found], start[found]]
+        keep = start < n
+        rows, line, start = rows[keep], line[keep], start[keep] + 1
 
 
 @dataclass(frozen=True)

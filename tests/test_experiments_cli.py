@@ -621,6 +621,27 @@ class TestCsvContract:
         assert text == "a,b,c\n" + "\n".join("%.17g,%.17g,%d" % row for row in rows)
 
 
+    def test_runs_of_rows_write_what_single_rows_write(self, tmp_path):
+        # rows come in runs whose values share their types, runs cross batch
+        # edges, and one column mixes int, float, bool, numpy scalars and
+        # -0.0 from run to run: a run's one format must give each row the
+        # text the row's own format gives it
+        rng = np.random.default_rng(5)
+        kinds = (float, int, bool, np.float64, np.int64, np.bool_, np.float32)
+        values = (-0.0, 0.0, 1.0, -3.0, 0.1, 2.0**60, 5e-324)
+        rows = []
+        while len(rows) < 3 * experiments._CSV_BATCH:
+            types = [kinds[k] for k in rng.integers(0, len(kinds), 3)]
+            for _ in range(rng.integers(1, 400)):
+                picks = rng.integers(0, len(values), 3)
+                rows.append(tuple(t(values[k]) for t, k in zip(types, picks)))
+        path = write_csv(tmp_path / "rows.csv", ExperimentConfig(), ("a", "b", "c"), rows)
+        want = "".join(experiments._row_format(tuple(map(type, row))) % tuple(row)
+                       for row in rows)
+        assert "-0," in want and ",0," in want
+        assert path.read_text().split("a,b,c\n", 1)[1] == want
+
+
 class TestSvg:
     def test_svg_is_pure_function_of_csv(self, tmp_path):
         assert main(["fig2", *SMALL, "--etas", "0.5,1.0,2.0", "--out", str(tmp_path), "--svg"]) == 0
@@ -687,6 +708,34 @@ class TestRunners:
         assert cols == ["eta", "count", "frequency"]
         for e in np.unique(hist[:, 0]):
             assert hist[hist[:, 0] == e, 2].sum() == pytest.approx(1.0)
+
+    def test_simulate_holds_sample_rows_as_arrays(self, monkeypatch, tmp_path):
+        # 2500 paths x 4 thresholds x 5 times are 50 000 sample rows, the
+        # default cap; as (eta, t, z) tuples they took 4.8 MB
+        cfg = ExperimentConfig(experiment="simulate", paths=2500, steps=50, seed=3,
+                               etas=(0.5, 1.0, 1.5, 2.0), t_eval=(0.1, 0.2, 0.3, 0.4, 0.5),
+                               out_dir=str(tmp_path))
+        batch = experiments._fig_batch(cfg, cfg.etas, cfg.t_eval)
+        sizes = []
+        write = experiments.write_csv
+
+        def recording(path, cfg, columns, rows):
+            sizes.append(len(rows))
+            return write(path, cfg, columns, rows)
+
+        monkeypatch.setattr(experiments, "_fig_batch", lambda *args: batch)
+        monkeypatch.setattr(experiments, "write_csv", recording)
+        tracemalloc.start()
+        try:
+            experiments.run_simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = [(e, t, z) for e in cfg.etas for t in cfg.t_eval
+                for z in batch.sample(e, t).values.tolist()]
+        assert sizes[0] == len(want) == 50000 and peak < 2**20
+        assert body(tmp_path / "simulate_samples.csv") == "\n".join(
+            ["eta,t,z", *("%.17g,%.17g,%.17g" % row for row in want)])
 
     @pytest.mark.parametrize("sigma,gap", [("0.1", "5.434e-01"), ("0.13", "3.527e-01")])
     def test_slow_ladder_exits_3(self, tmp_path, capsys, sigma, gap):

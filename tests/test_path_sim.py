@@ -3,6 +3,9 @@ import dataclasses
 import itertools
 import math
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 from exitgrid import (
@@ -112,6 +116,32 @@ def reference_chunk(cfg, sigma, t_idx, start, stop):
             else:
                 errors[row, :, e] = xt / eta
     return errors, counts
+
+
+def reference_first_touches(buf, win, n, tr, rows, slot) -> None:
+    """The scan round as it was before it kept one hit mask per call: the oracle of the scan.
+
+    Each round gathers the windows, compares them with every row's eta
+    broadcast over its window, and allocates a new hit mask.
+    """
+    anchor, eta_of, path_of, count = tr.anchor, tr.eta, tr.path, tr.count
+    width = win.shape[-1]
+    start = np.ones(rows.size, dtype=np.int64)
+    while rows.size:
+        p, a, eta = slot[path_of[rows]], anchor[rows], eta_of[rows]
+        dev = win[p, start]
+        dev -= a[:, None]
+        hit = np.abs(dev, out=dev) >= eta[:, None]
+        del dev
+        k = hit.argmax(axis=1)
+        found = hit[np.arange(rows.size), k]
+        last = start + np.where(found, k, width - 1)
+        if found.any():
+            r = rows[found]
+            count[r] += 1
+            anchor[r] = buf[p[found], last[found]]
+        keep = last < n
+        rows, start = rows[keep], last[keep] + 1
 
 
 def run_paths(cfg, sigma, t_idx, start, stop):
@@ -537,6 +567,92 @@ class TestBatch:
         var = small_batch.variance(2.0, 0.125)
         expected = 0.125 / 4.0
         assert abs(var - expected) / expected < 0.05
+
+
+class TestScanRound:
+    """The scan against its oracle, on buffers and row sets made up for the scan alone."""
+
+    N = 2000  # columns 1..N of the buffer are scanned
+    SCALE = math.sqrt(0.5 / 100000)  # mc_fine's step: sigma = 1, dt = 5e-6
+
+    def scan_both(self, etas, paths, seed, keep=0.8):
+        """One scan call by the engine and by the oracle, from the same tracks.
+
+        Buffer rows hold random walks of ``SCALE`` steps in a shuffled slot
+        map, every row starts from an anchor within ``eta / 2`` of its path's start
+        and a random count, and a random ``keep`` share of the rows is live,
+        in increasing order.  Returns both tracks, the live rows, the
+        oracle's crossings per row in the call, and the scan window.
+        """
+        rng = np.random.default_rng(seed)
+        width = min(path_sim._window(eta, self.SCALE) for eta in etas)
+        buf = np.empty((paths, 1 + self.N + width))
+        buf[:, 0] = rng.normal(0.0, 0.1, paths)
+        buf[:, 1 : self.N + 1] = rng.standard_normal((paths, self.N)) * self.SCALE
+        np.cumsum(buf[:, : self.N + 1], axis=1, out=buf[:, : self.N + 1])
+        buf[:, self.N + 1 :] = buf[:, self.N : self.N + 1].copy()
+        win = sliding_window_view(buf, width, axis=1)
+        slot = rng.permutation(paths)
+        want = path_sim._Tracks(np.asarray(etas), paths)
+        want.anchor[:] = buf[slot[want.path], 0] + rng.uniform(-0.5, 0.5, want.eta.size) * want.eta
+        want.count[:] = before = rng.integers(0, 5, want.eta.size)
+        got = path_sim._Tracks(np.asarray(etas), paths)
+        got.anchor[:], got.count[:] = want.anchor, want.count
+        rows = np.flatnonzero(rng.random(want.eta.size) < keep)
+        reference_first_touches(buf, win, self.N, want, rows.copy(), slot)
+        path_sim._first_touches(buf, win, self.N, got, rows, slot)
+        return got, want, rows, want.count - before, width
+
+    @pytest.mark.parametrize("etas,paths", [
+        ((0.1, 0.02, 0.05), 60),  # thresholds in no order; the smallest sets the window
+        ((0.05,), 150),
+        (tuple(0.01 + 0.01 * k for k in range(15))[::-1], 20),  # fifteen, the widest first
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_oracle(self, etas, paths, seed):
+        got, want, rows, crossings, _ = self.scan_both(etas, paths, seed)
+        assert rows.size < want.eta.size and crossings.sum() > rows.size
+        assert_same_bits(got.count, want.count)
+        assert_same_bits(got.anchor, want.anchor)
+
+    def test_widest_threshold_leaves_mid_call(self):
+        # eta 3 never crosses, so its rows step one window a round and leave
+        # after ceil(N / width) rounds; rows of eta 0.02 cross more often than
+        # that, and a round finds at most one crossing a row, so they are
+        # still scanned after the last eta-3 row has left
+        got, want, rows, crossings, width = self.scan_both((0.02, 3.0), 100, 3, keep=1.0)
+        narrow, wide = want.by_path(crossings).T
+        assert rows.size == want.eta.size and (wide == 0).all()
+        assert narrow.max() > -(-self.N // width)
+        assert_same_bits(got.count, want.count)
+        assert_same_bits(got.anchor, want.anchor)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="minor page faults are counted as on Linux with glibc malloc")
+    def test_scan_rounds_map_no_new_pages(self):
+        # mc_fine's thresholds and early times on a shorter grid, in a new
+        # interpreter that imports the engine alone.  The buffer, results and
+        # generators take 1 200-1 800 minor page faults, as the interpreter
+        # compiles the sources or reads their cached bytecode.  The round
+        # that allocated a new hit mask after each gather took 19 900-25 800,
+        # and 7 600 or more with per-threshold compares: glibc gave the
+        # gathers' pages back to the system and mapped them again round after
+        # round
+        code = f"""if True:
+            import resource
+            from exitgrid.path_sim import PathConfig, simulate_batch
+            cfg = PathConfig(t_end=0.2, n_steps=40000, n_paths=300, seed=7,
+                             etas=(0.02, 0.05, 0.1))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            simulate_batch(cfg, 1.0, {[t for t in FIG3_T_EVAL if t <= 0.2]})
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.dirname(os.path.dirname(path_sim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout.split()[-1]) < 3500
 
 
 class TestWalkOnSpheres:
