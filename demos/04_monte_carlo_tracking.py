@@ -21,12 +21,14 @@ from exitgrid import (
 
 etas = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 t_eval = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-cfg = PathConfig(t_end=0.5, n_steps=20000, n_paths=4000, seed=1618, etas=etas)
-batch = simulate_batch(cfg, sigma := 1.0, t_eval, workers=1)
+# the whole batch in one configuration; its grid ends at the last evaluation time
+cfg = PathConfig(sigma=1.0, etas=etas, t_eval=t_eval, n_steps=20000, n_paths=4000, seed=1618)
+batch = simulate_batch(cfg, workers=1)
 
-print(f"simulated {cfg.n_paths} paths, {cfg.n_steps + 1} grid points, thresholds {etas}")
+print(f"simulated {cfg.n_paths} paths, {cfg.n_steps + 1} grid points over [0, {cfg.t_end}],"
+      f" thresholds {etas}")
 print()
-print("== renewal counts at t_end ==")
+print(f"== renewal counts at t = {cfg.t_end} ==")
 for e in etas:
     counts = batch.renewal_counts[:, etas.index(e)]
     print(f"eta = {e:4.2f}: mean detections {counts.mean():7.3f} (guide t/eta^2 = {0.5 / e**2:6.3f})")
@@ -38,7 +40,7 @@ print(f"{'eta':>5} {'d_W tri':>9} {'d_W norm':>9}")
 for e in etas:
     s = batch.sample(e, 0.5)
     d_tri = wasserstein1(s, tri)
-    d_norm = wasserstein1(s, ScaledNormalLaw(sigma, 0.5, e))
+    d_norm = wasserstein1(s, ScaledNormalLaw(cfg.sigma, 0.5, e))
     marker = "<- triangular side" if d_tri < d_norm else "<- normal side"
     print(f"{e:5.2f} {d_tri:9.4f} {d_norm:9.4f}   {marker}")
 

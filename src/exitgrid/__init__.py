@@ -16,7 +16,7 @@ simulation.
 
 __version__ = "0.1.0"
 
-from .density import ATOM, absorbed_density
+from .density import absorbed_density
 from .distributions import (
     DensityGrid,
     EmpiricalSample,
@@ -51,7 +51,6 @@ from .renewal import (
 )
 
 __all__ = [
-    "ATOM",
     "ConfigError",
     "DegenerateSampleError",
     "DensityGrid",

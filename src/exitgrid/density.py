@@ -29,23 +29,7 @@ import numpy as np
 from .errors import InvalidDomainError
 from .params import ModelParams, evaluate, series_terms
 
-__all__ = ["ATOM", "absorbed_density"]
-
-
-class _Atom:
-    """Marker for the unit point mass of ``p`` at ``t = 0, x = 0``.
-
-    Returned instead of an infinity so that numeric callers are forced to
-    treat the atom analytically rather than propagate ``inf``.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ATOM"
-
-
-ATOM = _Atom()
+__all__ = ["absorbed_density"]
 
 
 def _check_space(x, eta: float) -> np.ndarray:
@@ -119,24 +103,22 @@ def _images(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def absorbed_density(params: ModelParams, t=0.0, x=0.0) -> float | np.ndarray | _Atom:
+def absorbed_density(params: ModelParams, t=0.0, x=0.0) -> float | np.ndarray:
     """Absorbed-process density ``p(t, x) = p1(v, xi) / eta``.
 
     ``p1`` takes the image form where ``v < SWITCH_V`` and the spectral form
-    elsewhere.  Returns ``ATOM`` for the scalar corner
-    ``t = 0, x = 0``; that corner inside an array raises InvalidDomainError.
+    elsewhere.  The corner ``t = 0, x = 0`` holds the unit point mass, not a
+    density value, and raises InvalidDomainError, alone or inside an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise InvalidDomainError("density needs t >= 0")
     xa = _check_space(x, params.eta)
     scalar = t.ndim == 0 and xa.ndim == 0
-    if scalar and t == 0.0 and xa == 0.0:
-        return ATOM
     t, xa = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(xa))
     if np.any((t == 0.0) & (xa == 0.0)):
         raise InvalidDomainError(
-            "t = 0 with x = 0 inside an array; the atom must be handled separately"
+            "t = 0 with x = 0 is the unit point mass at the start, not a density value"
         )
     p1 = evaluate(_images, _spectral, params.unit_time(t), xa / params.eta)
     out = p1 / params.eta

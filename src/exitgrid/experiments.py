@@ -32,7 +32,7 @@ from .distributions import (
 from .errors import ConfigError, InvalidDomainError, ToleranceNotMetError
 from .first_passage import FirstPassageLaw
 from .params import TERM_TOL, ModelParams
-from .path_sim import PathConfig, SimulationBatch, simulate_batch
+from .path_sim import PathConfig, simulate_batch
 from .renewal import solve_renewal_density, tracking_error_density
 
 __all__ = [
@@ -276,11 +276,6 @@ def svg_from_csv(csv_path: Path, svg_path: Path | None = None) -> Path:
                 ("min(t/0.25, 1/6)", data[sel, tcol], data[sel, columns.index("reference_printed")])
             )
         xl = "t"
-    elif columns[0] == "eta":
-        for name in columns[1:]:
-            c = columns.index(name)
-            series.append((name, data[:, 0], data[:, c]))
-        xl = "eta"
     else:
         xl = columns[0]
         for name in columns[1:]:
@@ -355,31 +350,29 @@ class _SampleRows:
                                z[i : i + _CSV_BATCH].tolist())
 
 
-def _fig_batch(cfg: ExperimentConfig, etas, t_eval) -> SimulationBatch:
-    """The batch of ``cfg`` at these thresholds and times, on a grid to the last time."""
-    pc = PathConfig(t_end=max(t_eval), n_steps=cfg.steps, n_paths=cfg.paths, seed=cfg.seed,
-                    etas=tuple(etas))
-    return simulate_batch(pc, cfg.sigma, t_eval, workers=cfg.workers)
+def _batch_config(cfg: ExperimentConfig, etas, t_eval) -> PathConfig:
+    """The batch of ``cfg`` at these thresholds and times; its grid ends at the last time."""
+    return PathConfig(sigma=cfg.sigma, etas=etas, t_eval=t_eval, n_steps=cfg.steps,
+                      n_paths=cfg.paths, seed=cfg.seed)
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Raw error samples, moment summaries and renewal-count histograms."""
-    etas = cfg.etas or (cfg.eta,)
-    t_eval = cfg.t_eval or (cfg.t,)
-    batch = _fig_batch(cfg, etas, t_eval)
+    pc = _batch_config(cfg, cfg.etas or (cfg.eta,), cfg.t_eval or (cfg.t,))
+    batch = simulate_batch(pc, cfg.workers)
 
-    stride = max(1, math.ceil(cfg.paths * len(etas) * len(t_eval) / cfg.sample_cap))
+    stride = max(1, math.ceil(pc.n_paths * len(pc.etas) * len(pc.t_eval) / cfg.sample_cap))
     sample_rows = _SampleRows()
     moment_rows = []
     hist_rows = []
-    for e in etas:
-        for t in t_eval:
+    for j, e in enumerate(pc.etas):
+        for t in pc.t_eval:
             s = batch.sample(e, t)
             sample_rows.parts.append((e, t, s.values[::stride].copy()))
             moment_rows.append(
                 (e, t, s.n, s.mean(), s.variance(), float(s.values[0]), float(s.values[-1]))
             )
-        counts = np.bincount(batch.renewal_counts[:, list(etas).index(e)])
+        counts = np.bincount(batch.renewal_counts[:, j])
         for c in np.flatnonzero(counts):
             hist_rows.append((e, int(c), float(counts[c] / cfg.paths)))
     p1 = write_csv(
@@ -402,11 +395,11 @@ def run_simulate(cfg: ExperimentConfig) -> list[Path]:
 
 def run_fig1(cfg: ExperimentConfig) -> list[Path]:
     """Kernel estimates of the error density against the two reference laws."""
-    etas = cfg.etas or FIG1_ETAS
-    batch = _fig_batch(cfg, etas, (cfg.t,))
+    pc = _batch_config(cfg, cfg.etas or FIG1_ETAS, (cfg.t,))
+    batch = simulate_batch(pc, cfg.workers)
     z = np.linspace(-1.1, 1.1, 441)
     rows = []
-    for e in etas:
+    for e in pc.etas:
         est = kde(batch.sample(e, cfg.t), z)
         tri = triangular_pdf(z)
         fn = ScaledNormalLaw(cfg.sigma, cfg.t, e).pdf(z)
@@ -430,11 +423,11 @@ def run_fig2(cfg: ExperimentConfig) -> list[Path]:
 
     Both distance curves are computed from the same sample batch.
     """
-    etas = cfg.etas or FIG2_ETAS
-    batch = _fig_batch(cfg, etas, (cfg.t,))
+    pc = _batch_config(cfg, cfg.etas or FIG2_ETAS, (cfg.t,))
+    batch = simulate_batch(pc, cfg.workers)
     tri = TriangularLaw()
     rows = []
-    for e in etas:
+    for e in pc.etas:
         s = batch.sample(e, cfg.t)
         d_tri = wasserstein1(s, tri)
         d_norm = wasserstein1(s, ScaledNormalLaw(cfg.sigma, cfg.t, e))
@@ -458,14 +451,13 @@ def run_fig3(cfg: ExperimentConfig) -> list[Path]:
     Emits the per-threshold reference line ``min(t/eta^2, 1/6)`` and the
     fixed printed line ``min(t/0.25, 1/6)``, which matches only eta = 0.5.
     """
-    etas = cfg.etas or FIG3_ETAS
-    t_eval = cfg.t_eval or FIG3_T_EVAL
-    if not all(0.0 < e * e < math.inf for e in etas):  # the reference line divides by eta^2
-        raise InvalidDomainError(f"every eta^2 must be finite and > 0, got etas={etas}")
-    batch = _fig_batch(cfg, etas, t_eval)
+    pc = _batch_config(cfg, cfg.etas or FIG3_ETAS, cfg.t_eval or FIG3_T_EVAL)
+    if not all(0.0 < e * e < math.inf for e in pc.etas):  # the reference line divides by eta^2
+        raise InvalidDomainError(f"every eta^2 must be finite and > 0, got etas={pc.etas}")
+    batch = simulate_batch(pc, cfg.workers)
     rows = []
-    for e in etas:
-        for t in t_eval:
+    for e in pc.etas:
+        for t in pc.t_eval:
             rows.append(
                 (
                     e,
@@ -525,6 +517,7 @@ def run_limit_check(cfg: ExperimentConfig) -> list[Path]:
     or the analytic and empirical densities at the operating point disagree
     by more than 0.01 in d_W.
     """
+    pc = _batch_config(cfg, (cfg.eta,), (cfg.t,))
     sigma = cfg.sigma
     law1 = FirstPassageLaw(ModelParams(sigma, 1.0))
     horizon = max(LIMIT_LADDER) * 1.05
@@ -536,8 +529,7 @@ def run_limit_check(cfg: ExperimentConfig) -> list[Path]:
 
     # Monte Carlo cross-check at the small-threshold operating point
     params = ModelParams(sigma, cfg.eta)
-    batch = _fig_batch(cfg, (cfg.eta,), (cfg.t,))
-    sample = batch.sample(cfg.eta, cfg.t)
+    sample = simulate_batch(pc, cfg.workers).sample(cfg.eta, cfg.t)
     ed = tracking_error_density(params, rg, cfg.t, z)
     d_mc = wasserstein1(sample, ed.law())
     d_mc_tri = wasserstein1(sample, tri)

@@ -1,9 +1,14 @@
 """Monte Carlo engine for the first-exit discretization scheme.
 
-Paths of ``X_t = sigma * W_t`` live on a fine uniform grid, one
-deterministic random substream per path index, so results are bit-identical
-for a given (seed, path index) regardless of how paths are distributed over
-workers.
+A :class:`PathConfig` is the whole description of a batch: ``sigma``, the
+thresholds, the evaluation times, the grid steps, the paths and the seed.
+Its grid spans ``[0, t_end]``, ``t_end`` the last evaluation time, and its
+construction checks the batch once.  :func:`simulate_batch` runs it, and
+:func:`generate_path` draws one of its paths.
+
+Paths of ``X_t = sigma * W_t`` live on that uniform grid, one deterministic
+random substream per path index, so results are bit-identical for a given
+(seed, path index) regardless of how paths are distributed over workers.
 
 The paths split into equal groups of at most ``_GROUP`` (512) paths, so 600
 paths make two groups of 300, not 512 + 88.  A group advances in lockstep,
@@ -83,7 +88,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,23 +120,35 @@ _NORMAL_MAX = 14.0
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Simulation protocol: horizon, grid resolution, batch size, seed, thresholds."""
+    """One batch: ``n_paths`` paths of ``sigma W`` from ``seed``, scanned at every threshold
+    of ``etas`` and read at the evaluation times ``t_eval``.
 
-    t_end: float
+    The grid has ``n_steps`` steps over ``[0, t_end]``, ``t_end`` the last
+    evaluation time.  Construction is the one place where a batch is
+    checked, resource ceilings included, and it records the grid index of
+    each evaluation time in ``t_idx``.
+    """
+
+    sigma: float
+    etas: tuple[float, ...]
+    t_eval: tuple[float, ...]
     n_steps: int
     n_paths: int
     seed: int
-    etas: tuple[float, ...] = (0.5,)
+    t_idx: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "etas", tuple(float(e) for e in np.atleast_1d(self.etas)))
-        if not (0.0 < self.t_end < math.inf):
+        for name in ("etas", "t_eval"):
+            values = np.atleast_1d(getattr(self, name))
+            object.__setattr__(self, name, tuple(float(v) for v in values))
+        if not self.t_eval or not (0.0 < self.t_end < math.inf):
             raise InvalidDomainError("the last evaluation time (--t / --t-eval) must be finite"
-                                     f" and > 0, got {self.t_end}")
+                                     f" and > 0, got t_eval={self.t_eval}")
         if self.n_steps < 1 or self.n_paths < 1:
             raise InvalidDomainError("n_steps and n_paths must be >= 1")
-        if self.dt == 0.0:
-            raise InvalidDomainError(f"grid step {self.t_end:g} / {self.n_steps} underflows to 0")
+        if self.dt < np.finfo(float).tiny:  # a subnormal step could put t_end off index n_steps
+            raise InvalidDomainError(f"grid step {self.t_end:g} / {self.n_steps} is below the"
+                                     " smallest normal double")
         if self.seed < 0:
             raise InvalidDomainError("seed must be a non-negative integer")
         if len(self.etas) == 0 or not all(0.0 < e < math.inf for e in self.etas):
@@ -144,41 +161,46 @@ class PathConfig:
                 f"paths x steps = {work:.3g} is above the ceiling of {MAX_PATH_STEPS:.0e}"
                 " grid steps"
             )
+        if not (0.0 <= self.sigma < math.inf):
+            raise InvalidDomainError(f"sigma must be finite and >= 0, got {self.sigma}")
+        reach = _NORMAL_MAX * self.n_steps * (self.sigma * math.sqrt(self.dt))
+        if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
+            raise InvalidDomainError(
+                f"sigma = {self.sigma:g} with the last evaluation time {self.t_end:g} is too"
+                f" large: a path of {self.n_steps} steps could reach {reach:.3g}, past half the"
+                " double range"
+            )
+        if len(set(self.t_eval)) != len(self.t_eval):
+            raise InvalidDomainError(f"evaluation times must be distinct, got {self.t_eval}")
+        object.__setattr__(self, "t_idx", tuple(self.time_index(t) for t in self.t_eval))
+        cells = self.n_paths * len(self.t_eval) * len(self.etas)
+        if cells > MAX_RESULTS:
+            raise InvalidDomainError(
+                f"paths x evaluation times x thresholds = {cells:.3g} is above the ceiling of"
+                f" {MAX_RESULTS:.0e} result cells"
+            )
+
+    @property
+    def t_end(self) -> float:
+        return max(self.t_eval)
 
     @property
     def dt(self) -> float:
         return self.t_end / self.n_steps
 
     def time_index(self, t: float) -> int:
-        """Grid index of an evaluation time; the time must sit on the grid, up to ``t_end``.
+        """Grid index of a time in ``[0, t_end]`` that sits on the grid.
 
         On the grid means within ``1e-9`` of a step of a grid point, plus the
         rounding of ``t / dt`` (``1e-15`` of it, a few times the double
         precision).
         """
-        if t - self.t_end > self.dt * (1e-9 + 1e-15 * self.n_steps):
-            raise InvalidDomainError(
-                f"t={t} is past the simulation horizon, the last evaluation time {self.t_end}"
-            )
-        # t / dt is finite above -t_end; a t at or below it, or nan, is off the grid
-        steps = t / self.dt if t > -self.t_end else -1.0
+        # t / dt is at most about n_steps for |t| <= t_end; a t past it, or nan, is off the grid
+        steps = t / self.dt if abs(t) <= self.t_end else -1.0
         idx = round(steps)
-        if idx < 0 or idx > self.n_steps or abs(steps - idx) > 1e-9 + 1e-15 * abs(steps):
+        if idx < 0 or abs(steps - idx) > 1e-9 + 1e-15 * abs(steps):
             raise InvalidDomainError(f"t={t} is not on the simulation grid (dt={self.dt})")
         return idx
-
-
-def _check_path(cfg: PathConfig, sigma: float) -> None:
-    """InvalidDomainError for a ``sigma`` that is not finite and >= 0, or a path that could
-    pass half the double range."""
-    if not (0.0 <= sigma < math.inf):
-        raise InvalidDomainError(f"sigma must be finite and >= 0, got {sigma}")
-    reach = _NORMAL_MAX * cfg.n_steps * (sigma * math.sqrt(cfg.dt))
-    if not reach < 0.5 * np.finfo(float).max:  # x - anchor must stay a double too
-        raise InvalidDomainError(
-            f"sigma = {sigma:g} with the last evaluation time {cfg.t_end:g} is too large: a path"
-            f" of {cfg.n_steps} steps could reach {reach:.3g}, past half the double range"
-        )
 
 
 def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
@@ -278,7 +300,7 @@ def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
     ``(lo[i], hi[i])``, and draws from ``rngs[i]``.  A step with radius
     ``r`` (to the nearer edge) runs to the horizon ``E``: the largest chunk
     end with ``scale sqrt(E - t) <= r``, and no later than the first of
-    ``stops`` (the positive evaluation indices and ``n_steps``, sorted)
+    ``stops`` (the positive evaluation indices, sorted; the last is ``n_steps``)
     after ``t``, so a horizon may lie chunks past ``end`` but never past an
     evaluation time.  The step proposes the end displacement
     ``root z = scale sqrt(E - t) z``, ``z`` standard normal, and keeps it
@@ -321,19 +343,18 @@ def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
     return x, t
 
 
-def generate_path(cfg: PathConfig, sigma: float, path_index: int) -> np.ndarray:
+def generate_path(cfg: PathConfig, path_index: int) -> np.ndarray:
     """One Wiener path on the grid, from the substream keyed by (seed, path index).
 
     ``sigma = 0`` is allowed here (degenerate all-zero path) even though the
     analytic modules require a positive diffusion coefficient.
     """
-    _check_path(cfg, sigma)
     if path_index < 0:
         raise InvalidDomainError("path_index must be >= 0")
     x = np.empty((1, cfg.n_steps + 1))
     x[0, 0] = -0.0  # -0.0 + s == s for every double s, so x[1] is the first step exactly
     rng = np.random.default_rng([cfg.seed, path_index])
-    _extend([rng], x, cfg.n_steps, sigma * math.sqrt(cfg.dt))
+    _extend([rng], x, cfg.n_steps, cfg.sigma * math.sqrt(cfg.dt))
     x[0, 0] = 0.0
     return x[0]
 
@@ -433,16 +454,16 @@ class SimulationBatch:
     """Normalized errors and detection counts of a batch, indexed (path, time, threshold)."""
 
     cfg: PathConfig
-    t_eval: tuple[float, ...]
     errors: np.ndarray  # normalized tracking errors Z/eta, (n_paths, n_t, n_eta)
     renewal_counts: np.ndarray  # detections up to t_end, (n_paths, n_eta)
 
     def _column(self, eta: float, t: float) -> np.ndarray:
-        if float(t) not in self.t_eval:
-            raise InvalidDomainError(f"t={t} not in batch evaluation times {self.t_eval}")
-        if float(eta) not in self.cfg.etas:
-            raise InvalidDomainError(f"eta={eta} not in batch thresholds {self.cfg.etas}")
-        return self.errors[:, self.t_eval.index(float(t)), self.cfg.etas.index(float(eta))]
+        t_eval, etas = self.cfg.t_eval, self.cfg.etas
+        if float(t) not in t_eval:
+            raise InvalidDomainError(f"t={t} not in batch evaluation times {t_eval}")
+        if float(eta) not in etas:
+            raise InvalidDomainError(f"eta={eta} not in batch thresholds {etas}")
+        return self.errors[:, t_eval.index(float(t)), etas.index(float(eta))]
 
     def sample(self, eta: float, t: float) -> EmpiricalSample:
         """Sorted normalized errors for one (threshold, time) pair."""
@@ -454,16 +475,15 @@ class SimulationBatch:
         return float(np.var(col, ddof=1)) if col.size > 1 else 0.0
 
 
-def _chunk_ends(t_idx, n_steps: int):
+def _chunk_ends(t_idx):
     """Chunk ends in increasing order, produced one at a time.
 
-    They are the positive evaluation indices, the multiples of ``_CHUNK``
-    below ``n_steps``, and ``n_steps``; producing them lazily keeps the
-    memory they take independent of ``n_steps``.
+    They are the positive evaluation indices and the multiples of ``_CHUNK``
+    below the last one, ``n_steps``; producing them lazily keeps the memory
+    they take independent of ``n_steps``.
     """
     last = 0
-    for end in heapq.merge(sorted(i for i in t_idx if i > 0), range(_CHUNK, n_steps, _CHUNK),
-                           (n_steps,)):
+    for end in heapq.merge(sorted(i for i in t_idx if i > 0), range(_CHUNK, max(t_idx), _CHUNK)):
         if end > last:
             yield end
             last = end
@@ -492,7 +512,7 @@ def _fill_block(rngs, xs, n: int, width: int, scale: float, x, t, done: int, pat
     xs[:, n + 1 : n + width] = x[paths, None]
 
 
-def _run_groups(cfg: PathConfig, sigma: float, t_idx, bounds, errors, counts) -> None:
+def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
     """Simulate the groups of paths ``bounds[k]..bounds[k+1]-1`` into ``errors`` and ``counts``.
 
     Row ``i`` of the result arrays is path ``bounds[0] + i``; every row is
@@ -503,11 +523,11 @@ def _run_groups(cfg: PathConfig, sigma: float, t_idx, bounds, errors, counts) ->
     time.
     """
     etas = np.asarray(cfg.etas)
-    t_idx_arr = np.asarray(t_idx, dtype=np.int64)
+    t_idx_arr = np.asarray(cfg.t_idx, dtype=np.int64)
     errors[:, t_idx_arr == 0, :] = 0.0  # X_0 = 0 and the anchor starts at 0
-    stops = np.array(sorted({i for i in t_idx if i > 0} | {cfg.n_steps}), dtype=float)
+    stops = np.array(sorted({i for i in cfg.t_idx if i > 0}), dtype=float)
 
-    scale = sigma * math.sqrt(cfg.dt)
+    scale = cfg.sigma * math.sqrt(cfg.dt)
     full = scale * math.sqrt(_CHUNK)  # the sd of a full chunk's displacement
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
@@ -523,7 +543,7 @@ def _run_groups(cfg: PathConfig, sigma: float, t_idx, bounds, errors, counts) ->
         top, bottom = np.zeros(g1 - g0), np.zeros(g1 - g0)  # each path's extrema in the chunk
         slot = np.zeros(g1 - g0, dtype=np.int64)  # each path's buffer row in its block
         done = 0
-        for end in _chunk_ends(t_idx, cfg.n_steps):
+        for end in _chunk_ends(cfg.t_idx):
             n = end - done
             if scale > 0.0:
                 with np.errstate(over="ignore"):  # an infinite edge is a band without it
@@ -565,10 +585,10 @@ def _run_group(args) -> tuple[np.ndarray, np.ndarray]:
     A task holds one group's buffer, state and results; the process that
     runs it frees them when it returns.
     """
-    cfg, sigma, t_idx, start, stop = args
-    errors = np.empty((stop - start, len(t_idx), len(cfg.etas)))
+    cfg, start, stop = args
+    errors = np.empty((stop - start, len(cfg.t_idx), len(cfg.etas)))
     counts = np.empty((stop - start, len(cfg.etas)), dtype=np.int64)
-    _run_groups(cfg, sigma, t_idx, (start, stop), errors, counts)
+    _run_groups(cfg, (start, stop), errors, counts)
     return errors, counts
 
 
@@ -579,47 +599,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def simulate_batch(
-    cfg: PathConfig,
-    sigma: float,
-    t_eval,
-    workers: int = 1,
-) -> SimulationBatch:
+def simulate_batch(cfg: PathConfig, workers: int = 1) -> SimulationBatch:
     """Run the full batch and reduce it to per-(eta, t) error samples.
 
     Results are invariant to ``workers``: every path owns a substream keyed
     by its index, and each group's results are written at its paths' rows
     of the result arrays, which are allocated once.  At most
     ``min(workers, n_paths, usable CPUs)`` processes run, with one pool task
-    per group.  Raises InvalidDomainError before any allocation when the
-    result array would hold more than ``MAX_RESULTS`` cells, or when a path
-    could leave half the double range.
+    per group.  ``cfg`` has checked the batch, the ceilings on its work and
+    results included, so only ``workers`` is checked here.
     """
-    _check_path(cfg, sigma)
-    t_eval = tuple(float(t) for t in np.atleast_1d(t_eval))
-    if len(set(t_eval)) != len(t_eval):
-        raise InvalidDomainError(f"evaluation times must be distinct, got {t_eval}")
-    t_idx = tuple(cfg.time_index(t) for t in t_eval)
     if workers < 1:
         raise InvalidDomainError("workers must be >= 1")
-    cells = cfg.n_paths * len(t_eval) * len(cfg.etas)
-    if cells > MAX_RESULTS:
-        raise InvalidDomainError(
-            f"paths x evaluation times x thresholds = {cells:.3g} is above the ceiling of"
-            f" {MAX_RESULTS:.0e} result cells"
-        )
-
-    errors = np.empty((cfg.n_paths, len(t_idx), len(cfg.etas)))
+    errors = np.empty((cfg.n_paths, len(cfg.t_idx), len(cfg.etas)))
     counts = np.empty((cfg.n_paths, len(cfg.etas)), dtype=np.int64)
     processes = min(workers, cfg.n_paths, _usable_cpus())
     if processes == 1:
-        _run_groups(cfg, sigma, t_idx, _groups(cfg.n_paths), errors, counts)
+        _run_groups(cfg, _groups(cfg.n_paths), errors, counts)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only multi-worker runs pay for it
 
         bounds = _groups(cfg.n_paths, processes)
-        jobs = [(cfg, sigma, t_idx, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        jobs = [(cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for (*_, a, b), (e, c) in zip(jobs, pool.map(_run_group, jobs)):
+            for (_, a, b), (e, c) in zip(jobs, pool.map(_run_group, jobs)):
                 errors[a:b], counts[a:b] = e, c
-    return SimulationBatch(cfg=cfg, t_eval=t_eval, errors=errors, renewal_counts=counts)
+    return SimulationBatch(cfg=cfg, errors=errors, renewal_counts=counts)

@@ -38,16 +38,16 @@ BUILD_TIMES: dict[str, float] = {}
 
 @pytest.fixture(scope="session")
 def desk_batch():
-    cfg = PathConfig(
-        t_end=0.5, n_steps=100000, n_paths=20000, seed=DESK_SEED, etas=DESK_ETAS
-    )
+    cfg = PathConfig(sigma=1.0, etas=DESK_ETAS, t_eval=DESK_T_EVAL, n_steps=100000,
+                     n_paths=20000, seed=DESK_SEED)
     t0 = time.monotonic()
-    batch = simulate_batch(cfg, 1.0, DESK_T_EVAL, workers=WORKERS)
+    batch = simulate_batch(cfg, workers=WORKERS)
     BUILD_TIMES["desk_batch"] = time.monotonic() - t0
     return batch
 
 
 @pytest.fixture(scope="session")
 def small_batch():
-    cfg = PathConfig(t_end=0.5, n_steps=20000, n_paths=2500, seed=42, etas=(0.5, 1.0, 2.0))
-    return simulate_batch(cfg, 1.0, (0.125, 0.25, 0.5), workers=1)
+    cfg = PathConfig(sigma=1.0, etas=(0.5, 1.0, 2.0), t_eval=(0.125, 0.25, 0.5), n_steps=20000,
+                     n_paths=2500, seed=42)
+    return simulate_batch(cfg, workers=1)

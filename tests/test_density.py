@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from exitgrid import (
-    ATOM,
     FirstPassageLaw,
     InvalidDomainError,
     ModelParams,
@@ -77,11 +76,7 @@ def reference_images(params: ModelParams, t, x):
 
     zero_t = t == 0.0
     if np.any(zero_t & (xa == 0.0)):
-        if scalar:
-            return ATOM
-        raise InvalidDomainError(
-            "t = 0 with x = 0 inside an array; the atom must be handled separately"
-        )
+        raise InvalidDomainError("t = 0 with x = 0 is the unit point mass, not a density value")
     if np.all(zero_t):
         out = np.zeros(t.shape)
         return float(out) if scalar else out
@@ -300,8 +295,11 @@ class TestDispatcher:
             above = absorbed_density(P11, tsw * (1 + 1e-12), x)
             assert below == pytest.approx(above, abs=1e-10)
 
-    def test_atom_sentinel(self):
-        assert absorbed_density(P11, 0.0, 0.0) is ATOM
+    def test_atom_corner_rejected(self):
+        with pytest.raises(InvalidDomainError, match="unit point mass"):
+            absorbed_density(P11, 0.0, 0.0)
+        with pytest.raises(InvalidDomainError, match="unit point mass"):
+            reference_images(P11, 0.0, 0.0)
         assert absorbed_density(P11, 0.0, 0.4) == 0.0
 
     def test_atom_inside_array_rejected(self):

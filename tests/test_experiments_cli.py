@@ -518,8 +518,9 @@ class TestConfigHandling:
                 "--etas", "0.1,0.3", "--seed", "7", "--out", str(tmp_path)]
         assert main(argv) == 0
         _, _, hist = read_csv(tmp_path / "simulate_renewals.csv")
-        cfg = path_sim.PathConfig(t_end=0.25, n_steps=500, n_paths=60, seed=7, etas=(0.1, 0.3))
-        batch = path_sim.simulate_batch(cfg, 1.0, (0.25,))
+        cfg = path_sim.PathConfig(sigma=1.0, etas=(0.1, 0.3), t_eval=(0.25,), n_steps=500,
+                                  n_paths=60, seed=7)
+        batch = path_sim.simulate_batch(cfg)
         for j, eta in enumerate(cfg.etas):
             counts = np.bincount(batch.renewal_counts[:, j])
             rows = hist[hist[:, 0] == eta]
@@ -715,7 +716,7 @@ class TestRunners:
         cfg = ExperimentConfig(experiment="simulate", paths=2500, steps=50, seed=3,
                                etas=(0.5, 1.0, 1.5, 2.0), t_eval=(0.1, 0.2, 0.3, 0.4, 0.5),
                                out_dir=str(tmp_path))
-        batch = experiments._fig_batch(cfg, cfg.etas, cfg.t_eval)
+        batch = experiments.simulate_batch(experiments._batch_config(cfg, cfg.etas, cfg.t_eval))
         sizes = []
         write = experiments.write_csv
 
@@ -723,7 +724,7 @@ class TestRunners:
             sizes.append(len(rows))
             return write(path, cfg, columns, rows)
 
-        monkeypatch.setattr(experiments, "_fig_batch", lambda *args: batch)
+        monkeypatch.setattr(experiments, "simulate_batch", lambda *args: batch)
         monkeypatch.setattr(experiments, "write_csv", recording)
         tracemalloc.start()
         try:
@@ -745,6 +746,14 @@ class TestRunners:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"final ladder gap {gap}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_monte_carlo_options_are_checked_before_the_ladder(self, tmp_path, capsys):
+        # the ladder alone would fail at sigma 0.1 (exit 3); no path is a
+        # configuration error, found before the ladder runs
+        assert main(["limit", "--sigma", "0.1", "--paths", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "n_steps and n_paths must be >= 1" in err and "ladder" not in err
         assert not list(tmp_path.iterdir())
 
     def test_limit_evaluates_error_law_once_per_rung(self, monkeypatch, tmp_path):

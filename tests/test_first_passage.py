@@ -383,14 +383,17 @@ class TestQuantileAndSampling:
         assert ks < 1.63 / np.sqrt(n)
 
 
-def grid_hits(cfg: PathConfig, sigma: float, eta: float, paths, block: int = 500):
+def grid_hits(cfg: PathConfig, paths, block: int = 500):
     """First grid time with ``|x| >= eta`` of each path (nan if none), on generate_path's stream.
+
+    ``eta`` is the batch's one threshold.
 
     Paths are drawn in blocks, ``_CHUNK`` steps at a time through ``_extend``
     with the carry in column 0, and a path is no longer drawn once it has
     touched.
     """
-    scale = sigma * math.sqrt(cfg.dt)
+    (eta,) = cfg.etas
+    scale = cfg.sigma * math.sqrt(cfg.dt)
     hits = np.full(len(paths), np.nan)
     for b0 in range(0, len(paths), block):
         live = np.arange(b0, min(b0 + block, len(paths)))
@@ -413,14 +416,15 @@ def grid_hits(cfg: PathConfig, sigma: float, eta: float, paths, block: int = 500
 
 class TestAgainstSimulation:
     def test_grid_hits_are_generate_path_hits(self):
-        cfg = PathConfig(t_end=0.4, n_steps=160000, n_paths=4000, seed=7, etas=(0.5,))
+        cfg = PathConfig(sigma=1.0, etas=(0.5,), t_eval=(0.4,), n_steps=160000, n_paths=4000,
+                         seed=7)
         paths = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584]
         want = np.full(len(paths), np.nan)
         for j, i in enumerate(paths):
-            touched = np.abs(generate_path(cfg, 1.0, i)) >= 0.5
+            touched = np.abs(generate_path(cfg, i)) >= 0.5
             if touched.any():
                 want[j] = touched.argmax() * cfg.dt
-        got = grid_hits(cfg, 1.0, 0.5, paths, block=7)
+        got = grid_hits(cfg, paths, block=7)
         assert np.isnan(want).any() and not np.isnan(want).all()
         assert got.tobytes() == want.tobytes()
 
@@ -429,9 +433,10 @@ class TestAgainstSimulation:
         # simulated median may exceed the analytic one by the resolution bias
         eta = 0.5
         law = FirstPassageLaw(ModelParams(1.0, eta))
-        cfg = PathConfig(t_end=0.4, n_steps=160000, n_paths=4000, seed=7, etas=(eta,))
+        cfg = PathConfig(sigma=1.0, etas=(eta,), t_eval=(0.4,), n_steps=160000, n_paths=4000,
+                         seed=7)
         # the first detection is the first grid point with |x| >= eta
-        hits = grid_hits(cfg, 1.0, eta, range(cfg.n_paths))
+        hits = grid_hits(cfg, range(cfg.n_paths))
         # paths that never crossed count as +inf; the median is still
         # identified as long as most paths crossed
         assert np.isnan(hits).mean() < 0.3

@@ -46,7 +46,7 @@ from exitgrid.path_sim import (
 
 from conftest import DESK_T_EVAL
 
-CFG = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=99, etas=(0.5,))
+CFG = PathConfig(sigma=1.0, etas=(0.5,), t_eval=(0.5,), n_steps=20000, n_paths=100, seed=99)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +89,16 @@ def anchor_moves(anchors):
     return np.diff(np.concatenate(([0.0], anchors)))
 
 
-def reference_chunk(cfg, sigma, t_idx, start, stop):
+def reference_chunk(cfg, start, stop):
     """Per-path batch loop over paths start..stop-1, in run_paths' output order."""
     n = stop - start
-    n_t = len(t_idx)
+    n_t = len(cfg.t_idx)
     n_eta = len(cfg.etas)
     errors = np.empty((n, n_t, n_eta))
     counts = np.zeros((n, n_eta), dtype=np.int64)
-    t_idx_arr = np.asarray(t_idx, dtype=np.int64)
+    t_idx_arr = np.asarray(cfg.t_idx, dtype=np.int64)
     for row, pidx in enumerate(range(start, stop)):
-        x = generate_path(cfg, sigma, pidx)
+        x = generate_path(cfg, pidx)
         xt = x[t_idx_arr]
         xmax = float(np.max(np.abs(x)))
         for e, eta in enumerate(cfg.etas):
@@ -144,26 +144,26 @@ def reference_first_touches(buf, win, n, tr, rows, slot) -> None:
         rows, start = rows[keep], last[keep] + 1
 
 
-def run_paths(cfg, sigma, t_idx, start, stop):
+def run_paths(cfg, start, stop):
     """Errors and counts of paths start..stop-1, in the groups one process runs them in.
 
     The result arrays start as NaN and -1, so a row the engine leaves
     unwritten cannot match the reference engine.
     """
-    errors = np.full((stop - start, len(t_idx), len(cfg.etas)), np.nan)
+    errors = np.full((stop - start, len(cfg.t_idx), len(cfg.etas)), np.nan)
     counts = np.full((stop - start, len(cfg.etas)), -1, dtype=np.int64)
-    _run_groups(cfg, sigma, t_idx, start + _groups(stop - start), errors, counts)
+    _run_groups(cfg, start + _groups(stop - start), errors, counts)
     return errors, counts
 
 
-def engine_bytes(cfg, sigma, paths):
+def engine_bytes(cfg, paths):
     """The most the engine may hold besides its results, in groups of ``paths`` paths.
 
     One buffer; one scan round, its gathered doubles and their hit mask; and
     one group's state at 2 KB a path (a generator alone takes about 1.1 KB),
     plus 256 KB.
     """
-    width = min(path_sim._window(eta, sigma * math.sqrt(cfg.dt)) for eta in cfg.etas)
+    width = min(path_sim._window(eta, cfg.sigma * math.sqrt(cfg.dt)) for eta in cfg.etas)
     rows = min(path_sim._ROWS, paths)
     gather = min(len(cfg.etas) * rows, path_sim._GATHER // width) * width
     return 8 * rows * (1 + _CHUNK + width) + 9 * gather + 2048 * paths + 2**18
@@ -188,83 +188,76 @@ def assert_same_bits(got, want):
 
 class TestGeneratePath:
     def test_determinism(self):
-        a = generate_path(CFG, 1.0, 17)
-        b = generate_path(CFG, 1.0, 17)
+        a = generate_path(CFG, 17)
+        b = generate_path(CFG, 17)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, generate_path(CFG, 1.0, 18))
-        other_seed = PathConfig(t_end=0.5, n_steps=20000, n_paths=100, seed=100, etas=(0.5,))
-        assert not np.array_equal(a, generate_path(other_seed, 1.0, 17))
+        assert not np.array_equal(a, generate_path(CFG, 18))
+        assert not np.array_equal(a, generate_path(dataclasses.replace(CFG, seed=100), 17))
 
     def test_starts_at_zero_and_zero_sigma(self):
-        x = generate_path(CFG, 1.0, 0)
+        x = generate_path(CFG, 0)
         assert x[0] == 0.0
         assert x.size == CFG.n_steps + 1
-        assert np.all(generate_path(CFG, 0.0, 5) == 0.0)
+        assert np.all(generate_path(dataclasses.replace(CFG, sigma=0.0), 5) == 0.0)
 
     def test_terminal_variance(self):
         # X(t_end) is exact regardless of the grid, so a coarse grid suffices
-        cfg = PathConfig(t_end=0.5, n_steps=8, n_paths=20000, seed=5, etas=(1.0,))
-        finals = np.array([generate_path(cfg, 1.0, i)[-1] for i in range(cfg.n_paths)])
+        cfg = PathConfig(sigma=1.0, etas=(1.0,), t_eval=(0.5,), n_steps=8, n_paths=20000, seed=5)
+        finals = np.array([generate_path(cfg, i)[-1] for i in range(cfg.n_paths)])
         var = finals.var(ddof=1)
         se = 0.5 * np.sqrt(2.0 / (cfg.n_paths - 1))
         assert abs(var - 0.5) < 3.0 * se
 
     def test_config_validation(self):
-        with pytest.raises(InvalidDomainError):
-            PathConfig(t_end=0.0, n_steps=10, n_paths=1, seed=0)
-        with pytest.raises(InvalidDomainError):
-            PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0, etas=(0.0,))
-        with pytest.raises(InvalidDomainError):
-            CFG.time_index(0.5 + 0.3 * CFG.dt)
-        for t_end in (math.inf, math.nan):
+        # construction checks every field of a batch, and nothing else does
+        bad = [
+            dict(t_eval=(0.0,)), dict(t_eval=(math.inf,)), dict(t_eval=(math.nan,)),
+            dict(t_eval=()), dict(etas=()), dict(etas=(0.0,)), dict(etas=(math.nan,)),
+            dict(etas=(math.inf,)), dict(etas=(0.5, math.nan)), dict(etas=(0.5, 0.5)),
+            dict(sigma=-1.0), dict(sigma=math.inf), dict(sigma=math.nan),
+            dict(t_eval=(0.25, 0.5, 0.25)), dict(n_steps=0), dict(n_paths=0), dict(seed=-1),
+        ]
+        for fields in bad:
             with pytest.raises(InvalidDomainError):
-                PathConfig(t_end=t_end, n_steps=10, n_paths=1, seed=0)
-        for etas in ((math.nan,), (math.inf,), (0.5, math.nan), (0.5, 0.5)):
-            with pytest.raises(InvalidDomainError):
-                PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0, etas=etas)
-        with pytest.raises(InvalidDomainError):
-            CFG.time_index(math.nan)
-        with pytest.raises(InvalidDomainError, match="past the simulation horizon"):
-            CFG.time_index(math.inf)
-        # 0.7 is a multiple of dt but lies past t_end = 0.5
-        with pytest.raises(InvalidDomainError, match="t=0.7 is past the simulation horizon"):
-            CFG.time_index(0.7)
-        with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
-            CFG.time_index(-1e308)
+                dataclasses.replace(CFG, **fields)
+        with pytest.raises(InvalidDomainError, match="is not on the simulation grid"):
+            dataclasses.replace(CFG, t_eval=(0.25 + 0.3 * CFG.dt, 0.5))
+        # a subnormal step would put 2.5e-323 at index 5 of 4: t_end must be index n_steps
+        for t_end, n_steps in ((5e-324, 2), (2.5e-323, 4)):
+            with pytest.raises(InvalidDomainError, match="grid step .* smallest normal double"):
+                dataclasses.replace(CFG, t_eval=(t_end,), n_steps=n_steps)
+        with pytest.raises(TypeError):  # every field is required
+            PathConfig(sigma=1.0, t_eval=(0.5,), n_steps=10, n_paths=1, seed=0)
+        # a time past t_end = 0.5, 0.7 a multiple of dt among them, is off the grid
+        for t in (0.5 + 0.3 * CFG.dt, math.nan, math.inf, 0.7, -1e308):
+            with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
+                CFG.time_index(t)
         # the slack is a fraction of a step: 2e-7 of one is off the grid
-        coarse = PathConfig(t_end=0.5, n_steps=1000, n_paths=1, seed=0)
-        for t in (1e-10, -1e-10, 0.25 + 1e-10):
+        coarse = dataclasses.replace(CFG, n_steps=1000)
+        for t in (1e-10, -1e-10, 0.25 + 1e-10, 0.5 + 1e-10):
             with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
                 coarse.time_index(t)
-        with pytest.raises(InvalidDomainError, match="past the simulation horizon"):
-            coarse.time_index(0.5 + 1e-10)
-        with pytest.raises(InvalidDomainError, match="grid step .* underflows to 0"):
-            PathConfig(t_end=5e-324, n_steps=2, n_paths=1, seed=0)
-        small = PathConfig(t_end=0.5, n_steps=10, n_paths=2, seed=0)
-        with pytest.raises(InvalidDomainError):
-            simulate_batch(small, 1.0, (0.25, 0.5, 0.25))
-        for sigma in (-1.0, math.inf, math.nan):
-            with pytest.raises(InvalidDomainError):
-                simulate_batch(small, sigma, (0.5,))
+        assert (coarse.t_end, coarse.t_idx) == (0.5, (1000,))
 
 
 @pytest.mark.parametrize("n_steps", [100000, 200000])
 @pytest.mark.parametrize("times", [FIG3_T_EVAL, DESK_T_EVAL])
 def test_figure_times_sit_on_the_grid(n_steps, times):
-    cfg = PathConfig(t_end=max(times), n_steps=n_steps, n_paths=1, seed=0)
-    assert [cfg.time_index(t) for t in times] == [round(t * n_steps / cfg.t_end) for t in times]
+    cfg = PathConfig(sigma=1.0, etas=(0.5,), t_eval=times, n_steps=n_steps, n_paths=1, seed=0)
+    assert cfg.t_idx == tuple(round(t * n_steps / cfg.t_end) for t in times)
+    assert max(cfg.t_idx) == n_steps
 
 
 class TestFirstTouchRule:
     """The rule as ``reference_scan`` states it; the engine matches that scan bit for bit."""
 
     def test_no_crossing_when_band_too_wide(self):
-        x = generate_path(CFG, 1.0, 3)
+        x = generate_path(CFG, 3)
         crossings, anchors = reference_scan(x, eta=100.0)
         assert crossings == [] and anchors == []
 
     def test_crossing_invariants(self):
-        x = generate_path(CFG, 1.0, 11)
+        x = generate_path(CFG, 11)
         crossings, anchors = reference_scan(x, eta=0.25)
         assert len(crossings) == len(anchors) > 0
         anchor = 0.0
@@ -280,7 +273,7 @@ class TestFirstTouchRule:
         assert np.all(np.abs(x[prev + 1 :] - anchor) < 0.25)
 
     def test_anchor_increments_near_eta(self):
-        x = generate_path(CFG, 1.0, 23)
+        x = generate_path(CFG, 23)
         _, anchors = reference_scan(x, eta=0.25)
         assert len(anchors) >= 2
         overshoot = np.abs(anchor_moves(anchors)) - 0.25
@@ -289,15 +282,16 @@ class TestFirstTouchRule:
 
     def test_sign_balance(self):
         # anchor moves are +eta or -eta with equal probability; about 50 per path
-        moves = np.concatenate([anchor_moves(reference_scan(generate_path(CFG, 1.0, i), 0.1)[1])
+        moves = np.concatenate([anchor_moves(reference_scan(generate_path(CFG, i), 0.1)[1])
                                 for i in range(CFG.n_paths)])
         ups, total = np.count_nonzero(moves > 0.0), moves.size
         assert abs(ups - total / 2.0) < 3.0 * np.sqrt(total) / 2.0
 
     def test_mean_renewal_count(self):
         # renewal theorem: E[N_t] ~ t sigma^2/eta^2 (within 5% at this scale)
-        cfg = PathConfig(t_end=0.5, n_steps=200000, n_paths=1500, seed=31, etas=(0.1,))
-        batch = simulate_batch(cfg, 1.0, (0.5,), workers=2)
+        cfg = PathConfig(sigma=1.0, etas=(0.1,), t_eval=(0.5,), n_steps=200000, n_paths=1500,
+                         seed=31)
+        batch = simulate_batch(cfg, workers=2)
         mean_n = batch.renewal_counts[:, 0].mean()
         assert abs(mean_n - 50.0) / 50.0 < 0.05
 
@@ -305,7 +299,7 @@ class TestFirstTouchRule:
 class TestBatch:
     def test_samples_inside_band(self, small_batch):
         for eta in small_batch.cfg.etas:
-            for t in small_batch.t_eval:
+            for t in small_batch.cfg.t_eval:
                 v = small_batch.sample(eta, t).values
                 assert v.min() >= -1.0 and v.max() <= 1.0
 
@@ -314,14 +308,15 @@ class TestBatch:
         # 683-1024, and two processes run the same groups as three pool
         # tasks; a pool has at least one task per process, so two processes
         # split 300 paths at path 150, inside the one group of one process
-        cfg = PathConfig(t_end=0.5, n_steps=5000, n_paths=1025, seed=12, etas=(0.5, 1.5))
+        cfg = PathConfig(sigma=1.0, etas=(0.5, 1.5), t_eval=(0.25, 0.5), n_steps=5000,
+                         n_paths=1025, seed=12)
         assert _groups(cfg.n_paths).tolist() == [0, 341, 683, 1025]
         assert _groups(cfg.n_paths, 2).tolist() == [0, 341, 683, 1025]
         assert _groups(300).tolist() == [0, 300] and _groups(300, 2).tolist() == [0, 150, 300]
         assert _groups(512).tolist() == [0, 512] and _groups(513).tolist() == [0, 256, 513]
-        a = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
-        b = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=2)
-        few = simulate_batch(dataclasses.replace(cfg, n_paths=300), 1.0, (0.25, 0.5), workers=2)
+        a = simulate_batch(cfg, workers=1)
+        b = simulate_batch(cfg, workers=2)
+        few = simulate_batch(dataclasses.replace(cfg, n_paths=300), workers=2)
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(a, name), getattr(b, name))
             assert_same_bits(getattr(few, name), getattr(a, name)[:300])
@@ -342,61 +337,60 @@ class TestBatch:
                 return False
 
             def map(self, fn, jobs):
-                tasks.append([job[3:] for job in jobs])
+                tasks.append([job[1:] for job in jobs])
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        cfg = PathConfig(t_end=0.5, n_steps=300, n_paths=40, seed=4, etas=(0.3, 0.6))
-        wide = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=64)
+        cfg = PathConfig(sigma=1.0, etas=(0.3, 0.6), t_eval=(0.25, 0.5), n_steps=300,
+                         n_paths=40, seed=4)
+        wide = simulate_batch(cfg, workers=64)
         assert asked == [3]
         # a task is one group: 3 for 3 processes, or more when groups are small
         monkeypatch.setattr(path_sim, "_GROUP", 8)
-        simulate_batch(cfg, 1.0, (0.5,), workers=2)
+        simulate_batch(dataclasses.replace(cfg, t_eval=(0.5,)), workers=2)
         assert asked == [3, 2]
-        one = simulate_batch(cfg, 1.0, (0.25, 0.5), workers=1)
+        one = simulate_batch(cfg, workers=1)
         assert asked == [3, 2]
         assert tasks == [[(0, 13), (13, 26), (26, 40)], [(8 * k, 8 * k + 8) for k in range(5)]]
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(wide, name), getattr(one, name))
 
     def test_work_ceiling(self):
-        PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS, n_paths=1, seed=0)
+        dataclasses.replace(CFG, n_steps=MAX_PATH_STEPS, n_paths=1)
         with pytest.raises(InvalidDomainError, match="paths x steps"):
-            PathConfig(t_end=0.5, n_steps=MAX_PATH_STEPS // 2 + 1, n_paths=2, seed=0)
+            dataclasses.replace(CFG, n_steps=MAX_PATH_STEPS // 2 + 1, n_paths=2)
 
     def test_extreme_scales(self):
         # sigma^2 and eta^2 overflow, but the step size sigma sqrt(dt) = 1e49
         # and the window ratio eta / step are doubles; ten steps of 3e306,
-        # whose sum could pass the double range, are refused by the batch and
-        # by the one-path generator alike
-        cfg = PathConfig(t_end=1e-300, n_steps=10, n_paths=2, seed=0, etas=(1e200,))
-        batch = simulate_batch(cfg, 1e200, (1e-300,))
+        # whose sum could pass the double range, are refused by the
+        # configuration, before a batch or a path is drawn
+        cfg = PathConfig(sigma=1e200, etas=(1e200,), t_eval=(1e-300,), n_steps=10, n_paths=2,
+                         seed=0)
+        batch = simulate_batch(cfg)
         assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts.any()
         # a band radius over the step size past the double range, and band
         # edges anchor +- eta past it: the walk treats both as infinite
         for sigma, etas in ((1e-10, (1e300,)), (1.0, (1.7e308, 0.5))):
-            cfg = PathConfig(t_end=1.0, n_steps=5000, n_paths=3, seed=1, etas=etas)
-            batch = simulate_batch(cfg, sigma, (0.5, 1.0))
+            cfg = PathConfig(sigma=sigma, etas=etas, t_eval=(0.5, 1.0), n_steps=5000, n_paths=3,
+                             seed=1)
+            batch = simulate_batch(cfg)
             assert np.all(np.isfinite(batch.errors)) and not batch.renewal_counts[:, 0].any()
-        big = PathConfig(t_end=1.0, n_steps=10, n_paths=1, seed=0)
         with pytest.raises(InvalidDomainError, match="past half the double range"):
-            simulate_batch(big, 1e307, (1.0,))
-        with pytest.raises(InvalidDomainError, match="past half the double range"):
-            generate_path(big, 1e307, 0)
+            PathConfig(sigma=1e307, etas=(0.5,), t_eval=(1.0,), n_steps=10, n_paths=1, seed=0)
 
     def test_result_ceiling(self):
-        cfg = PathConfig(t_end=0.5, n_steps=2, n_paths=MAX_RESULTS // 2 + 1, seed=0,
-                         etas=(0.5, 1.0))
         with pytest.raises(InvalidDomainError, match="result cells"):
-            simulate_batch(cfg, 1.0, (0.5,))
+            PathConfig(sigma=1.0, etas=(0.5, 1.0), t_eval=(0.5,), n_steps=2,
+                       n_paths=MAX_RESULTS // 2 + 1, seed=0)
 
     def test_scan_gathers_at_most_the_cap(self, monkeypatch):
         # 60 thresholds x 20 paths are 1200 rows; with a cap of 100 doubles and
         # a 32-point window a scan call takes 3 rows, and nothing else changes
-        cfg = PathConfig(t_end=0.5, n_steps=1500, n_paths=20, seed=5,
-                         etas=tuple(0.02 + 0.01 * k for k in range(60)))
-        want = simulate_batch(cfg, 1.0, (0.25, 0.5))
+        cfg = PathConfig(sigma=1.0, etas=tuple(0.02 + 0.01 * k for k in range(60)),
+                         t_eval=(0.25, 0.5), n_steps=1500, n_paths=20, seed=5)
+        want = simulate_batch(cfg)
         gathered = []
         scan = path_sim._first_touches
 
@@ -406,24 +400,22 @@ class TestBatch:
 
         monkeypatch.setattr(path_sim, "_first_touches", recording)
         monkeypatch.setattr(path_sim, "_GATHER", 100)
-        got = simulate_batch(cfg, 1.0, (0.25, 0.5))
+        got = simulate_batch(cfg)
         assert max(gathered) == 3 * 32
         for name in ("errors", "renewal_counts"):
             assert_same_bits(getattr(got, name), getattr(want, name))
 
     # FIG3_T_EVAL's early times cut chunks of 40 steps or fewer here, whose
     # pad is most of the buffer
-    SHORT_CHUNKS = PathConfig(t_end=0.5, n_steps=10000, n_paths=_ROWS, seed=3,
-                              etas=(0.05, 0.1, 0.2))
+    SHORT_CHUNKS = PathConfig(sigma=1.0, etas=(0.05, 0.1, 0.2), t_eval=FIG3_T_EVAL,
+                              n_steps=10000, n_paths=_ROWS, seed=3)
 
     def test_short_chunks_hold_one_buffer(self):
         cfg = self.SHORT_CHUNKS
-        t_idx = tuple(cfg.time_index(t) for t in FIG3_T_EVAL)
-        errors = np.empty((cfg.n_paths, len(t_idx), len(cfg.etas)))
+        errors = np.empty((cfg.n_paths, len(cfg.t_idx), len(cfg.etas)))
         counts = np.empty((cfg.n_paths, len(cfg.etas)), dtype=np.int64)
-        peak = traced_peak(lambda: _run_groups(cfg, 1.0, t_idx, _groups(cfg.n_paths), errors,
-                                               counts))
-        assert peak <= engine_bytes(cfg, 1.0, cfg.n_paths)
+        peak = traced_peak(lambda: _run_groups(cfg, _groups(cfg.n_paths), errors, counts))
+        assert peak <= engine_bytes(cfg, cfg.n_paths)
 
     def test_batch_holds_its_results_once(self, monkeypatch):
         # smaller groups and buffer, so that the 1.7 MB of results are more
@@ -433,9 +425,9 @@ class TestBatch:
         cfg = dataclasses.replace(self.SHORT_CHUNKS, n_steps=2000, n_paths=2000,
                                   etas=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
         results = cfg.n_paths * len(cfg.etas) * 8 * (len(FIG3_T_EVAL) + 1)
-        engine = engine_bytes(cfg, 1.0, 128)
+        engine = engine_bytes(cfg, 128)
         assert results > engine
-        peak = traced_peak(lambda: simulate_batch(cfg, 1.0, FIG3_T_EVAL, workers=1))
+        peak = traced_peak(lambda: simulate_batch(cfg, workers=1))
         assert peak <= results + engine
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537])
@@ -459,7 +451,9 @@ class TestBatch:
     ])
     def test_batch_does_not_depend_on_rows_or_group(self, monkeypatch, n_steps, t_idx, etas,
                                                     walks):
-        cfg = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=400, seed=11, etas=etas)
+        cfg = PathConfig(sigma=1.0, etas=etas, t_eval=tuple(i / n_steps for i in t_idx),
+                         n_steps=n_steps, n_paths=400, seed=11)
+        assert cfg.t_idx == t_idx
         buffers, blocks = [], []
         scan, fill = path_sim._first_touches, path_sim._fill_block
 
@@ -475,7 +469,7 @@ class TestBatch:
         monkeypatch.setattr(path_sim, "_fill_block", recording_fill)
         if not walks:
             monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
-        want = run_paths(cfg, 1.0, t_idx, 0, cfg.n_paths)
+        want = run_paths(cfg, 0, cfg.n_paths)
         # more than _ROWS paths are awake in some chunk in both configurations
         assert max(buffers) <= _ROWS and max(blocks) == _ROWS
         if not walks:  # 400 awake paths fill blocks of 150, 150 and 100 in each chunk
@@ -484,7 +478,7 @@ class TestBatch:
         blocks.clear()
         monkeypatch.setattr(path_sim, "_ROWS", 7)
         monkeypatch.setattr(path_sim, "_GROUP", 23)
-        got = run_paths(cfg, 1.0, t_idx, 0, cfg.n_paths)
+        got = run_paths(cfg, 0, cfg.n_paths)
         assert max(buffers) <= 7 and max(blocks) == 7
         for g, w in zip(got, want):
             assert_same_bits(g, w)
@@ -526,12 +520,12 @@ class TestBatch:
     def test_matches_reference_engine(self, n_steps, n_paths, start, sigma, log_etas,
                                       extra_times):
         etas = tuple(dict.fromkeys(10.0**u for u in log_etas))
-        cfg = PathConfig(t_end=0.5, n_steps=n_steps, n_paths=start + n_paths, seed=77,
-                         etas=etas)
-        # evaluation times on the grid, 0 and t_end included, in no particular order
-        idx = dict.fromkeys([n_steps, *(round(f * n_steps) for f in extra_times), 0])
-        t_idx = tuple(cfg.time_index(i * cfg.dt) for i in idx)
-        args = (cfg, sigma, t_idx, start, start + n_paths)
+        # evaluation times on the grid, 0 and t_end = 0.5 included, in no particular order
+        idx = tuple(dict.fromkeys([n_steps, *(round(f * n_steps) for f in extra_times), 0]))
+        cfg = PathConfig(sigma=sigma, etas=etas, t_eval=tuple(0.5 * i / n_steps for i in idx),
+                         n_steps=n_steps, n_paths=start + n_paths, seed=77)
+        assert cfg.t_idx == idx
+        args = (cfg, start, start + n_paths)
         with mock.patch.object(path_sim, "_walk", side_effect=AssertionError("a path walked")):
             got_all = run_paths(*args)
         for got, want in zip(got_all, reference_chunk(*args)):
@@ -542,20 +536,22 @@ class TestBatch:
         # not build the rest
         tracemalloc.start()
         try:
-            first = list(itertools.islice(_chunk_ends((10**11, 5, 0), 10**11), 3))
+            first = list(itertools.islice(_chunk_ends((10**11, 5, 0)), 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert first == [5, _CHUNK, 2 * _CHUNK]
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("t_idx,n_steps", [
-        ((), 1), ((0, 1), 1), ((3,), _CHUNK), ((_CHUNK, 0, 7), _CHUNK + 1),
-        ((2 * _CHUNK, 7, 7, 5000), 3 * _CHUNK), ((9000, 4000, 1), 4 * _CHUNK + 5),
+    # the last evaluation index is n_steps
+    @pytest.mark.parametrize("t_idx", [
+        (1,), (0, 1), (3, _CHUNK), (_CHUNK, 0, 7, _CHUNK + 1),
+        (2 * _CHUNK, 7, 7, 5000, 3 * _CHUNK), (9000, 4 * _CHUNK + 5, 4000, 1),
     ])
-    def test_chunk_ends_match_sorted_set(self, t_idx, n_steps):
+    def test_chunk_ends_match_sorted_set(self, t_idx):
+        n_steps = max(t_idx)
         want = sorted({i for i in t_idx if i > 0} | {*range(_CHUNK, n_steps, _CHUNK), n_steps})
-        assert list(_chunk_ends(t_idx, n_steps)) == want
+        assert list(_chunk_ends(t_idx)) == want
 
     def test_variance_plateau(self, small_batch):
         var = small_batch.variance(0.5, 0.5)
@@ -641,10 +637,11 @@ class TestScanRound:
         code = f"""if True:
             import resource
             from exitgrid.path_sim import PathConfig, simulate_batch
-            cfg = PathConfig(t_end=0.2, n_steps=40000, n_paths=300, seed=7,
-                             etas=(0.02, 0.05, 0.1))
+            cfg = PathConfig(sigma=1.0, etas=(0.02, 0.05, 0.1),
+                             t_eval={[t for t in FIG3_T_EVAL if t <= 0.2]}, n_steps=40000,
+                             n_paths=300, seed=7)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            simulate_batch(cfg, 1.0, {[t for t in FIG3_T_EVAL if t <= 0.2]})
+            simulate_batch(cfg)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
         src = os.path.dirname(os.path.dirname(path_sim.__file__))
@@ -700,9 +697,10 @@ class TestWalkOnSpheres:
     def compare_with_reference(monkeypatch, n_steps, t_idx, seeds):
         """Errors by KS and counts by chi-square against the reference engine, at 1 %.
 
-        t_end is 1 and the etas (0.8, 1.5); the two engines run on the
-        independent seeds ``seeds``.  Returns the rows passed to ``_walk`` over
-        all its calls, and how many of them sleep past their chunk end.
+        t_end is 1 and the etas (0.8, 1.5); ``t_idx`` ends at ``n_steps``.  The
+        two engines run on the independent seeds ``seeds``.  Returns the rows
+        passed to ``_walk`` over all its calls, and how many of them sleep past
+        their chunk end.
         """
         steps, spans, ratios = [], [], []
         walk, stay_ratio = path_sim._walk, path_sim._stay_ratio
@@ -720,10 +718,10 @@ class TestWalkOnSpheres:
         monkeypatch.setattr(path_sim, "_walk", recording)
         monkeypatch.setattr(path_sim, "_stay_ratio", ratio)
         n = 4000
-        cfg = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[0], etas=(0.8, 1.5))
-        got_errors, got_counts = run_paths(cfg, 1.0, t_idx, 0, n)
-        ref = PathConfig(t_end=1.0, n_steps=n_steps, n_paths=n, seed=seeds[1], etas=(0.8, 1.5))
-        want_errors, want_counts = reference_chunk(ref, 1.0, t_idx, 0, n)
+        cfg = PathConfig(sigma=1.0, etas=(0.8, 1.5), t_eval=tuple(i / n_steps for i in t_idx),
+                         n_steps=n_steps, n_paths=n, seed=seeds[0])
+        got_errors, got_counts = run_paths(cfg, 0, n)
+        want_errors, want_counts = reference_chunk(dataclasses.replace(cfg, seed=seeds[1]), 0, n)
         # every step's horizon is one its radius allows: r / (sigma sqrt(E - t)) >= 1
         assert min(ratios) >= 1.0 - 1e-12
         for e in range(2):
@@ -768,8 +766,9 @@ class TestWalkOnSpheres:
             return hi.copy(), np.full(x.size, 2.0 * _CHUNK)
 
         monkeypatch.setattr(path_sim, "_walk", to_edge)
-        cfg = PathConfig(t_end=1.0, n_steps=4 * _CHUNK, n_paths=20, seed=3, etas=(1.5,))
-        errors, counts = run_paths(cfg, 1.0, (2 * _CHUNK, 4 * _CHUNK), 0, 20)
+        cfg = PathConfig(sigma=1.0, etas=(1.5,), t_eval=(0.5, 1.0), n_steps=4 * _CHUNK,
+                         n_paths=20, seed=3)
+        errors, counts = run_paths(cfg, 0, 20)
         assert first == [_CHUNK]
         assert np.all(counts[:, 0] >= 1)
         assert np.all(errors[:, 0, 0] == 0.0)
@@ -777,10 +776,11 @@ class TestWalkOnSpheres:
     def test_wide_band_is_brownian(self):
         # with eta = 1e3 no path detects, and every chunk is one sphere step
         sigma, n = 1.3, 3000
-        cfg = PathConfig(t_end=1.0, n_steps=4096, n_paths=n, seed=5, etas=(1e3,))
-        batch = simulate_batch(cfg, sigma, (0.25, 1.0))
+        cfg = PathConfig(sigma=sigma, etas=(1e3,), t_eval=(0.25, 1.0), n_steps=4096, n_paths=n,
+                         seed=5)
+        batch = simulate_batch(cfg)
         assert not batch.renewal_counts.any()
-        for k, t in enumerate(batch.t_eval):
+        for k, t in enumerate(cfg.t_eval):
             x = batch.errors[:, k, 0] * 1e3
             assert stats.kstest(x, "norm", args=(0.0, sigma * math.sqrt(t))).pvalue > 0.01
 
@@ -788,27 +788,21 @@ class TestWalkOnSpheres:
 def collect_errors(
     cfg: PathConfig,
     params: ModelParams,
-    t_eval,
     workers: int = 1,
 ) -> dict[float, EmpiricalSample]:
-    """Normalized tracking-error samples for ``params.eta`` at each time."""
-    run_cfg = PathConfig(
-        t_end=cfg.t_end,
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        etas=(params.eta,),
-    )
-    batch = simulate_batch(run_cfg, params.sigma, t_eval, workers=workers)
-    return {t: batch.sample(params.eta, t) for t in batch.t_eval}
+    """Normalized tracking-error samples for ``params`` at each evaluation time of ``cfg``."""
+    run_cfg = dataclasses.replace(cfg, sigma=params.sigma, etas=(params.eta,))
+    batch = simulate_batch(run_cfg, workers=workers)
+    return {t: batch.sample(params.eta, t) for t in run_cfg.t_eval}
 
 
 class TestCollectErrors:
     def test_map_shape_and_reproducibility(self):
-        cfg = PathConfig(t_end=0.5, n_steps=2000, n_paths=200, seed=3, etas=(0.4,))
+        cfg = PathConfig(sigma=1.0, etas=(0.4,), t_eval=(0.25, 0.5), n_steps=2000, n_paths=200,
+                         seed=3)
         params = ModelParams(1.0, 0.7)
-        out1 = collect_errors(cfg, params, (0.25, 0.5))
-        out2 = collect_errors(cfg, params, (0.25, 0.5))
+        out1 = collect_errors(cfg, params)
+        out2 = collect_errors(cfg, params)
         assert set(out1) == {0.25, 0.5}
         for t in out1:
             assert out1[t].n == 200
@@ -816,6 +810,6 @@ class TestCollectErrors:
             assert np.all(np.abs(out1[t].values) <= 1.0)
 
     def test_rejects_off_grid_times(self):
-        cfg = PathConfig(t_end=0.5, n_steps=2000, n_paths=10, seed=3, etas=(0.4,))
-        with pytest.raises(InvalidDomainError):
-            collect_errors(cfg, ModelParams(1.0, 0.4), (0.1234567,))
+        cfg = PathConfig(sigma=1.0, etas=(0.4,), t_eval=(0.5,), n_steps=2000, n_paths=10, seed=3)
+        with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
+            collect_errors(dataclasses.replace(cfg, t_eval=(0.1234567, 0.5)), ModelParams(1.0, 0.4))
