@@ -91,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sample_cap < 1:
             raise ConfigError(f"sample_cap must be >= 1, got {self.sample_cap}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def canonical(self) -> str:
         """Configuration echo that determines the CSV bodies.

@@ -17,11 +17,13 @@ extrema, scan set-up) once for all its paths, asleep or not.
 A chunk ends every ``_CHUNK`` (2048) grid steps and at every evaluation
 time, so the anchor in force at an evaluation time is the anchor at the end
 of its chunk.  Only the paths that are filled forward in a chunk get buffer
-rows: they are packed into the first rows of one reused ``(_ROWS, 1 + chunk
-+ window)`` buffer in blocks of at most ``_ROWS`` (150) paths, and a slot
-map records each path's row.  With the widest window (512) that bounds the
-buffer at ``150 x 2561 x 8`` bytes (3.1 MB); full path matrices are never
-held.  Neither groups nor blocks enter a path's stream.
+rows: they are packed in blocks of at most ``_ROWS`` (150) paths into one
+reused buffer of ``_ROWS x (1 + _CHUNK / 2 + window)`` doubles (1.8 MB at
+the widest window, 512), and a slot map records each path's row.  A block
+fills and scans its chunk in tiles, carrying each path's value and anchors:
+a full block in two tiles of about 1024 steps, one of at most 76 to 90 rows
+in one.  Full path matrices are never held, and neither groups, blocks nor
+tiles enter a path's stream.
 
 :func:`simulate_batch` allocates the result arrays once.  One process runs
 every group in turn with one buffer and writes each group's results into
@@ -56,26 +58,26 @@ exit point and time for a walker, with the columns before its first grid
 point repeating that point's value, which leaves every first-touch outcome
 as it is.  So the engine keeps the law of the grid first-touch process
 while a quiet path costs a few draws per horizon instead of one per grid
-step; a block whose paths are all at the chunk start is one
-:func:`_extend` call over its rows, whose column 0 carries the previous
-chunk's last value.
+step; a tile whose paths are all carried in is one :func:`_extend` call
+over its rows, whose column 0 carries the previous tile's last value.
 
 The scan state of a group is flat over (threshold, path) rows, so one loop
 of numpy rounds serves every threshold of a block: a block costs the
 largest number of rounds over its thresholds, not their sum.  A row enters
-a chunk's scan only if the chunk's extrema for its path hold a point at
+a tile's scan only if the tile's extrema for its path hold a point at
 least ``eta`` from its anchor; that is the one skip rule.  Each round then
 finds at most one crossing per live row in a window after its last
 crossing, read from its path's buffer row through the slot map, or moves
 the row on by one window; the window is the smallest over the batch's
-thresholds (about twice the mean gap between crossings), so a round gathers
+thresholds (about the mean gap between crossings), so a round gathers
 ``rows x window`` doubles.  The live rows of a block are scanned in calls
 of at most ``_GATHER / window`` rows, so a round never gathers more than
-the buffer holds (3.1 MB), whatever the number of thresholds; the rows of
-five thresholds at the widest window fit in one call.  A call allocates
-one hit mask, ``rows x window`` booleans, whose first rows each round
-overwrites; the rows of one threshold are one run, compared with that
-threshold's scalar ``eta``.  A row leaves the loop at the end of the chunk.
+``150 x 2561`` doubles (3.1 MB), whatever the number of thresholds; the
+rows of five thresholds at the widest window fit in one call.  A call
+allocates one hit mask, ``rows x window`` booleans, whose first rows each
+round overwrites; the rows of one threshold are one run, compared with
+that threshold's scalar ``eta``.  A row leaves the loop at the end of the
+tile; the next tile's scan starts at its first column.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -91,7 +93,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import EmpiricalSample
 from .errors import InvalidDomainError
@@ -104,7 +105,7 @@ _GROUP = 512
 _ROWS = 150  # rows of the chunk buffer: a chunk's forward-filled paths fill it in blocks
 _CHUNK = 2048  # grid steps drawn per path between scans
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
-_GATHER = _ROWS * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers: one buffer
+_GATHER = _ROWS * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers
 
 # resource ceilings, checked before anything is allocated: the grid steps
 # drawn (paths x steps; the full protocol draws 50 000 x 200 000 = 1e10) and
@@ -360,14 +361,14 @@ def generate_path(cfg: PathConfig, path_index: int) -> np.ndarray:
 
 
 def _window(eta: float, scale: float) -> int:
-    """Scan window: twice the mean gap between crossings, ``(eta/scale)^2``, clipped.
+    """Scan window: the mean gap between crossings, ``(eta/scale)^2``, clipped.
 
-    ``scale`` is the step size ``sigma sqrt(dt)``.  Twice the mean lets most
-    crossings be found in the first window while keeping the per-round work
-    small.
+    ``scale`` is the step size ``sigma sqrt(dt)``.  The first touch is exact
+    at any window; the mean gap keeps a round's gather, its hit mask and the
+    window pad of a buffer row small.
     """
     ratio = eta / scale if scale > 0.0 else math.inf
-    return int(min(max(2.0 * ratio * ratio, _WINDOW[0]), _WINDOW[1]))
+    return int(min(max(ratio * ratio, _WINDOW[0]), _WINDOW[1]))
 
 
 def _groups(n: int, least: int = 1) -> np.ndarray:
@@ -489,27 +490,32 @@ def _chunk_ends(t_idx):
             last = end
 
 
-def _fill_block(rngs, xs, n: int, width: int, scale: float, x, t, done: int, paths, top,
-                bottom) -> None:
-    """Fill the buffer rows ``xs`` forward, row ``j`` for path ``paths[j]``, over the chunk.
+def _fill_tile(rngs, xs, m: int, width: int, scale: float, x, u, paths, top, bottom):
+    """Fill the rows ``xs`` forward over a tile of ``m`` steps, row ``j`` for ``paths[j]``.
 
-    One :func:`_extend` call when every path of the block is at the chunk
-    start, one :func:`_resume` per row otherwise.  Each path's end value and
-    extrema over columns ``1..n`` go to ``x``, ``top`` and ``bottom``, and the
-    ``width - 1`` columns after ``n`` that a scan window can reach repeat the
-    end value: a pad that adds no extremum and no crossing.  The pad is
-    written from ``x``, not from column ``n``, since numpy copies the
-    destination of an assignment whose source overlaps it.
+    Path ``paths[j]`` is at ``x`` ``u[j]`` steps after the tile's column 0, or
+    is carried in there if ``u[j] <= 0``.  One :func:`_extend` call when every
+    path is carried in, one :func:`_resume` per row otherwise; a path with
+    ``u[j] >= m`` starts after the tile, is not filled and is not among the
+    returned paths.  Each filled path's end value and extrema over columns
+    ``1..m`` go to ``x``, ``top`` and ``bottom``, and the ``width - 1``
+    columns after ``m`` that a scan window can reach repeat the end value: a
+    pad that adds no extremum and no crossing.  The pad is written from
+    ``x``, not from column ``m``, since numpy copies the destination of an
+    assignment whose source overlaps it.
     """
-    if (t[paths] == done).all():
+    if (u <= 0.0).all():
         xs[:, 0] = x[paths]
-        _extend([rngs[i] for i in paths], xs, n, scale)
+        _extend([rngs[i] for i in paths], xs, m, scale)
     else:
-        for row, i in zip(xs, paths):
-            _resume(rngs[i], row, n, scale, x[i], t[i] - done)
-    top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
-    x[paths] = xs[:, n]
-    xs[:, n + 1 : n + width] = x[paths, None]
+        for row, i, v in zip(xs, paths, u):
+            if v < m:
+                _resume(rngs[i], row, m, scale, x[i], max(v, 0.0))
+    top[paths], bottom[paths] = xs[:, 1 : m + 1].max(axis=1), xs[:, 1 : m + 1].min(axis=1)
+    filled = u < m
+    x[paths] = np.where(filled, xs[:, m], x[paths])
+    xs[:, m + 1 : m + width] = x[paths, None]
+    return paths[filled]
 
 
 def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
@@ -517,10 +523,10 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
 
     Row ``i`` of the result arrays is path ``bounds[0] + i``; every row is
     written.  Memory besides the result arrays is bounded whatever the
-    number of paths: one buffer of at most ``_ROWS`` rows, reused by every
-    block of every chunk of every group, and the state of one group (value,
-    time, extrema, generator and scan rows of at most ``_GROUP`` paths) at a
-    time.
+    number of paths: one buffer of at most ``_ROWS`` rows of half a chunk,
+    reused by every tile of every block of every group, and the state of one
+    group (value, time, extrema, generator and scan rows of at most
+    ``_GROUP`` paths) at a time.
     """
     etas = np.asarray(cfg.etas)
     t_idx_arr = np.asarray(cfg.t_idx, dtype=np.int64)
@@ -532,8 +538,9 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
     per_block = min(_ROWS, int(np.diff(bounds).max()))  # paths filled together
-    buf = np.empty((per_block, 1 + _CHUNK + width))  # carry, chunk, window pad
-    win = sliding_window_view(buf, width, axis=1)
+    # a block row holds its carry, a tile (the chunk or a part of it) and the window pad
+    cells = min(_ROWS * (1 + _CHUNK // 2 + width), per_block * (1 + _CHUNK + width))
+    buf = np.empty(cells)
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         out = slice(g0 - bounds[0], g1 - bounds[0])
         rngs = [np.random.default_rng([cfg.seed, p]) for p in range(g0, g1)]
@@ -565,13 +572,19 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
             fill = np.flatnonzero(t < end)  # a path with t > end sleeps: no row, no scan
             for b in range(0, fill.size, per_block):
                 paths = fill[b : b + per_block]
-                _fill_block(rngs, buf[: paths.size], n, width, scale, x, t, done, paths, top,
-                            bottom)
+                cols = min(cells // paths.size, 1 + _CHUNK + width)
+                xs = buf[: paths.size * cols].reshape(paths.size, cols)
+                win = np.ndarray((paths.size, cols - width + 1, width), buffer=buf,
+                                 strides=xs.strides + xs.strides[1:])  # each row's windows
                 slot[paths] = np.arange(paths.size)
-                live, cross = tr.live(paths, top, bottom)
-                live = live[cross]
-                for i in range(0, live.size, per_call):
-                    _first_touches(buf, win, n, tr, live[i : i + per_call], slot)
+                u = t[paths] - done
+                for c0 in range(0, n, cols - width):  # the chunk in tiles of cols - width steps
+                    m = min(cols - width, n - c0)
+                    on = _fill_tile(rngs, xs, m, width, scale, x, u - c0, paths, top, bottom)
+                    live, cross = tr.live(on, top, bottom)
+                    live = live[cross]
+                    for i in range(0, live.size, per_call):
+                        _first_touches(xs, win, m, tr, live[i : i + per_call], slot)
             t[fill] = end
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x[:, None] - tr.by_path(tr.anchor)) / etas

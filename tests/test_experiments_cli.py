@@ -756,6 +756,14 @@ class TestRunners:
         assert "n_steps and n_paths must be >= 1" in err and "ladder" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_workers_are_checked_before_the_ladder(self, tmp_path, capsys):
+        # workers is a run option, not a batch input: the configuration refuses
+        # it before the ladder, not simulate_batch after it
+        assert main(["limit", "--sigma", "0.1", "--workers", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "workers must be >= 1" in err and "ladder" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_limit_evaluates_error_law_once_per_rung(self, monkeypatch, tmp_path):
         # one f_Z series evaluation per ladder rung, plus one at the operating
         # point, and as many atom evaluations: the atom column reads the z grid

@@ -159,14 +159,14 @@ def run_paths(cfg, start, stop):
 def engine_bytes(cfg, paths):
     """The most the engine may hold besides its results, in groups of ``paths`` paths.
 
-    One buffer; one scan round, its gathered doubles and their hit mask; and
-    one group's state at 2 KB a path (a generator alone takes about 1.1 KB),
-    plus 256 KB.
+    One buffer, which holds a full block in tiles of half a chunk; one scan
+    round, its gathered doubles and their hit mask; and one group's state at
+    2 KB a path (a generator alone takes about 1.1 KB), plus 256 KB.
     """
     width = min(path_sim._window(eta, cfg.sigma * math.sqrt(cfg.dt)) for eta in cfg.etas)
     rows = min(path_sim._ROWS, paths)
     gather = min(len(cfg.etas) * rows, path_sim._GATHER // width) * width
-    return 8 * rows * (1 + _CHUNK + width) + 9 * gather + 2048 * paths + 2**18
+    return 8 * rows * (1 + _CHUNK // 2 + width) + 9 * gather + 2048 * paths + 2**18
 
 
 def traced_peak(fn) -> int:
@@ -444,7 +444,7 @@ class TestBatch:
     # some walk again, and a forward one: eta 0.05 is below sigma sqrt(_CHUNK
     # dt) = 0.71, so no path walks and all 400 are awake in every chunk, more
     # than _ROWS.  The walk is checked against the reference engine only in
-    # law, so this pins the blocks and the slot map bit for bit.
+    # law, so this pins the blocks, their tiles and the slot map bit for bit.
     @pytest.mark.parametrize("n_steps,t_idx,etas,walks", [
         (8192, (2048, 4096, 6144, 8192), (0.8, 1.5), True),
         (2 * _CHUNK + 5, (0, 1000, 2 * _CHUNK + 5), (0.05, 0.3), False),
@@ -454,32 +454,64 @@ class TestBatch:
         cfg = PathConfig(sigma=1.0, etas=etas, t_eval=tuple(i / n_steps for i in t_idx),
                          n_steps=n_steps, n_paths=400, seed=11)
         assert cfg.t_idx == t_idx
-        buffers, blocks = [], []
-        scan, fill = path_sim._first_touches, path_sim._fill_block
+        buffers, fills = [], []
+        scan, fill = path_sim._first_touches, path_sim._fill_tile
 
         def recording_scan(buf, win, n, tr, rows, slot):
             buffers.append(buf.shape[0])
             scan(buf, win, n, tr, rows, slot)
 
-        def recording_fill(rngs, xs, *rest):
-            blocks.append(xs.shape[0])
-            fill(rngs, xs, *rest)
+        def recording_fill(rngs, xs, m, *rest):
+            fills.append((xs.shape[0], m))
+            return fill(rngs, xs, m, *rest)
 
         monkeypatch.setattr(path_sim, "_first_touches", recording_scan)
-        monkeypatch.setattr(path_sim, "_fill_block", recording_fill)
+        monkeypatch.setattr(path_sim, "_fill_tile", recording_fill)
         if not walks:
             monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
         want = run_paths(cfg, 0, cfg.n_paths)
         # more than _ROWS paths are awake in some chunk in both configurations
-        assert max(buffers) <= _ROWS and max(blocks) == _ROWS
-        if not walks:  # 400 awake paths fill blocks of 150, 150 and 100 in each chunk
-            assert blocks == [_ROWS, _ROWS, 100] * 4
+        assert max(buffers) <= _ROWS and max(rows for rows, _ in fills) == _ROWS
+        if not walks:
+            # 400 awake paths fill blocks of 150, 150 and 100 in chunks of 1000,
+            # 1048, 2048 and 5 steps; a full block takes tiles of 1 + _CHUNK // 2
+            # steps, a block of 100 rows tiles of 150 * 1057 // 100 - 32 steps
+            assert fills == ([(150, 1000)] * 2 + [(100, 1000)]
+                             + [(150, 1025), (150, 23)] * 2 + [(100, 1048)]
+                             + [(150, 1025), (150, 1023)] * 2 + [(100, 1553), (100, 495)]
+                             + [(150, 5)] * 2 + [(100, 5)])
         buffers.clear()
-        blocks.clear()
+        fills.clear()
         monkeypatch.setattr(path_sim, "_ROWS", 7)
         monkeypatch.setattr(path_sim, "_GROUP", 23)
         got = run_paths(cfg, 0, cfg.n_paths)
-        assert max(buffers) <= 7 and max(blocks) == 7
+        assert max(buffers) <= 7 and max(rows for rows, _ in fills) == 7
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    def test_tiled_blocks_resume_walkers_mid_chunk(self, monkeypatch):
+        # 60 paths fill blocks of at most 60 rows, each one tile of the whole
+        # chunk.  Blocks of 7 rows take two tiles of 1 + _CHUNK // 2 steps, and a
+        # walker that left its sphere inside a chunk starts in either: a first
+        # tile leaves it unfilled, or a later tile resumes it beside carried rows
+        cfg = PathConfig(sigma=1.0, etas=(0.8, 1.5), t_eval=(0.25, 0.5, 0.75, 1.0),
+                         n_steps=8192, n_paths=60, seed=11)
+        fills = []
+        fill = path_sim._fill_tile
+
+        def recording_fill(rngs, xs, m, width, scale, x, u, *rest):
+            fills.append((m, u.copy()))
+            return fill(rngs, xs, m, width, scale, x, u, *rest)
+
+        monkeypatch.setattr(path_sim, "_fill_tile", recording_fill)
+        want = run_paths(cfg, 0, cfg.n_paths)
+        assert [m for m, _ in fills] == [_CHUNK] * len(fills)
+        fills.clear()
+        monkeypatch.setattr(path_sim, "_ROWS", 7)
+        got = run_paths(cfg, 0, cfg.n_paths)
+        assert {1 + _CHUNK // 2, _CHUNK - 1 - _CHUNK // 2} <= {m for m, _ in fills}
+        assert any((u >= m).any() for m, u in fills)
+        assert any((u < 0).any() and ((u > 0) & (u < m)).any() for m, u in fills)
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
