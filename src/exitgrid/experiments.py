@@ -309,7 +309,8 @@ def run_density_table(cfg: ExperimentConfig) -> list[Path]:
     ts = np.geomspace(1e-3 * params.timescale, _table_end(params, 1e2), 40)
     xs = np.linspace(-params.eta, params.eta, 41)
     vals = absorbed_density(params, t=ts[:, None], x=xs[None, :])
-    rows = [(t, x, v) for t, row in zip(ts, vals) for x, v in zip(xs, row)]
+    rows = [(t, x, v) for t, row in zip(ts.tolist(), vals.tolist())
+            for x, v in zip(xs.tolist(), row)]
     out = write_csv(Path(cfg.out_dir) / "density_table.csv", cfg, ("t", "x", "p"), rows)
     return [out]
 
@@ -321,13 +322,12 @@ def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
     ts = np.linspace(0.0, _table_end(params, 8.0), 321)
     surv = law.survival(ts)
     dens = np.concatenate(([0.0], law.density(ts[1:])))
-    rows = [(t, s, d) for t, s, d in zip(ts, surv, dens)]
+    rows = list(zip(ts.tolist(), surv.tolist(), dens.tolist()))
     p1 = write_csv(Path(cfg.out_dir) / "tau_table.csv", cfg, ("t", "survival", "density"), rows)
     ps = np.linspace(0.01, 0.99, 99)
     qs = law.quantile(ps)
-    p2 = write_csv(
-        Path(cfg.out_dir) / "tau_quantiles.csv", cfg, ("p", "quantile"), list(zip(ps, qs))
-    )
+    p2 = write_csv(Path(cfg.out_dir) / "tau_quantiles.csv", cfg, ("p", "quantile"),
+                   list(zip(ps.tolist(), qs.tolist())))
     return [p1, p2]
 
 

@@ -14,16 +14,14 @@ The paths split into equal groups of at most ``_GROUP`` (512) paths, so 600
 paths make two groups of 300, not 512 + 88.  A group advances in lockstep,
 one time chunk at a time, and pays the Python cost of a chunk (band, walk,
 extrema, scan set-up) once for all its paths, asleep or not.
-A chunk ends every ``_CHUNK`` (2048) grid steps and at every evaluation
+A chunk ends every ``_CHUNK`` (1024) grid steps and at every evaluation
 time, so the anchor in force at an evaluation time is the anchor at the end
 of its chunk.  Only the paths that are filled forward in a chunk get buffer
 rows: they are packed in blocks of at most ``_ROWS`` (150) paths into one
-reused buffer of ``_ROWS x (1 + _CHUNK / 2 + window)`` doubles (1.8 MB at
-the widest window, 512), and a slot map records each path's row.  A block
-fills and scans its chunk in tiles, carrying each path's value and anchors:
-a full block in two tiles of about 1024 steps, one of at most 76 to 90 rows
-in one.  Full path matrices are never held, and neither groups, blocks nor
-tiles enter a path's stream.
+reused buffer of ``_ROWS x (1 + _CHUNK + window)`` doubles (1.8 MB at the
+widest window, 512), and a slot map records each path's row.  A block fills
+its whole chunk and then scans it.  Full path matrices are never held, and
+neither groups nor blocks enter a path's stream.
 
 :func:`simulate_batch` allocates the result arrays once.  One process runs
 every group in turn with one buffer and writes each group's results into
@@ -58,13 +56,13 @@ exit point and time for a walker, with the columns before its first grid
 point repeating that point's value, which leaves every first-touch outcome
 as it is.  So the engine keeps the law of the grid first-touch process
 while a quiet path costs a few draws per horizon instead of one per grid
-step; a tile whose paths are all carried in is one :func:`_extend` call
-over its rows, whose column 0 carries the previous tile's last value.
+step; a block whose paths are all at the chunk start is one :func:`_extend`
+call over its rows, whose column 0 carries the previous chunk's last value.
 
 The scan state of a group is flat over (threshold, path) rows, so one loop
 of numpy rounds serves every threshold of a block: a block costs the
 largest number of rounds over its thresholds, not their sum.  A row enters
-a tile's scan only if the tile's extrema for its path hold a point at
+a chunk's scan only if the chunk's extrema for its path hold a point at
 least ``eta`` from its anchor; that is the one skip rule.  Each round then
 finds at most one crossing per live row in a window after its last
 crossing, read from its path's buffer row through the slot map, or moves
@@ -72,12 +70,12 @@ the row on by one window; the window is the smallest over the batch's
 thresholds (about the mean gap between crossings), so a round gathers
 ``rows x window`` doubles.  The live rows of a block are scanned in calls
 of at most ``_GATHER / window`` rows, so a round never gathers more than
-``150 x 2561`` doubles (3.1 MB), whatever the number of thresholds; the
-rows of five thresholds at the widest window fit in one call.  A call
+``150 x 1537`` doubles (1.8 MB), whatever the number of thresholds; the
+rows of three thresholds at the widest window fit in one call.  A call
 allocates one hit mask, ``rows x window`` booleans, whose first rows each
 round overwrites; the rows of one threshold are one run, compared with
 that threshold's scalar ``eta``.  A row leaves the loop at the end of the
-tile; the next tile's scan starts at its first column.
+chunk; the next chunk's scan starts at its first column.
 
 The crossing convention is grid-first-touch: a detection is recorded at the
 first grid index where the path has moved at least ``eta`` from the current
@@ -93,6 +91,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import EmpiricalSample
 from .errors import InvalidDomainError
@@ -103,7 +102,7 @@ __all__ = ["MAX_PATH_STEPS", "MAX_RESULTS", "PathConfig", "SimulationBatch", "ge
 # most paths advanced in lockstep, and held at once: a batch's paths split into equal groups
 _GROUP = 512
 _ROWS = 150  # rows of the chunk buffer: a chunk's forward-filled paths fill it in blocks
-_CHUNK = 2048  # grid steps drawn per path between scans
+_CHUNK = 1024  # grid steps drawn per path between scans
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
 _GATHER = _ROWS * (1 + _CHUNK + _WINDOW[1])  # most doubles a scan round gathers
 
@@ -223,17 +222,17 @@ def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
 
 
 def _resume(rng, row: np.ndarray, n: int, scale: float, x: float, u: float) -> None:
-    """Fill columns ``1..n`` of ``row`` forward from the value ``x`` at ``u`` steps in.
+    """Fill columns ``1..n`` of ``row`` forward from the value ``x`` at ``u < n`` steps in.
 
     The first grid point after ``u``, column ``k``, gets variance
     ``(k - u) scale^2``; columns ``1..k-1`` repeat its value.  At ``u = 0``
     with ``x`` the carry in column 0 this is :func:`_extend` bit for bit.
     """
-    k = min(int(u) + 1, n)
+    k = int(u) + 1
     seg = row[k - 1 : n + 1]
     rng.standard_normal(out=seg[1:])
     seg[1:] *= scale
-    seg[1] *= math.sqrt(max(k - u, 0.0))
+    seg[1] *= math.sqrt(k - u)
     seg[0] = x
     np.cumsum(seg, out=seg)
     row[1:k] = seg[1]
@@ -247,13 +246,16 @@ def _stay_ratio(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     :func:`~exitgrid.density._images` over its leading image, whose image
     at ``c`` is ``(-1)^(c/2) exp(-(c a)(c a - 2 z) / 2)``.  The images with
     ``|c| <= 10`` are summed; the rest are below ``exp(-60 a^2)``.  The sum
-    is elementwise, so a row's value does not depend on the other rows.
+    is elementwise, so a row's value does not depend on the other rows; the
+    images form one table, whose rows are added in the order of ``c``.
     """
-    acc = np.ones(z.shape)
+    c = np.array([2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0, 10.0, -10.0])[:, None]
+    ca = c * a
     with np.errstate(over="ignore"):  # an exponent past the double range is -inf: exp 0
-        for j in range(1, 6):
-            for ca in (2 * j * a, -2 * j * a):
-                acc += (-1.0) ** j * np.exp(-0.5 * ca * (ca - 2.0 * z))
+        terms = (-1.0) ** (c / 2) * np.exp(-0.5 * ca * (ca - 2.0 * z))
+    acc = np.ones(z.shape)
+    for term in terms:
+        acc += term
     return acc
 
 
@@ -266,10 +268,18 @@ def _exit_ratio(q: np.ndarray) -> np.ndarray:
     summed to ``k = 4``; the next term is below ``1e-25``.  It lies in
     ``(0, 1]``.
     """
+    k = np.arange(1.0, 5.0)[:, None]
+    terms = (-1.0) ** k * (2 * k + 1) * np.exp(-2.0 * k * (k + 1) * q)
     acc = np.ones(q.shape)
-    for k in range(1, 5):
-        acc += (-1.0) ** k * (2 * k + 1) * np.exp(-2.0 * k * (k + 1) * q)
+    for term in terms:
+        acc += term
     return acc
+
+
+def _draw_pairs(gens, draw):
+    """One ``draw(g)`` and then one uniform from each generator ``g``, as two arrays."""
+    first = np.fromiter((draw(g) for g in gens), float, len(gens))
+    return first, np.fromiter((g.random() for g in gens), float, len(gens))
 
 
 def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -284,8 +294,7 @@ def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     share = np.empty(rows.size)
     todo = np.arange(rows.size)
     while todo.size:
-        e, w = np.array([(rngs[i].standard_exponential(), rngs[i].random())
-                         for i in rows[todo]]).T
+        e, w = _draw_pairs([rngs[i] for i in rows[todo]], np.random.Generator.standard_exponential)
         a2 = a[todo] * a[todo]
         q = a2 + 2.0 * e
         ok = w * np.sqrt(q / a2) < _exit_ratio(q)
@@ -333,7 +342,7 @@ def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
         root = scale * np.sqrt(horizon - t0)  # sd of the displacement to the horizon
         with np.errstate(over="ignore"):  # a = inf: the row stays, as for any huge a
             a = r / root
-        z, w = np.array([(rngs[i].standard_normal(), rngs[i].random()) for i in rows]).T
+        z, w = _draw_pairs([rngs[i] for i in rows], np.random.Generator.standard_normal)
         kept = (np.abs(z) < a) & (w < _stay_ratio(a, z))
         x[rows[kept]] += root[kept] * z[kept]
         t[rows[kept]] = horizon[kept]
@@ -490,32 +499,27 @@ def _chunk_ends(t_idx):
             last = end
 
 
-def _fill_tile(rngs, xs, m: int, width: int, scale: float, x, u, paths, top, bottom):
-    """Fill the rows ``xs`` forward over a tile of ``m`` steps, row ``j`` for ``paths[j]``.
+def _fill_chunk(rngs, xs, n: int, width: int, scale: float, x, u, paths, top, bottom) -> None:
+    """Fill the rows ``xs`` forward over a chunk of ``n`` steps, row ``j`` for ``paths[j]``.
 
-    Path ``paths[j]`` is at ``x`` ``u[j]`` steps after the tile's column 0, or
-    is carried in there if ``u[j] <= 0``.  One :func:`_extend` call when every
-    path is carried in, one :func:`_resume` per row otherwise; a path with
-    ``u[j] >= m`` starts after the tile, is not filled and is not among the
-    returned paths.  Each filled path's end value and extrema over columns
-    ``1..m`` go to ``x``, ``top`` and ``bottom``, and the ``width - 1``
-    columns after ``m`` that a scan window can reach repeat the end value: a
-    pad that adds no extremum and no crossing.  The pad is written from
-    ``x``, not from column ``m``, since numpy copies the destination of an
-    assignment whose source overlaps it.
+    Path ``paths[j]`` is at ``x`` ``u[j] < n`` steps after the chunk start.
+    One :func:`_extend` call when every path is at the chunk start, one
+    :func:`_resume` per row otherwise.  Each path's end value and extrema
+    over columns ``1..n`` go to ``x``, ``top`` and ``bottom``, and the ``width
+    - 1`` columns after ``n`` that a scan window can reach repeat the end
+    value: a pad that adds no extremum and no crossing.  The pad is written
+    from ``x``, not from column ``n``, since numpy copies the destination of
+    an assignment whose source overlaps it.
     """
-    if (u <= 0.0).all():
+    if not u.any():
         xs[:, 0] = x[paths]
-        _extend([rngs[i] for i in paths], xs, m, scale)
+        _extend([rngs[i] for i in paths], xs, n, scale)
     else:
         for row, i, v in zip(xs, paths, u):
-            if v < m:
-                _resume(rngs[i], row, m, scale, x[i], max(v, 0.0))
-    top[paths], bottom[paths] = xs[:, 1 : m + 1].max(axis=1), xs[:, 1 : m + 1].min(axis=1)
-    filled = u < m
-    x[paths] = np.where(filled, xs[:, m], x[paths])
-    xs[:, m + 1 : m + width] = x[paths, None]
-    return paths[filled]
+            _resume(rngs[i], row, n, scale, x[i], v)
+    top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
+    x[paths] = xs[:, n]
+    xs[:, n + 1 : n + width] = x[paths, None]
 
 
 def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
@@ -523,10 +527,10 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
 
     Row ``i`` of the result arrays is path ``bounds[0] + i``; every row is
     written.  Memory besides the result arrays is bounded whatever the
-    number of paths: one buffer of at most ``_ROWS`` rows of half a chunk,
-    reused by every tile of every block of every group, and the state of one
-    group (value, time, extrema, generator and scan rows of at most
-    ``_GROUP`` paths) at a time.
+    number of paths: one buffer of at most ``_ROWS`` rows of a chunk and its
+    window pad, reused by every block of every chunk of every group, and the
+    state of one group (value, time, extrema, generator and scan rows of at
+    most ``_GROUP`` paths) at a time.
     """
     etas = np.asarray(cfg.etas)
     t_idx_arr = np.asarray(cfg.t_idx, dtype=np.int64)
@@ -538,9 +542,8 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
     width = min(_window(eta, scale) for eta in cfg.etas)
     per_call = _GATHER // width  # live rows scanned together
     per_block = min(_ROWS, int(np.diff(bounds).max()))  # paths filled together
-    # a block row holds its carry, a tile (the chunk or a part of it) and the window pad
-    cells = min(_ROWS * (1 + _CHUNK // 2 + width), per_block * (1 + _CHUNK + width))
-    buf = np.empty(cells)
+    buf = np.empty((per_block, 1 + _CHUNK + width))  # a block row: its carry, chunk and pad
+    win = sliding_window_view(buf, width, axis=1)  # each row's scan windows
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         out = slice(g0 - bounds[0], g1 - bounds[0])
         rngs = [np.random.default_rng([cfg.seed, p]) for p in range(g0, g1)]
@@ -572,19 +575,13 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
             fill = np.flatnonzero(t < end)  # a path with t > end sleeps: no row, no scan
             for b in range(0, fill.size, per_block):
                 paths = fill[b : b + per_block]
-                cols = min(cells // paths.size, 1 + _CHUNK + width)
-                xs = buf[: paths.size * cols].reshape(paths.size, cols)
-                win = np.ndarray((paths.size, cols - width + 1, width), buffer=buf,
-                                 strides=xs.strides + xs.strides[1:])  # each row's windows
                 slot[paths] = np.arange(paths.size)
-                u = t[paths] - done
-                for c0 in range(0, n, cols - width):  # the chunk in tiles of cols - width steps
-                    m = min(cols - width, n - c0)
-                    on = _fill_tile(rngs, xs, m, width, scale, x, u - c0, paths, top, bottom)
-                    live, cross = tr.live(on, top, bottom)
-                    live = live[cross]
-                    for i in range(0, live.size, per_call):
-                        _first_touches(xs, win, m, tr, live[i : i + per_call], slot)
+                _fill_chunk(rngs, buf[: paths.size], n, width, scale, x, t[paths] - done, paths,
+                            top, bottom)
+                live, cross = tr.live(paths, top, bottom)
+                live = live[cross]
+                for i in range(0, live.size, per_call):
+                    _first_touches(buf, win, n, tr, live[i : i + per_call], slot)
             t[fill] = end
             for k in np.flatnonzero(t_idx_arr == end):
                 errors[out, k, :] = (x[:, None] - tr.by_path(tr.anchor)) / etas

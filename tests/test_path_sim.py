@@ -159,14 +159,14 @@ def run_paths(cfg, start, stop):
 def engine_bytes(cfg, paths):
     """The most the engine may hold besides its results, in groups of ``paths`` paths.
 
-    One buffer, which holds a full block in tiles of half a chunk; one scan
-    round, its gathered doubles and their hit mask; and one group's state at
-    2 KB a path (a generator alone takes about 1.1 KB), plus 256 KB.
+    One buffer, which holds a full block of a chunk and its window pad; one
+    scan round, its gathered doubles and their hit mask; and one group's
+    state at 2 KB a path (a generator alone takes about 1.1 KB), plus 256 KB.
     """
     width = min(path_sim._window(eta, cfg.sigma * math.sqrt(cfg.dt)) for eta in cfg.etas)
     rows = min(path_sim._ROWS, paths)
     gather = min(len(cfg.etas) * rows, path_sim._GATHER // width) * width
-    return 8 * rows * (1 + _CHUNK // 2 + width) + 9 * gather + 2048 * paths + 2**18
+    return 8 * rows * (1 + _CHUNK + width) + 9 * gather + 2048 * paths + 2**18
 
 
 def traced_peak(fn) -> int:
@@ -177,6 +177,25 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_same_law(got, want):
+    """Errors by KS and counts by chi-square, column by column, at 1 %.
+
+    ``got`` and ``want`` are (errors, counts) pairs of independent batches
+    with the same thresholds and evaluation times.
+    """
+    (got_errors, got_counts), (want_errors, want_counts) = got, want
+    for e in range(got_counts.shape[1]):
+        for k in range(got_errors.shape[1]):
+            assert stats.ks_2samp(got_errors[:, k, e], want_errors[:, k, e]).pvalue > 0.01
+        # the counts from the largest c with 100 at or above it on share a bin
+        tail = np.cumsum(np.bincount(np.concatenate([got_counts[:, e],
+                                                     want_counts[:, e]]))[::-1])[::-1]
+        top = int(np.flatnonzero(tail >= 100).max())
+        table = [np.bincount(np.minimum(c[:, e], top), minlength=top + 1)
+                 for c in (got_counts, want_counts)]
+        assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 def assert_same_bits(got, want):
@@ -440,11 +459,10 @@ class TestBatch:
         assert sizes.size == -(-n // _GROUP)
         assert sizes.max() <= _GROUP and sizes.max() - sizes.min() <= 1
 
-    # The law test's configuration, where every path starts on a sphere and
-    # some walk again, and a forward one: eta 0.05 is below sigma sqrt(_CHUNK
+    # The law test's grid and thresholds, where every path starts on a sphere
+    # and some walk again, and a forward configuration: eta 0.05 is below sigma sqrt(_CHUNK
     # dt) = 0.71, so no path walks and all 400 are awake in every chunk, more
-    # than _ROWS.  The walk is checked against the reference engine only in
-    # law, so this pins the blocks, their tiles and the slot map bit for bit.
+    # than _ROWS.  This pins the blocks and the slot map bit for bit.
     @pytest.mark.parametrize("n_steps,t_idx,etas,walks", [
         (8192, (2048, 4096, 6144, 8192), (0.8, 1.5), True),
         (2 * _CHUNK + 5, (0, 1000, 2 * _CHUNK + 5), (0.05, 0.3), False),
@@ -455,18 +473,18 @@ class TestBatch:
                          n_steps=n_steps, n_paths=400, seed=11)
         assert cfg.t_idx == t_idx
         buffers, fills = [], []
-        scan, fill = path_sim._first_touches, path_sim._fill_tile
+        scan, fill = path_sim._first_touches, path_sim._fill_chunk
 
         def recording_scan(buf, win, n, tr, rows, slot):
             buffers.append(buf.shape[0])
             scan(buf, win, n, tr, rows, slot)
 
-        def recording_fill(rngs, xs, m, *rest):
-            fills.append((xs.shape[0], m))
-            return fill(rngs, xs, m, *rest)
+        def recording_fill(rngs, xs, n, *rest):
+            fills.append((xs.shape[0], n))
+            return fill(rngs, xs, n, *rest)
 
         monkeypatch.setattr(path_sim, "_first_touches", recording_scan)
-        monkeypatch.setattr(path_sim, "_fill_tile", recording_fill)
+        monkeypatch.setattr(path_sim, "_fill_chunk", recording_fill)
         if not walks:
             monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
         want = run_paths(cfg, 0, cfg.n_paths)
@@ -474,12 +492,8 @@ class TestBatch:
         assert max(buffers) <= _ROWS and max(rows for rows, _ in fills) == _ROWS
         if not walks:
             # 400 awake paths fill blocks of 150, 150 and 100 in chunks of 1000,
-            # 1048, 2048 and 5 steps; a full block takes tiles of 1 + _CHUNK // 2
-            # steps, a block of 100 rows tiles of 150 * 1057 // 100 - 32 steps
-            assert fills == ([(150, 1000)] * 2 + [(100, 1000)]
-                             + [(150, 1025), (150, 23)] * 2 + [(100, 1048)]
-                             + [(150, 1025), (150, 1023)] * 2 + [(100, 1553), (100, 495)]
-                             + [(150, 5)] * 2 + [(100, 5)])
+            # 24, 1024 and 5 steps, each block its whole chunk
+            assert fills == [(rows, n) for n in (1000, 24, _CHUNK, 5) for rows in (150, 150, 100)]
         buffers.clear()
         fills.clear()
         monkeypatch.setattr(path_sim, "_ROWS", 7)
@@ -489,35 +503,93 @@ class TestBatch:
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
-    def test_tiled_blocks_resume_walkers_mid_chunk(self, monkeypatch):
-        # 60 paths fill blocks of at most 60 rows, each one tile of the whole
-        # chunk.  Blocks of 7 rows take two tiles of 1 + _CHUNK // 2 steps, and a
-        # walker that left its sphere inside a chunk starts in either: a first
-        # tile leaves it unfilled, or a later tile resumes it beside carried rows
+    def test_blocks_mix_carried_rows_with_resumed_walkers(self, monkeypatch):
+        # A walker that left its sphere inside a chunk is resumed there, beside
+        # rows carried in at the chunk start.  Blocks of one row are each all
+        # carried or all resumed; blocks of 7 rows and of all 60 mix the two,
+        # and every split gives the same bits
         cfg = PathConfig(sigma=1.0, etas=(0.8, 1.5), t_eval=(0.25, 0.5, 0.75, 1.0),
                          n_steps=8192, n_paths=60, seed=11)
-        fills = []
-        fill = path_sim._fill_tile
+        starts = []
+        fill = path_sim._fill_chunk
 
-        def recording_fill(rngs, xs, m, width, scale, x, u, *rest):
-            fills.append((m, u.copy()))
-            return fill(rngs, xs, m, width, scale, x, u, *rest)
+        def recording_fill(rngs, xs, n, width, scale, x, u, *rest):
+            starts.append(u.copy())
+            return fill(rngs, xs, n, width, scale, x, u, *rest)
 
-        monkeypatch.setattr(path_sim, "_fill_tile", recording_fill)
-        want = run_paths(cfg, 0, cfg.n_paths)
-        assert [m for m, _ in fills] == [_CHUNK] * len(fills)
-        fills.clear()
-        monkeypatch.setattr(path_sim, "_ROWS", 7)
-        got = run_paths(cfg, 0, cfg.n_paths)
-        assert {1 + _CHUNK // 2, _CHUNK - 1 - _CHUNK // 2} <= {m for m, _ in fills}
-        assert any((u >= m).any() for m, u in fills)
-        assert any((u < 0).any() and ((u > 0) & (u < m)).any() for m, u in fills)
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
+        monkeypatch.setattr(path_sim, "_fill_chunk", recording_fill)
+        runs = {}
+        for rows in (1, 7, _ROWS):
+            starts.clear()
+            monkeypatch.setattr(path_sim, "_ROWS", rows)
+            runs[rows] = run_paths(cfg, 0, cfg.n_paths)
+            mixed = [u for u in starts if (u == 0.0).any() and (u > 0.0).any()]
+            assert mixed if rows > 1 else not mixed
+        for rows in (7, _ROWS):
+            for g, w in zip(runs[rows], runs[1]):
+                assert_same_bits(g, w)
+
+    # A walking batch, pinned bit for bit: the engine reads sigma and dt only
+    # through the step size sigma sqrt(dt), and the band only against r over
+    # it.  Here sigma sqrt(_CHUNK dt) = 0.016 and eta 0.05 bounds every band
+    # radius, so paths walk, wake up inside chunks and sleep past chunk ends.
+    # (At sigma = 1 it would be 0.16, and no path would walk.)
+    WALKING = PathConfig(sigma=0.1, etas=(0.05, 0.3, 0.6), t_eval=(0.25, 0.5), n_steps=20000,
+                         n_paths=400, seed=11)
+
+    @staticmethod
+    def scaled(cfg, sigma=1.0, eta=1.0, t=1.0):
+        return dataclasses.replace(cfg, sigma=cfg.sigma * sigma,
+                                   etas=tuple(e * eta for e in cfg.etas),
+                                   t_eval=tuple(u * t for u in cfg.t_eval))
+
+    @pytest.fixture(scope="class")
+    def walking(self):
+        walk, calls = path_sim._walk, []
+
+        def recording(rngs, x, t, lo, hi, end, *rest):
+            x, t = walk(rngs, x, t, lo, hi, end, *rest)
+            calls.append((x.size, np.count_nonzero(t > end), np.count_nonzero(t < end)))
+            return x, t
+
+        with mock.patch.object(path_sim, "_walk", recording):
+            got = run_paths(self.WALKING, 0, self.WALKING.n_paths)
+        steps, slept, woken = np.sum(calls, axis=0)
+        assert steps > self.WALKING.n_paths and slept > 0 and woken > 0
+        return got
+
+    @pytest.mark.parametrize("factor", [
+        dict(sigma=2.0, eta=2.0),  # the band and the steps doubled
+        dict(sigma=0.5, t=4.0),  # dt four times as long, the steps the same
+        dict(sigma=2.0**-10, t=4.0**10),  # the same, ten times over
+    ])
+    def test_walking_batch_is_invariant_under_exact_scalings(self, walking, factor):
+        cfg = self.scaled(self.WALKING, **factor)
+        errors, counts = run_paths(cfg, 0, cfg.n_paths)
+        assert_same_bits(errors, walking[0])
+        assert_same_bits(counts, walking[1])
+
+    def test_walking_batch_scaled_by_three(self, walking):
+        # sigma and eta times 3 round differently from the original: the
+        # counts are the same, and the errors agree to rounding.  The exit
+        # times, up to 2e4 steps, round to about 4e-12 of a step, and a walker
+        # that leaves just before a grid point takes its first step with sd
+        # scale sqrt(k - u), which turns that into errors of up to 6e-12
+        cfg = self.scaled(self.WALKING, sigma=3.0, eta=3.0)
+        errors, counts = run_paths(cfg, 0, cfg.n_paths)
+        assert_same_bits(counts, walking[1])
+        assert np.max(np.abs(errors - walking[0])) < 1e-10
+
+    def test_walking_batch_does_not_depend_on_rows(self, monkeypatch, walking):
+        monkeypatch.setattr(path_sim, "_ROWS", 9)
+        monkeypatch.setattr(path_sim, "_GROUP", 150)
+        errors, counts = run_paths(self.WALKING, 0, self.WALKING.n_paths)
+        assert_same_bits(errors, walking[0])
+        assert_same_bits(counts, walking[1])
 
     # Forward configurations only: the smallest eta, which bounds every
-    # path's band radius, is below sigma sqrt(_CHUNK dt) >= 0.62 sigma (at
-    # most 2648 steps over t_end = 0.5), or sigma is 0, so no path walks on
+    # path's band radius, is below sigma sqrt(_CHUNK dt) >= 0.56 sigma (at
+    # most 1624 steps over t_end = 0.5), or sigma is 0, so no path walks on
     # spheres and the engine draws generate_path's stream.  The walk's law
     # is checked against this engine in TestWalkOnSpheres.
     @settings(max_examples=25, deadline=None)
@@ -545,7 +617,7 @@ class TestBatch:
     # two groups, of 256 and 257 paths, each filled in two blocks
     @example(n_steps=_CHUNK + 5, n_paths=_GROUP + 1, start=4, sigma=1.0,
              log_etas=[-1.0, 0.0], extra_times=[0.3])
-    # evaluation steps 1024 and 1026 make a 2-step chunk, shorter than the
+    # evaluation steps 512 and 513 make a 1-step chunk, shorter than the
     # 32-point window, and eta 0.5 rows cross and then scan on to a chunk end
     @example(n_steps=2 * _CHUNK + 1, n_paths=70, start=1, sigma=1.0,
              log_etas=[math.log10(0.02), math.log10(0.5)], extra_times=[0.25, 0.2505])
@@ -752,34 +824,38 @@ class TestWalkOnSpheres:
         n = 4000
         cfg = PathConfig(sigma=1.0, etas=(0.8, 1.5), t_eval=tuple(i / n_steps for i in t_idx),
                          n_steps=n_steps, n_paths=n, seed=seeds[0])
-        got_errors, got_counts = run_paths(cfg, 0, n)
-        want_errors, want_counts = reference_chunk(dataclasses.replace(cfg, seed=seeds[1]), 0, n)
+        got = run_paths(cfg, 0, n)
+        want = reference_chunk(dataclasses.replace(cfg, seed=seeds[1]), 0, n)
         # every step's horizon is one its radius allows: r / (sigma sqrt(E - t)) >= 1
         assert min(ratios) >= 1.0 - 1e-12
-        for e in range(2):
-            for k in range(len(t_idx)):
-                assert stats.ks_2samp(got_errors[:, k, e], want_errors[:, k, e]).pvalue > 0.01
-            # the counts from the largest c with 100 at or above it on share a bin
-            tail = np.cumsum(np.bincount(np.concatenate([got_counts[:, e],
-                                                         want_counts[:, e]]))[::-1])[::-1]
-            top = int(np.flatnonzero(tail >= 100).max())
-            table = [np.bincount(np.minimum(c[:, e], top), minlength=top + 1)
-                     for c in (got_counts, want_counts)]
-            assert stats.chi2_contingency(table).pvalue > 0.01
+        assert_same_law(got, want)
         return sum(steps), sum(spans)
 
     def test_law_matches_reference_engine(self, monkeypatch):
-        # sigma sqrt(_CHUNK dt) = 0.5 < 0.8: every path starts on a sphere,
-        # and one within 0.3 of its eta-0.8 anchor walks again; with an
+        # sigma sqrt(_CHUNK dt) = 0.35 < 0.8: every path starts on a sphere,
+        # and one within 0.45 of its eta-0.8 anchor walks again; with an
         # evaluation time at every chunk end no horizon spans two chunks
-        steps, spans = self.compare_with_reference(monkeypatch, 8192, (2048, 4096, 6144, 8192),
+        steps, spans = self.compare_with_reference(monkeypatch, 8 * _CHUNK,
+                                                   tuple(k * _CHUNK for k in range(1, 9)),
                                                    (11, 12))
-        assert steps > 2 * 4000  # more than half the (path, chunk) pairs walk
+        assert steps > 4 * 4000  # more than half the (path, chunk) pairs walk
         assert spans == 0
 
+    def test_threshold_has_one_law_alone_and_in_a_batch(self, monkeypatch):
+        # sigma sqrt(_CHUNK dt) = 0.16: eta 0.6 alone starts on a sphere, while
+        # beside eta 0.05 its band is at most 0.05 wide and no path walks.  So
+        # the draws of its column depend on its batch, and its law does not
+        cfg = PathConfig(sigma=1.0, etas=(0.6,), t_eval=(0.25, 0.5), n_steps=20000,
+                         n_paths=400, seed=11)
+        alone = run_paths(cfg, 0, cfg.n_paths)
+        monkeypatch.setattr(path_sim, "_walk", mock.Mock(side_effect=AssertionError("walked")))
+        errors, counts = run_paths(dataclasses.replace(cfg, etas=(0.05, 0.3, 0.6), seed=12), 0,
+                                   cfg.n_paths)
+        assert_same_law(alone, (errors[:, :, 2:], counts[:, 2:]))
+
     def test_law_with_horizons_past_the_chunk_end(self, monkeypatch):
-        # sigma sqrt(_CHUNK dt) = 0.35: a path at its eta-0.8 anchor may sleep
-        # five chunks, but not past the evaluation time 3000, inside a chunk
+        # sigma sqrt(_CHUNK dt) = 0.25: a path at its eta-0.8 anchor may sleep
+        # ten chunks, but not past the evaluation time 3000, inside a chunk
         steps, spans = self.compare_with_reference(monkeypatch, 16384, (3000, 10240, 16384),
                                                    (13, 14))
         assert spans > 0.5 * steps  # most steps sleep through the next chunk at least
