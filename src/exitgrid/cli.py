@@ -169,6 +169,9 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         given = getattr(args, field)
         if given is not None:
             values[field] = given if parse is _parse_bool else _parse(option, given)
+    for one, many in (("eta", "etas"), ("t", "t-eval")):  # the list would silently win
+        if _OPTIONS[one][0] in values and _OPTIONS[many][0] in values:
+            raise ConfigError(f"--{one} and --{many} are exclusive: give one of them")
     if values.pop("paper_scale", False):
         values.setdefault("paths", _PAPER_PATHS)
         values.setdefault("steps", _PAPER_STEPS)

@@ -56,8 +56,9 @@ exit point and time for a walker, with the columns before its first grid
 point repeating that point's value, which leaves every first-touch outcome
 as it is.  So the engine keeps the law of the grid first-touch process
 while a quiet path costs a few draws per horizon instead of one per grid
-step; a block whose paths are all at the chunk start is one :func:`_extend`
-call over its rows, whose column 0 carries the previous chunk's last value.
+step.  A block is one :func:`_extend` call over its rows, each row started
+at its own value and time: the previous chunk's last value in column 0 for
+a path at the chunk start, its exit point for a walker woken inside it.
 
 The scan state of a group is flat over (threshold, path) rows, so one loop
 of numpy rounds serves every threshold of a block: a block costs the
@@ -203,39 +204,33 @@ class PathConfig:
         return idx
 
 
-def _extend(rngs, rows: np.ndarray, n: int, scale: float) -> None:
-    """Draw ``n`` steps per row and accumulate them onto the value in column 0.
+def _extend(rngs, rows: np.ndarray, n: int, scale: float, x: np.ndarray, u: np.ndarray) -> None:
+    """Fill columns ``1..n`` of each row forward from the value ``x[j]`` at ``u[j] < n`` steps in.
 
     This is the one definition of the forward path stream: step ``k`` of a
     path is the ``k``-th standard normal of its substream times
-    ``sigma sqrt(dt)``, and the path is their running sum.  Drawing in
-    chunks with the carry in column 0 reproduces one long draw and cumsum
-    bit for bit, so a batch whose chunks are all forward is
-    :func:`generate_path` path by path.  A path that walks on spheres (see
-    the module notes) draws its substream differently from then on; its law
-    is the same.
+    ``sigma sqrt(dt)``, and the path is their running sum.  Row ``j``'s
+    first grid point, column ``k = floor(u[j]) + 1``, gets variance ``(k -
+    u[j]) scale^2``, and columns ``1..k-1`` repeat its value.  At ``u = 0``
+    the factor ``sqrt(k - u)`` is exactly 1 and ``x`` is the carry in column
+    0, so drawing in chunks reproduces one long draw and cumsum bit for bit,
+    and a batch whose chunks are all forward is :func:`generate_path` path
+    by path.  A path that walks on spheres (see the module notes) draws its
+    substream differently from then on; its law is the same.
     """
-    for rng, row in zip(rngs, rows):
-        rng.standard_normal(out=row[1 : n + 1])
+    k = np.floor(u).astype(np.int64) + 1
+    late = np.flatnonzero(k > 1)  # rows whose first grid point is past column 1
+    for rng, row, j in zip(rngs, rows, k.tolist()):
+        rng.standard_normal(out=row[j : n + 1])
+    for j in late:  # a zero prefix: the cumsum reaches x exactly, and no stale value is scaled
+        rows[j, : k[j]] = 0.0
     rows[:, 1 : n + 1] *= scale
+    every = np.arange(k.size)
+    rows[every, k] *= np.sqrt(k - u)
+    rows[every, k - 1] = x
     np.cumsum(rows[:, : n + 1], axis=1, out=rows[:, : n + 1])
-
-
-def _resume(rng, row: np.ndarray, n: int, scale: float, x: float, u: float) -> None:
-    """Fill columns ``1..n`` of ``row`` forward from the value ``x`` at ``u < n`` steps in.
-
-    The first grid point after ``u``, column ``k``, gets variance
-    ``(k - u) scale^2``; columns ``1..k-1`` repeat its value.  At ``u = 0``
-    with ``x`` the carry in column 0 this is :func:`_extend` bit for bit.
-    """
-    k = int(u) + 1
-    seg = row[k - 1 : n + 1]
-    rng.standard_normal(out=seg[1:])
-    seg[1:] *= scale
-    seg[1] *= math.sqrt(k - u)
-    seg[0] = x
-    np.cumsum(seg, out=seg)
-    row[1:k] = seg[1]
+    for j in late:
+        rows[j, 1 : k[j]] = rows[j, k[j]]
 
 
 def _stay_ratio(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -362,9 +357,9 @@ def generate_path(cfg: PathConfig, path_index: int) -> np.ndarray:
     if path_index < 0:
         raise InvalidDomainError("path_index must be >= 0")
     x = np.empty((1, cfg.n_steps + 1))
-    x[0, 0] = -0.0  # -0.0 + s == s for every double s, so x[1] is the first step exactly
     rng = np.random.default_rng([cfg.seed, path_index])
-    _extend([rng], x, cfg.n_steps, cfg.sigma * math.sqrt(cfg.dt))
+    # -0.0 + s == s for every double s, so x[1] is the first step exactly
+    _extend([rng], x, cfg.n_steps, cfg.sigma * math.sqrt(cfg.dt), np.array([-0.0]), np.zeros(1))
     x[0, 0] = 0.0
     return x[0]
 
@@ -502,21 +497,16 @@ def _chunk_ends(t_idx):
 def _fill_chunk(rngs, xs, n: int, width: int, scale: float, x, u, paths, top, bottom) -> None:
     """Fill the rows ``xs`` forward over a chunk of ``n`` steps, row ``j`` for ``paths[j]``.
 
-    Path ``paths[j]`` is at ``x`` ``u[j] < n`` steps after the chunk start.
-    One :func:`_extend` call when every path is at the chunk start, one
-    :func:`_resume` per row otherwise.  Each path's end value and extrema
-    over columns ``1..n`` go to ``x``, ``top`` and ``bottom``, and the ``width
-    - 1`` columns after ``n`` that a scan window can reach repeat the end
-    value: a pad that adds no extremum and no crossing.  The pad is written
-    from ``x``, not from column ``n``, since numpy copies the destination of
-    an assignment whose source overlaps it.
+    Path ``paths[j]`` is at ``x`` ``u[j] < n`` steps after the chunk start;
+    one :func:`_extend` call fills the block, whatever its rows' starts.
+    Each path's end value and extrema over columns ``1..n`` go to ``x``,
+    ``top`` and ``bottom``, and the ``width - 1`` columns after ``n`` that a
+    scan window can reach repeat the end value: a pad that adds no extremum
+    and no crossing.  The pad is written from ``x``, not from column ``n``,
+    since numpy copies the destination of an assignment whose source
+    overlaps it.
     """
-    if not u.any():
-        xs[:, 0] = x[paths]
-        _extend([rngs[i] for i in paths], xs, n, scale)
-    else:
-        for row, i, v in zip(xs, paths, u):
-            _resume(rngs[i], row, n, scale, x[i], v)
+    _extend([rngs[i] for i in paths], xs, n, scale, x[paths], u)
     top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
     x[paths] = xs[:, n]
     xs[:, n + 1 : n + width] = x[paths, None]

@@ -121,6 +121,7 @@ EXPECTED_OPTIONS = {
     "simulate": MONTE_CARLO | {"eta", "etas", "t", "t-eval", "sample-cap"},
 }
 FLAGS = {"svg", "paper-scale"}  # take no value
+EXCLUSIVE = (("eta", "etas"), ("t", "t-eval"))  # a single value and its list
 # every option any subcommand has had, the removed --t-end included
 ALL_OPTIONS = set().union(*EXPECTED_OPTIONS.values()) | {"t-end"}
 # a value each option parses, for the accepting side
@@ -185,18 +186,26 @@ class TestDefaults:
     @pytest.mark.parametrize("name", sorted(EXPECTED_OPTIONS))
     def test_config_file_takes_every_option(self, monkeypatch, tmp_path, name):
         # a file that sets every option of the subcommand, and the flags that
-        # set the same values, give the same configuration
+        # set the same values, give the same configuration; of an exclusive
+        # pair (simulate's --eta/--etas and --t/--t-eval) each side is set once
         seen = _capture_runs(monkeypatch, name)
         values = {**GOOD_VALUES, "out": str(tmp_path / "o")}
-        options = sorted(EXPECTED_OPTIONS[name])
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("".join(f"{o.replace('-', '_')} = {values[o]}\n" for o in options))
-        argv = [name]
-        for o in options:
-            argv += [f"--{o}"] if o in FLAGS else [f"--{o}", values[o]]
-        assert main([name, "--config", str(cfg_file)]) == 0
-        assert main(argv) == 0
-        assert seen[0] == seen[1] != ExperimentConfig(experiment=name)
+        every = EXPECTED_OPTIONS[name]
+        pairs = [pair for pair in EXCLUSIVE if set(pair) <= every]
+        sides = [every - {pair[i] for pair in pairs} for i in (0, 1)]
+        for options in {frozenset(side) for side in sides}:
+            seen.clear()
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(
+                "".join(f"{o.replace('-', '_')} = {values[o]}\n" for o in sorted(options))
+            )
+            argv = [name]
+            for o in sorted(options):
+                argv += [f"--{o}"] if o in FLAGS else [f"--{o}", values[o]]
+            assert main([name, "--config", str(cfg_file)]) == 0
+            assert main(argv) == 0
+            assert seen[0] == seen[1] != ExperimentConfig(experiment=name)
+        assert set().union(*sides) == every
 
 
 @pytest.mark.parametrize(
@@ -249,6 +258,26 @@ class TestConfigHandling:
         meta, _, _ = read_csv(tmp_path / "a" / "simulate_moments.csv")
         assert "paths=200" in meta["config"]
         assert meta["seed"] == "5"
+
+    @pytest.mark.parametrize("one,many", EXCLUSIVE)
+    @pytest.mark.parametrize("where", ["flags", "file", "file and flag"])
+    def test_value_and_list_together_exit_2(self, tmp_path, capsys, one, many, where):
+        # simulate reads the list when it has one, so a single value beside
+        # it would be dropped while the header still echoes it
+        argv = ["simulate", *SMALL, "--out", str(tmp_path / "out")]
+        flags = {"flags": (one, many), "file": (), "file and flag": (many,)}[where]
+        for o in flags:
+            argv += [f"--{o}", GOOD_VALUES[o]]
+        keys = [o for o in (one, many) if o not in flags]
+        if keys:
+            (tmp_path / "run.cfg").write_text(
+                "".join(f"{o.replace('-', '_')} = {GOOD_VALUES[o]}\n" for o in keys)
+            )
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--{one} and --{many} are exclusive" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cap", ["0", "1e3"])
     def test_zero_sample_cap_exits_2(self, tmp_path, capsys, cap):

@@ -389,8 +389,8 @@ def grid_hits(cfg: PathConfig, paths, block: int = 500):
     ``eta`` is the batch's one threshold.
 
     Paths are drawn in blocks, ``_CHUNK`` steps at a time through ``_extend``
-    with the carry in column 0, and a path is no longer drawn once it has
-    touched.
+    from the carry at each chunk start, and a path is no longer drawn once it
+    has touched.
     """
     (eta,) = cfg.etas
     scale = cfg.sigma * math.sqrt(cfg.dt)
@@ -403,8 +403,7 @@ def grid_hits(cfg: PathConfig, paths, block: int = 500):
         while live.size and done < cfg.n_steps:
             n = min(_CHUNK, cfg.n_steps - done)
             rows = np.empty((live.size, n + 1))
-            rows[:, 0] = carry
-            _extend(rngs, rows, n, scale)
+            _extend(rngs, rows, n, scale, carry, np.zeros(live.size))
             touched = np.abs(rows[:, 1:]) >= eta
             hit = touched.any(axis=1)
             hits[live[hit]] = (done + 1 + touched[hit].argmax(axis=1)) * cfg.dt

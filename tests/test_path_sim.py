@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -39,7 +40,6 @@ from exitgrid.path_sim import (
     _exit_ratio,
     _extend,
     _groups,
-    _resume,
     _run_groups,
     _stay_ratio,
 )
@@ -82,6 +82,24 @@ def reference_scan(x, eta):
         anchors.append(anchor)
         idx = found
     return crossings, anchors
+
+
+def reference_resume(rng, row, n, scale, x, u):
+    """Fill columns ``1..n`` of ``row`` forward from the value ``x`` at ``u < n`` steps in.
+
+    The engine's former one-row fill, kept as the statement of a fill that
+    starts inside a chunk: the first grid point after ``u``, column ``k``,
+    gets variance ``(k - u) scale^2``, and columns ``1..k-1`` repeat its
+    value.
+    """
+    k = int(u) + 1
+    seg = row[k - 1 : n + 1]
+    rng.standard_normal(out=seg[1:])
+    seg[1:] *= scale
+    seg[1] *= math.sqrt(k - u)
+    seg[0] = x
+    np.cumsum(seg, out=seg)
+    row[1:k] = seg[1]
 
 
 def anchor_moves(anchors):
@@ -669,6 +687,52 @@ class TestBatch:
         assert abs(var - expected) / expected < 0.05
 
 
+def simd_platform():
+    """numpy's version and the highest SIMD target its dispatch enables on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        return np.__version__, "unknown"
+    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return np.__version__, enabled[-1] if enabled else "baseline"
+
+
+class TestPinnedBits:
+    """SHA-256 of a batch's errors and counts: a change that moves a stream renews them.
+
+    The walk draws through ``np.exp``, whose bits differ between SIMD
+    dispatch levels (AVX2 against AVX-512 moves them), so the pins hold on
+    the platform they were recorded on and the test skips elsewhere.
+    """
+
+    PLATFORM = ("2.4.6", "AVX512_SPR")
+    PINS = {
+        # forward only: eta 0.02 is below sigma sqrt(_CHUNK dt) = 0.32
+        "forward": (
+            PathConfig(sigma=1.0, etas=(0.02, 0.05), t_eval=(0.25, 0.5), n_steps=5000,
+                       n_paths=200, seed=1),
+            "be9704daa29021b48fe8aec02097df262b2f4490f9da0a8cec3651088a9d2cb5",
+            "734af6c21ee8862c4996f1453c676f01934bae4a83b0b977d3caf91e09ce9b41",
+        ),
+        "walking": (
+            TestBatch.WALKING,
+            "8269235cf82d383e9432bad332c589b440fb08c702fcee249f5523601cf15361",
+            "1af68955186242c6cb677f7854bd9db4f6fdc11dfe6cad5b6e1c564e7cce7c49",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_batch_bits_match_the_pins(self, name):
+        here = simd_platform()
+        if here != self.PLATFORM:
+            pytest.skip(f"pins recorded on numpy {self.PLATFORM[0]} with {self.PLATFORM[1]}"
+                        f" dispatch; this is numpy {here[0]} with {here[1]}")
+        cfg, errors, counts = self.PINS[name]
+        batch = simulate_batch(cfg)
+        assert hashlib.sha256(batch.errors.tobytes()).hexdigest() == errors
+        assert hashlib.sha256(batch.renewal_counts.tobytes()).hexdigest() == counts
+
+
 class TestScanRound:
     """The scan against its oracle, on buffers and row sets made up for the scan alone."""
 
@@ -790,12 +854,35 @@ class TestWalkOnSpheres:
         assert stats.kstest(v * share, cdf).pvalue > 0.01
 
     def test_resume_from_the_carry_is_the_forward_fill(self):
-        want = np.zeros((1, 300))
-        want[0, 0] = 0.3
-        got = want[0].copy()
-        _extend([np.random.default_rng(4)], want, 299, 0.01)
-        _resume(np.random.default_rng(4), got, 299, 0.01, 0.3, 0.0)
-        assert_same_bits(got, want[0])
+        # at u = 0 the fill is the carry plus the running sum of the scaled
+        # draws, and the one-row reference fill gives the same bits
+        got = np.empty((1, 300))
+        _extend([np.random.default_rng(4)], got, 299, 0.01, np.array([0.3]), np.zeros(1))
+        want = np.empty(300)
+        want[0] = 0.3
+        np.random.default_rng(4).standard_normal(out=want[1:])
+        want[1:] *= 0.01
+        np.cumsum(want, out=want)
+        assert_same_bits(got[0], want)
+        ref = np.empty(300)
+        reference_resume(np.random.default_rng(4), ref, 299, 0.01, 0.3, 0.0)
+        assert_same_bits(got[0, 1:], ref[1:])
+
+    def test_block_fill_is_the_one_row_fill_at_every_start(self):
+        # rows that start at the chunk start, inside its first step, on a
+        # grid point and past it, in one block whose stale buffer values
+        # would overflow if they were scaled; each row is the reference fill
+        # of its own generator bit for bit over the chunk's columns
+        n, scale = 300, 10.0
+        u = np.array([0.0, 0.25, 0.999, 1.0, 1.5, 7.3, n - 0.5])
+        x = np.array([0.3, -0.0, -1.2, 2.5, 0.0, 1e-3, -4.0])
+        rows = np.full((u.size, n + 1), 1e308)
+        with np.errstate(all="raise"):
+            _extend([np.random.default_rng(j) for j in range(u.size)], rows, n, scale, x, u)
+        for j in range(u.size):
+            want = np.full(n + 1, np.nan)
+            reference_resume(np.random.default_rng(j), want, n, scale, x[j], u[j])
+            assert_same_bits(rows[j, 1:], want[1:])
 
     @staticmethod
     def compare_with_reference(monkeypatch, n_steps, t_idx, seeds):
