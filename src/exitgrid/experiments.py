@@ -142,9 +142,10 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     """Write a CSV with the standard metadata block; returns the path.
 
     The body goes to the open file ``_CSV_BATCH`` rows at a time, so the
-    text held at once does not grow with the number of rows.  Within a
-    batch, each run of consecutive rows whose values have the same types is
-    formatted by one ``%`` operation.
+    text held at once does not grow with the number of rows.  A batch
+    whose rows have one length and whose columns each hold one type is
+    formatted by one ``%`` operation; otherwise each run of consecutive rows
+    whose values have the same types is.
     """
     payload = cfg.canonical()
     path = Path(path)
@@ -157,8 +158,13 @@ def write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
         fh.write(",".join(columns) + "\n")
         it = iter(rows)
         while batch := list(itertools.islice(it, _CSV_BATCH)):
+            kinds = [set(map(type, column)) for column in zip(*batch)]  # each column's types
+            if len(set(map(len, batch))) == 1 and all(len(k) == 1 for k in kinds):
+                runs = [(tuple(k.pop() for k in kinds), batch)]
+            else:
+                runs = itertools.groupby(batch, lambda row: tuple(map(type, row)))
             text = []
-            for types, run in itertools.groupby(batch, lambda row: tuple(map(type, row))):
+            for types, run in runs:
                 run = list(run)
                 text.append((_row_format(types) * len(run)) % tuple(itertools.chain(*run)))
             fh.write("".join(text))

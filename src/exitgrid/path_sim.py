@@ -10,10 +10,11 @@ Paths of ``X_t = sigma * W_t`` live on that uniform grid, one deterministic
 random substream per path index, so results are bit-identical for a given
 (seed, path index) regardless of how paths are distributed over workers.
 
-The paths split into equal groups of at most ``_GROUP`` (512) paths, so 600
-paths make two groups of 300, not 512 + 88.  A group advances in lockstep,
-one time chunk at a time, and pays the Python cost of a chunk (band, walk,
-extrema, scan set-up) once for all its paths, asleep or not.
+The paths split into equal groups of at most ``_GROUP`` (2048) paths, so
+2100 paths make two groups of 1050, not 2048 + 52.  A group advances in
+lockstep, one time chunk at a time, and pays the Python cost of a chunk
+(band, walk rounds, fill blocks, scan calls) once for all its paths, asleep
+or not; one group's state takes up to about 2 KB a path.
 A chunk ends every ``_CHUNK`` (1024) grid steps and at every evaluation
 time, so the anchor in force at an evaluation time is the anchor at the end
 of its chunk.  Only the paths that are filled forward in a chunk get buffer
@@ -101,7 +102,7 @@ __all__ = ["MAX_PATH_STEPS", "MAX_RESULTS", "PathConfig", "SimulationBatch", "ge
            "simulate_batch"]
 
 # most paths advanced in lockstep, and held at once: a batch's paths split into equal groups
-_GROUP = 512
+_GROUP = 2048
 _ROWS = 150  # rows of the chunk buffer: a chunk's forward-filled paths fill it in blocks
 _CHUNK = 1024  # grid steps drawn per path between scans
 _WINDOW = (32, 512)  # clip of the scan window, in grid points
@@ -233,6 +234,14 @@ def _extend(rngs, rows: np.ndarray, n: int, scale: float, x: np.ndarray, u: np.n
         rows[j, 1 : k[j]] = rows[j, k[j]]
 
 
+# the image table of _stay_ratio, c and (-1)^(c/2), and the terms k = 1..4 of _exit_ratio
+_STAY_C = np.array([2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0, 10.0, -10.0])[:, None]
+_STAY_SIGN = (-1.0) ** (_STAY_C / 2)
+_EXIT_K = np.arange(1.0, 5.0)[:, None]
+_EXIT_WEIGHT = (-1.0) ** _EXIT_K * (2 * _EXIT_K + 1)
+_EXIT_RATE = -2.0 * _EXIT_K * (_EXIT_K + 1)
+
+
 def _stay_ratio(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``p1(v, y) / phi_v(y)`` at ``v = 1/a^2``, ``y = z/a``, for ``a >= 1`` and ``|z| < a``.
 
@@ -244,10 +253,9 @@ def _stay_ratio(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     is elementwise, so a row's value does not depend on the other rows; the
     images form one table, whose rows are added in the order of ``c``.
     """
-    c = np.array([2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0, 10.0, -10.0])[:, None]
-    ca = c * a
+    ca = _STAY_C * a
     with np.errstate(over="ignore"):  # an exponent past the double range is -inf: exp 0
-        terms = (-1.0) ** (c / 2) * np.exp(-0.5 * ca * (ca - 2.0 * z))
+        terms = _STAY_SIGN * np.exp(-0.5 * ca * (ca - 2.0 * z))
     acc = np.ones(z.shape)
     for term in terms:
         acc += term
@@ -263,8 +271,7 @@ def _exit_ratio(q: np.ndarray) -> np.ndarray:
     summed to ``k = 4``; the next term is below ``1e-25``.  It lies in
     ``(0, 1]``.
     """
-    k = np.arange(1.0, 5.0)[:, None]
-    terms = (-1.0) ** k * (2 * k + 1) * np.exp(-2.0 * k * (k + 1) * q)
+    terms = _EXIT_WEIGHT * np.exp(_EXIT_RATE * q)
     acc = np.ones(q.shape)
     for term in terms:
         acc += term
@@ -376,7 +383,7 @@ def _window(eta: float, scale: float) -> int:
 
 
 def _groups(n: int, least: int = 1) -> np.ndarray:
-    """Bounds of ``max(ceil(n / _GROUP), least)`` equal groups of ``n`` paths."""
+    """Bounds of ``max(ceil(n / _GROUP), least)`` equal groups of ``n`` paths, at most 2048 each."""
     k = max(-(-n // _GROUP), least)
     return np.arange(k + 1) * n // k
 
@@ -392,14 +399,13 @@ def _may_cross(hi, lo, anchor, eta):
 
 
 class _Tracks:
-    """Scan state of a group: flat arrays over rows ``e * paths + p`` (threshold e, path p)."""
+    """Scan state of a group, flat over rows ``e * n + p``: threshold ``etas[e]``, path ``p``."""
 
     def __init__(self, etas: np.ndarray, n: int) -> None:
         self.n = n
-        self.eta = np.repeat(etas, n)
-        self.path = np.tile(np.arange(n), etas.size)
-        self.anchor = np.zeros(self.eta.size)
-        self.count = np.zeros(self.eta.size, dtype=np.int64)
+        self.etas = etas
+        self.anchor = np.zeros(etas.size * n)
+        self.count = np.zeros(etas.size * n, dtype=np.int64)
 
     def by_path(self, a: np.ndarray) -> np.ndarray:
         """A per-row array as a (path, threshold) view."""
@@ -410,8 +416,8 @@ class _Tracks:
 
         ``top`` and ``bottom`` hold each path's extrema in the chunk.
         """
-        rows = np.arange(0, self.eta.size, self.n)[:, None] + paths
-        return rows, _may_cross(top[paths], bottom[paths], self.anchor[rows], self.eta[rows])
+        rows = np.arange(0, self.anchor.size, self.n)[:, None] + paths
+        return rows, _may_cross(top[paths], bottom[paths], self.anchor[rows], self.etas[:, None])
 
 
 def _first_touches(buf, win, n, tr, rows, slot) -> None:
@@ -425,10 +431,10 @@ def _first_touches(buf, win, n, tr, rows, slot) -> None:
     rows are one run, compared with its scalar ``eta``.  The call allocates
     one hit mask, and each round writes its first rows.
     """
-    anchor, eta_of, count = tr.anchor, tr.eta, tr.count
+    anchor, count = tr.anchor, tr.count
     width = win.shape[-1]
-    firsts = np.arange(tr.n, eta_of.size, tr.n)  # the first row of each threshold but the first
-    line = slot[tr.path[rows]]  # each row's buffer row
+    firsts = np.arange(tr.n, anchor.size, tr.n)  # the first row of each threshold but the first
+    line = slot[rows % tr.n]  # each row's buffer row
     start = np.ones(rows.size, dtype=np.int64)
     mask = np.empty((rows.size, width), dtype=bool)
     flat = np.arange(0, mask.size, width)  # where each mask row starts in mask.ravel()
@@ -441,7 +447,7 @@ def _first_touches(buf, win, n, tr, rows, slot) -> None:
         cuts = [0, *np.searchsorted(rows, firsts).tolist(), m]
         for a, b in zip(cuts[:-1], cuts[1:]):
             if a < b:  # rows a..b-1 share one threshold
-                np.greater_equal(dev[a:b], eta_of[rows[a]], out=hit[a:b])
+                np.greater_equal(dev[a:b], tr.etas[rows[a] // tr.n], out=hit[a:b])
         del dev  # so the next round's gather is the only one held
         k = hit.argmax(axis=1)
         found = hit.ravel()[flat[:m] + k]
@@ -546,9 +552,9 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
         for end in _chunk_ends(cfg.t_idx):
             n = end - done
             if scale > 0.0:
+                anchors = tr.by_path(tr.anchor)
                 with np.errstate(over="ignore"):  # an infinite edge is a band without it
-                    lo = tr.by_path(tr.anchor - tr.eta).max(axis=1)
-                    hi = tr.by_path(tr.anchor + tr.eta).min(axis=1)
+                    lo, hi = (anchors - etas).max(axis=1), (anchors + etas).min(axis=1)
                 r = np.minimum(x - lo, hi - x)
                 # at the chunk start with room for a full chunk, or woken inside it by an exit
                 walkers = np.flatnonzero((t < end) & ((t > done) | (r >= full)))
@@ -561,7 +567,7 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
             edge, cross = tr.live(np.flatnonzero(t == end), x, x)
             edge = edge[cross]
             tr.count[edge] += 1
-            tr.anchor[edge] = x[tr.path[edge]]
+            tr.anchor[edge] = x[edge % tr.n]
             fill = np.flatnonzero(t < end)  # a path with t > end sleeps: no row, no scan
             for b in range(0, fill.size, per_block):
                 paths = fill[b : b + per_block]

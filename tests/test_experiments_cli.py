@@ -602,7 +602,10 @@ class TestCsvContract:
         # 17 significant digits reproduce doubles exactly
         assert data[5, 1] == float(format(data[5, 1], ".17g"))
 
-    def test_writer_matches_csv_module(self, tmp_path):
+    # one batch of every row, and batches of four rows: some have one type a
+    # column, some change a column's type or the row length partway through
+    @pytest.mark.parametrize("batch", [4, experiments._CSV_BATCH])
+    def test_writer_matches_csv_module(self, tmp_path, monkeypatch, batch):
         # the rows the csv module writes, one value at a time through fmt
         def fmt(v):
             if isinstance(v, (float, np.floating)):
@@ -625,8 +628,17 @@ class TestCsvContract:
             ("eta", None, True, np.bool_(True)),
             (np.float32(0.1), np.uint64(2**64 - 1), 10**30, False),
             (np.int8(-3), np.float32(-0.0), "x y", np.bool_(False)),
+            (1, 2, 3, 4),
+            # one type a column
+            *[(0.1 * k, k, np.float64(-k), f"r{k}") for k in range(4)],
+            # column b from int to float, then column d from str to int
+            (1.5, 2, np.float64(3.0), "a"), (1.5, 2.0, np.float64(3.0), "a"),
+            (-0.0, 2.0, np.float64(3.0), 7), (2.5, 3.0, np.float64(-0.0), 7),
+            # floats in every column, but rows of two lengths
+            (0.25, 0.5), (0.75,), (1.0, 1.5), (2.0, 3.0),
         ]
         columns = ("a", "b", "c", "d")
+        monkeypatch.setattr(experiments, "_CSV_BATCH", batch)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

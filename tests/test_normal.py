@@ -1,4 +1,6 @@
+import math
 import warnings
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -26,6 +28,37 @@ def _rel_err(ours, ref):
         return np.array([
             float(abs(mpmath.mpf(float(o)) - r) / max(abs(r), TINY)) for o, r in zip(ours, ref)
         ])
+
+
+def _elementwise(fn, x):
+    """``fn`` applied to each double of ``x`` through ``np.frompyfunc``."""
+    return np.asarray(np.frompyfunc(fn, 1, 1)(np.asarray(x, dtype=float)), dtype=float)[()]
+
+
+def reference_ndtr(x):
+    """The former ``ndtr``, one Python lambda call per element: the oracle of its bits."""
+    return _elementwise(lambda a: 0.5 * math.erfc(-a * math.sqrt(0.5)), x)
+
+
+def reference_ndtri(p):
+    """The former ``ndtri``, edges set per element: the oracle of its bits."""
+    def one(q):
+        if math.isnan(q):
+            return math.nan
+        if 0.0 < q < 1.0:
+            return NormalDist().inv_cdf(q)
+        return {0.0: -math.inf, 1.0: math.inf}.get(q, math.nan)
+
+    return _elementwise(one, p)
+
+
+def assert_same_bits(got, want):
+    """The same shape and type, nan where ``want`` is nan, and the same bits elsewhere."""
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def _mp_ndtr(x):
@@ -112,3 +145,27 @@ class TestNdtri:
     def test_inverts_ndtr(self):
         p = np.linspace(0.001, 0.999, 999)
         np.testing.assert_allclose(ndtr(ndtri(p)), p, rtol=1e-14)
+
+
+class TestMatchesElementwiseForm:
+    """Both functions map the C-level callables over the doubles; the bits are the former ones."""
+
+    def test_ndtr(self):
+        rng = np.random.default_rng(20242)
+        x = np.concatenate((rng.standard_normal(20000) * 10.0, rng.uniform(-40.0, 40.0, 20000),
+                            rng.standard_normal(200) * 1e-310,
+                            [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                             -38.0, -37.5, 26.64]))
+        assert_same_bits(_quiet(ndtr, x), reference_ndtr(x))
+        for v in (0.3, -0.0, np.nan, np.float64(-38.2), np.zeros((2, 3)), np.zeros(0)):
+            assert_same_bits(ndtr(v), reference_ndtr(v))
+
+    def test_ndtri(self):
+        rng = np.random.default_rng(20243)
+        p = np.concatenate((rng.uniform(0.0, 1.0, 20000), 10.0 ** rng.uniform(-323.0, 0.0, 10000),
+                            1.0 - 10.0 ** rng.uniform(-17.0, 0.0, 10000),
+                            [0.0, -0.0, 1.0, 0.5, -0.1, 1.1, 5e-324, -5e-324, 1.0000000000000002,
+                             np.nan, np.inf, -np.inf]))
+        assert_same_bits(_quiet(ndtri, p), reference_ndtri(p))
+        for v in (0.3, 0.0, 1.0, -1.0, np.nan, np.full((2, 3), 0.25), np.zeros(0)):
+            assert_same_bits(ndtri(v), reference_ndtri(v))

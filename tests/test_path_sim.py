@@ -27,7 +27,7 @@ from exitgrid import (
 )
 from exitgrid import path_sim
 from exitgrid.density import _images
-from exitgrid.experiments import FIG3_T_EVAL
+from exitgrid.experiments import FIG2_ETAS, FIG3_T_EVAL
 from exitgrid.first_passage import _unit_density, _unit_survival
 from exitgrid.path_sim import (
     _CHUNK,
@@ -142,11 +142,11 @@ def reference_first_touches(buf, win, n, tr, rows, slot) -> None:
     Each round gathers the windows, compares them with every row's eta
     broadcast over its window, and allocates a new hit mask.
     """
-    anchor, eta_of, path_of, count = tr.anchor, tr.eta, tr.path, tr.count
+    anchor, count = tr.anchor, tr.count
     width = win.shape[-1]
     start = np.ones(rows.size, dtype=np.int64)
     while rows.size:
-        p, a, eta = slot[path_of[rows]], anchor[rows], eta_of[rows]
+        p, a, eta = slot[rows % tr.n], anchor[rows], tr.etas[rows // tr.n]
         dev = win[p, start]
         dev -= a[:, None]
         hit = np.abs(dev, out=dev) >= eta[:, None]
@@ -340,11 +340,14 @@ class TestBatch:
                 v = small_batch.sample(eta, t).values
                 assert v.min() >= -1.0 and v.max() <= 1.0
 
-    def test_worker_invariance(self):
-        # one process runs 1025 paths in the groups 0-340, 341-682 and
-        # 683-1024, and two processes run the same groups as three pool
-        # tasks; a pool has at least one task per process, so two processes
-        # split 300 paths at path 150, inside the one group of one process
+    def test_worker_invariance(self, monkeypatch):
+        # at a cap of 512 paths, one process runs 1025 paths in the groups
+        # 0-340, 341-682 and 683-1024, and two processes run the same groups
+        # as three pool tasks; a pool has at least one task per process, so
+        # two processes split 300 paths at path 150, inside the one group of
+        # one process.  The cap only sets the groups, so a smaller one keeps
+        # this batch small
+        monkeypatch.setattr(path_sim, "_GROUP", 512)
         cfg = PathConfig(sigma=1.0, etas=(0.5, 1.5), t_eval=(0.25, 0.5), n_steps=5000,
                          n_paths=1025, seed=12)
         assert _groups(cfg.n_paths).tolist() == [0, 341, 683, 1025]
@@ -454,6 +457,19 @@ class TestBatch:
         peak = traced_peak(lambda: _run_groups(cfg, _groups(cfg.n_paths), errors, counts))
         assert peak <= engine_bytes(cfg, cfg.n_paths)
 
+    # fig2's fifteen thresholds at t = 0.5: sigma sqrt(_CHUNK dt) = 0.16 is
+    # below eta 0.5, so every path starts on a sphere, and most scans are skipped
+    FIG2_LIKE = PathConfig(sigma=1.0, etas=FIG2_ETAS, t_eval=(0.5,), n_steps=20000,
+                           n_paths=600, seed=21)
+
+    def test_full_walking_group_holds_at_most_engine_bytes(self):
+        cfg = dataclasses.replace(self.FIG2_LIKE, n_paths=_GROUP)
+        assert _groups(cfg.n_paths).tolist() == [0, _GROUP]
+        errors = np.empty((cfg.n_paths, len(cfg.t_idx), len(cfg.etas)))
+        counts = np.empty((cfg.n_paths, len(cfg.etas)), dtype=np.int64)
+        peak = traced_peak(lambda: _run_groups(cfg, _groups(cfg.n_paths), errors, counts))
+        assert peak <= engine_bytes(cfg, _GROUP)
+
     def test_batch_holds_its_results_once(self, monkeypatch):
         # smaller groups and buffer, so that the 1.7 MB of results are more
         # than the engine holds besides them
@@ -467,7 +483,7 @@ class TestBatch:
         peak = traced_peak(lambda: simulate_batch(cfg, workers=1))
         assert peak <= results + engine
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537])
+    @pytest.mark.parametrize("n", [1, _GROUP - 1, _GROUP, _GROUP + 1, 3 * _GROUP + 1])
     def test_groups_hold_at_most_the_cap(self, n):
         # a worker holds the state of one group at a time, so this bounds its
         # memory whatever the number of paths
@@ -605,6 +621,31 @@ class TestBatch:
         assert_same_bits(errors, walking[0])
         assert_same_bits(counts, walking[1])
 
+    def test_walking_batch_does_not_depend_on_the_group_cap(self, monkeypatch):
+        # 600 paths are one group at the cap, two of 300 at a cap of 512 and
+        # four of 150 at a cap of 150; the first chunk walks every path of a group
+        cfg = self.FIG2_LIKE
+        walk, walked = path_sim._walk, []
+
+        def recording(rngs, x, *rest):
+            walked.append(x.size)
+            return walk(rngs, x, *rest)
+
+        monkeypatch.setattr(path_sim, "_walk", recording)
+        want = run_paths(cfg, 0, cfg.n_paths)
+        assert max(walked) == cfg.n_paths and want[1].any()
+        for cap in (512, 150):
+            walked.clear()
+            monkeypatch.setattr(path_sim, "_GROUP", cap)
+            got = run_paths(cfg, 0, cfg.n_paths)
+            assert max(walked) == cfg.n_paths // -(-cfg.n_paths // cap)
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+
+    # a group cap below the engine's, which splits the paths of the examples
+    # into more than one group without a batch of thousands of paths
+    _SMALL_GROUP = 512
+
     # Forward configurations only: the smallest eta, which bounds every
     # path's band radius, is below sigma sqrt(_CHUNK dt) >= 0.56 sigma (at
     # most 1624 steps over t_end = 0.5), or sigma is 0, so no path walks on
@@ -632,8 +673,9 @@ class TestBatch:
              log_etas=[math.log10(0.02), math.log10(2.0)], extra_times=[0.5])
     @example(n_steps=_CHUNK + 300, n_paths=2 * _ROWS + 1, start=0, sigma=1.0,
              log_etas=[math.log10(2.0), math.log10(0.02)], extra_times=[0.25])
-    # two groups, of 256 and 257 paths, each filled in two blocks
-    @example(n_steps=_CHUNK + 5, n_paths=_GROUP + 1, start=4, sigma=1.0,
+    # at the cap of _SMALL_GROUP, two groups of 256 and 257 paths, each
+    # filled in two blocks
+    @example(n_steps=_CHUNK + 5, n_paths=_SMALL_GROUP + 1, start=4, sigma=1.0,
              log_etas=[-1.0, 0.0], extra_times=[0.3])
     # evaluation steps 512 and 513 make a 1-step chunk, shorter than the
     # 32-point window, and eta 0.5 rows cross and then scan on to a chunk end
@@ -648,7 +690,8 @@ class TestBatch:
                          n_steps=n_steps, n_paths=start + n_paths, seed=77)
         assert cfg.t_idx == idx
         args = (cfg, start, start + n_paths)
-        with mock.patch.object(path_sim, "_walk", side_effect=AssertionError("a path walked")):
+        with mock.patch.object(path_sim, "_walk", side_effect=AssertionError("a path walked")), \
+                mock.patch.object(path_sim, "_GROUP", self._SMALL_GROUP):
             got_all = run_paths(*args)
         for got, want in zip(got_all, reference_chunk(*args)):
             assert_same_bits(got, want)
@@ -758,11 +801,13 @@ class TestScanRound:
         win = sliding_window_view(buf, width, axis=1)
         slot = rng.permutation(paths)
         want = path_sim._Tracks(np.asarray(etas), paths)
-        want.anchor[:] = buf[slot[want.path], 0] + rng.uniform(-0.5, 0.5, want.eta.size) * want.eta
-        want.count[:] = before = rng.integers(0, 5, want.eta.size)
+        size = want.anchor.size  # rows e * paths + p
+        path, eta = np.tile(np.arange(paths), len(etas)), np.repeat(etas, paths)
+        want.anchor[:] = buf[slot[path], 0] + rng.uniform(-0.5, 0.5, size) * eta
+        want.count[:] = before = rng.integers(0, 5, size)
         got = path_sim._Tracks(np.asarray(etas), paths)
         got.anchor[:], got.count[:] = want.anchor, want.count
-        rows = np.flatnonzero(rng.random(want.eta.size) < keep)
+        rows = np.flatnonzero(rng.random(size) < keep)
         reference_first_touches(buf, win, self.N, want, rows.copy(), slot)
         path_sim._first_touches(buf, win, self.N, got, rows, slot)
         return got, want, rows, want.count - before, width
@@ -775,7 +820,7 @@ class TestScanRound:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_oracle(self, etas, paths, seed):
         got, want, rows, crossings, _ = self.scan_both(etas, paths, seed)
-        assert rows.size < want.eta.size and crossings.sum() > rows.size
+        assert rows.size < want.anchor.size and crossings.sum() > rows.size
         assert_same_bits(got.count, want.count)
         assert_same_bits(got.anchor, want.anchor)
 
@@ -786,7 +831,7 @@ class TestScanRound:
         # still scanned after the last eta-3 row has left
         got, want, rows, crossings, width = self.scan_both((0.02, 3.0), 100, 3, keep=1.0)
         narrow, wide = want.by_path(crossings).T
-        assert rows.size == want.eta.size and (wide == 0).all()
+        assert rows.size == want.anchor.size and (wide == 0).all()
         assert narrow.max() > -(-self.N // width)
         assert_same_bits(got.count, want.count)
         assert_same_bits(got.anchor, want.anchor)
@@ -842,6 +887,35 @@ class TestWalkOnSpheres:
         got = _exit_ratio(q)
         assert np.max(np.abs(got - _unit_density(t) / (2.0 * levy))) < 1e-13
         assert np.all((got > 0.0) & (got <= 1.0))
+
+    def test_ratios_are_their_series_term_by_term(self):
+        # the image tables are module constants; each ratio is the series as
+        # written term by term, in the same order, bit for bit
+        def stay(a, z):
+            c = np.array([2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 8.0, -8.0, 10.0, -10.0])[:, None]
+            ca = c * a
+            with np.errstate(over="ignore"):
+                terms = (-1.0) ** (c / 2) * np.exp(-0.5 * ca * (ca - 2.0 * z))
+            acc = np.ones(z.shape)
+            for term in terms:
+                acc += term
+            return acc
+
+        def exit_(q):
+            k = np.arange(1.0, 5.0)[:, None]
+            terms = (-1.0) ** k * (2 * k + 1) * np.exp(-2.0 * k * (k + 1) * q)
+            acc = np.ones(q.shape)
+            for term in terms:
+                acc += term
+            return acc
+
+        rng = np.random.default_rng(8)
+        a = np.concatenate((1.0 + rng.exponential(2.0, 20000), [1.0, 1e10, 1e200, np.inf]))
+        z = a * rng.uniform(-1.0, 1.0, a.size)
+        z[-1] = 0.3
+        assert_same_bits(_stay_ratio(a, z), stay(a, z))
+        q = np.concatenate((1.0 + rng.exponential(3.0, 20000), [1.0, 400.0, 1e300, np.inf]))
+        assert_same_bits(_exit_ratio(q), exit_(q))
 
     @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
     def test_exit_fractions_follow_the_exit_law_before_the_chunk_end(self, a):
