@@ -6,14 +6,21 @@ is ``statistics.NormalDist().inv_cdf`` (Wichura's AS241, *Appl. Statist.*
 for ``nan`` or off [0, 1].  Both apply elementwise to scalars or arrays of
 any shape, return a numpy scalar for a 0-d input and raise no floating
 point warning for any double, ``nan`` and ``+-inf`` included.  Each maps
-its standard-library function over the doubles as Python floats.
+its standard-library function over the doubles as Python floats, for
+``ndtri`` the C function behind ``inv_cdf``, which needs no ``statistics``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without statistics' accelerator: its Python original
+    from statistics import _normal_dist_inv_cdf
 
 __all__ = ["ndtr", "ndtri"]
 
@@ -29,12 +36,9 @@ def ndtr(x):
 
 def ndtri(p):
     """The ``p``-quantile of N(0, 1): -inf at 0, inf at 1, nan off [0, 1]."""
-    # imported here: statistics loads fractions and decimal, which only
-    # callers that invert the CDF need
-    from statistics import NormalDist
-
     p = np.asarray(p, dtype=float)
     inside = (p > 0.0) & (p < 1.0)  # numpy compares nan without the invalid flag
     out = np.where(p == 1.0, math.inf, np.where(p == 0.0, -math.inf, math.nan))
-    out[inside] = np.fromiter(map(NormalDist().inv_cdf, p[inside].tolist()), float)
+    mu, sigma = itertools.repeat(0.0), itertools.repeat(1.0)
+    out[inside] = np.fromiter(map(_normal_dist_inv_cdf, p[inside].tolist(), mu, sigma), float)
     return out[()]

@@ -7,8 +7,10 @@ construction checks the batch once.  :func:`simulate_batch` runs it, and
 :func:`generate_path` draws one of its paths.
 
 Paths of ``X_t = sigma * W_t`` live on that uniform grid, one deterministic
-random substream per path index, so results are bit-identical for a given
-(seed, path index) regardless of how paths are distributed over workers.
+random substream per path index, ``default_rng([seed, path index])``, so
+results are bit-identical for a given (seed, path index) regardless of how
+paths are distributed over workers.  A group's generators are seeded in one
+vectorized pass of numpy's seed hash (:func:`_generators`).
 
 The paths split into equal groups of at most ``_GROUP`` (2048) paths, so
 2100 paths make two groups of 1050, not 2048 + 52.  A group advances in
@@ -88,6 +90,7 @@ normalized error inside [-1, 1] at every grid time.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -205,6 +208,70 @@ class PathConfig:
         return idx
 
 
+# numpy's SeedSequence hash: the (start, multiplier) of its two chains of hash constants,
+# the entropy mix's and the output's, the multipliers of a mix, and the pool size in words
+_CHAIN_MIX, _CHAIN_OUT = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _chain(init: int, mult: int):
+    """Hash ``k`` xors ``init mult^k`` and multiplies by ``init mult^(k+1)``, mod 2^32."""
+    powers = itertools.accumulate(itertools.repeat(mult), lambda h, m: h * m & 0xFFFFFFFF,
+                                  initial=init)
+    return itertools.pairwise(powers)
+
+
+def _hashmix(v: np.ndarray, chain) -> np.ndarray:
+    xor, mul = next(chain)
+    v = (v ^ xor) * mul
+    return v ^ v >> 16
+
+
+def _seed_words(seed: int, paths: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``SeedSequence([seed, paths[i]]).generate_state(4, np.uint64)``.
+
+    numpy's entropy mix and state hash, run over one uint32 column per pool
+    word, for ``paths < 2**32``.  The entropy is ``seed``'s 32-bit words, low first, then the path
+    index; a hash constant depends only on the hashes before it, so it is one
+    scalar for all rows.
+    """
+    words = [int(seed) >> s & 0xFFFFFFFF for s in range(0, max(int(seed).bit_length(), 1), 32)]
+    entropy = [*(np.full(paths.size, w, np.uint32) for w in words), paths.astype(np.uint32)]
+    entropy += [np.zeros(paths.size, np.uint32)] * (_POOL - len(entropy))
+    chain = _chain(*_CHAIN_MIX)
+    pool = [_hashmix(w, chain) for w in entropy[:_POOL]]
+    # every pool word into every other, then each entropy word past the pool into all
+    for src in range(len(entropy)):
+        for dst in range(_POOL):
+            if src != dst:
+                y = _hashmix(pool[src] if src < _POOL else entropy[src], chain)
+                v = pool[dst] * _MIX_L - y * _MIX_R
+                pool[dst] = v ^ v >> 16
+    chain = _chain(*_CHAIN_OUT)
+    state = [_hashmix(pool[i % _POOL], chain) for i in range(2 * _POOL)]
+    return np.stack([lo | hi.astype(np.uint64) << 32 for lo, hi in zip(state[::2], state[1::2])],
+                    axis=1)
+
+
+def _generators(seed: int, paths: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng([seed, p])`` for each path ``p < 2**32``, as an object array.
+
+    Each ``PCG64`` takes its row of :func:`_seed_words` from a seed sequence
+    that only hands it over, so the streams are the same bit for bit.  The
+    class is made here: importing this module does not import numpy.random.
+    """
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, uint64)
+            return self.words
+
+    pcg, gen = np.random.PCG64, np.random.Generator
+    return np.fromiter((gen(pcg(Words(w))) for w in _seed_words(seed, paths)), object, paths.size)
+
+
 def _extend(rngs, rows: np.ndarray, n: int, scale: float, x: np.ndarray, u: np.ndarray) -> None:
     """Fill columns ``1..n`` of each row forward from the value ``x[j]`` at ``u[j] < n`` steps in.
 
@@ -220,18 +287,18 @@ def _extend(rngs, rows: np.ndarray, n: int, scale: float, x: np.ndarray, u: np.n
     substream differently from then on; its law is the same.
     """
     k = np.floor(u).astype(np.int64) + 1
-    late = np.flatnonzero(k > 1)  # rows whose first grid point is past column 1
     for rng, row, j in zip(rngs, rows, k.tolist()):
         rng.standard_normal(out=row[j : n + 1])
-    for j in late:  # a zero prefix: the cumsum reaches x exactly, and no stale value is scaled
-        rows[j, : k[j]] = 0.0
+    head = np.arange(k.max()) < k[:, None]  # each row's columns before its first grid point
+    # a zero prefix: the cumsum reaches x exactly, and no stale value is scaled
+    np.copyto(rows[:, : head.shape[1]], 0.0, where=head)
     rows[:, 1 : n + 1] *= scale
     every = np.arange(k.size)
     rows[every, k] *= np.sqrt(k - u)
     rows[every, k - 1] = x
     np.cumsum(rows[:, : n + 1], axis=1, out=rows[:, : n + 1])
-    for j in late:
-        rows[j, 1 : k[j]] = rows[j, k[j]]
+    head[:, 0] = False
+    np.copyto(rows[:, : head.shape[1]], rows[every, k][:, None], where=head)
 
 
 # the image table of _stay_ratio, c and (-1)^(c/2), and the terms k = 1..4 of _exit_ratio
@@ -280,8 +347,8 @@ def _exit_ratio(q: np.ndarray) -> np.ndarray:
 
 def _draw_pairs(gens, draw):
     """One ``draw(g)`` and then one uniform from each generator ``g``, as two arrays."""
-    first = np.fromiter((draw(g) for g in gens), float, len(gens))
-    return first, np.fromiter((g.random() for g in gens), float, len(gens))
+    first = np.fromiter(map(draw, gens), float, len(gens))
+    return first, np.fromiter(map(np.random.Generator.random, gens), float, len(gens))
 
 
 def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -296,7 +363,7 @@ def _exit_fractions(rngs, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     share = np.empty(rows.size)
     todo = np.arange(rows.size)
     while todo.size:
-        e, w = _draw_pairs([rngs[i] for i in rows[todo]], np.random.Generator.standard_exponential)
+        e, w = _draw_pairs(rngs[rows[todo]], np.random.Generator.standard_exponential)
         a2 = a[todo] * a[todo]
         q = a2 + 2.0 * e
         ok = w * np.sqrt(q / a2) < _exit_ratio(q)
@@ -344,7 +411,7 @@ def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
         root = scale * np.sqrt(horizon - t0)  # sd of the displacement to the horizon
         with np.errstate(over="ignore"):  # a = inf: the row stays, as for any huge a
             a = r / root
-        z, w = _draw_pairs([rngs[i] for i in rows], np.random.Generator.standard_normal)
+        z, w = _draw_pairs(rngs[rows], np.random.Generator.standard_normal)
         kept = (np.abs(z) < a) & (w < _stay_ratio(a, z))
         x[rows[kept]] += root[kept] * z[kept]
         t[rows[kept]] = horizon[kept]
@@ -358,15 +425,16 @@ def _walk(rngs, x, t, lo, hi, end: int, scale: float, stops: np.ndarray):
 def generate_path(cfg: PathConfig, path_index: int) -> np.ndarray:
     """One Wiener path on the grid, from the substream keyed by (seed, path index).
 
-    ``sigma = 0`` is allowed here (degenerate all-zero path) even though the
-    analytic modules require a positive diffusion coefficient.
+    Its generator is built as a batch's (:func:`_generators`).  ``sigma =
+    0`` is allowed here (degenerate all-zero path) even though the analytic
+    modules require a positive diffusion coefficient.
     """
-    if path_index < 0:
-        raise InvalidDomainError("path_index must be >= 0")
+    if not 0 <= path_index < cfg.n_paths:
+        raise InvalidDomainError(f"path_index must be in [0, {cfg.n_paths}), got {path_index}")
     x = np.empty((1, cfg.n_steps + 1))
-    rng = np.random.default_rng([cfg.seed, path_index])
+    rng = _generators(cfg.seed, np.array([path_index]))
     # -0.0 + s == s for every double s, so x[1] is the first step exactly
-    _extend([rng], x, cfg.n_steps, cfg.sigma * math.sqrt(cfg.dt), np.array([-0.0]), np.zeros(1))
+    _extend(rng, x, cfg.n_steps, cfg.sigma * math.sqrt(cfg.dt), np.array([-0.0]), np.zeros(1))
     x[0, 0] = 0.0
     return x[0]
 
@@ -512,7 +580,7 @@ def _fill_chunk(rngs, xs, n: int, width: int, scale: float, x, u, paths, top, bo
     since numpy copies the destination of an assignment whose source
     overlaps it.
     """
-    _extend([rngs[i] for i in paths], xs, n, scale, x[paths], u)
+    _extend(rngs[paths], xs, n, scale, x[paths], u)
     top[paths], bottom[paths] = xs[:, 1 : n + 1].max(axis=1), xs[:, 1 : n + 1].min(axis=1)
     x[paths] = xs[:, n]
     xs[:, n + 1 : n + width] = x[paths, None]
@@ -542,7 +610,7 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
     win = sliding_window_view(buf, width, axis=1)  # each row's scan windows
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         out = slice(g0 - bounds[0], g1 - bounds[0])
-        rngs = [np.random.default_rng([cfg.seed, p]) for p in range(g0, g1)]
+        rngs = _generators(cfg.seed, np.arange(g0, g1))
         tr = _Tracks(etas, g1 - g0)
         x = np.full(g1 - g0, -0.0)  # each path is at x at grid time t; see generate_path
         t = np.zeros(g1 - g0)
@@ -559,9 +627,8 @@ def _run_groups(cfg: PathConfig, bounds, errors, counts) -> None:
                 # at the chunk start with room for a full chunk, or woken inside it by an exit
                 walkers = np.flatnonzero((t < end) & ((t > done) | (r >= full)))
                 if walkers.size:
-                    x[walkers], t[walkers] = _walk([rngs[i] for i in walkers], x[walkers],
-                                                   t[walkers], lo[walkers], hi[walkers], end,
-                                                   scale, stops)
+                    x[walkers], t[walkers] = _walk(rngs[walkers], x[walkers], t[walkers],
+                                                   lo[walkers], hi[walkers], end, scale, stops)
             # a horizon that ends here leaves x as both extrema; only rounding lets it cross,
             # and then it detects at its first grid point and re-anchors there, once
             edge, cross = tr.live(np.flatnonzero(t == end), x, x)

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -80,16 +82,28 @@ def test_import_and_runs_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "fig2.csv").is_file()
 
 
-def test_import_and_density_run_leave_statistics_unloaded(tmp_path):
-    # statistics, which loads fractions and decimal, serves only the normal
-    # quantile: the import and a run that never inverts the CDF skip it
+def test_import_and_runs_leave_statistics_unloaded(tmp_path):
+    # statistics, which loads fractions and decimal, is not needed for the
+    # normal quantile: tau and fig2 invert the CDF with its C function alone
     code = (
         "import sys, exitgrid, exitgrid.cli\n"
-        f"assert exitgrid.cli.main(['density', '--out', {str(tmp_path)!r}]) == 0\n"
+        "for argv in (['density'], ['tau'], ['fig2', '--paths', '40', '--steps', '400']):\n"
+        f"    assert exitgrid.cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules))\n"
     )
     assert _fresh_python(code) == "[]"
-    assert (tmp_path / "density_table.csv").is_file()
+    for name in ("density_table.csv", "tau_table.csv", "fig2.csv"):
+        assert (tmp_path / name).is_file()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the engine's generators, and the seed type they share, are built when a
+    # batch runs, so importing the package does not pay for numpy.random
+    code = (
+        "import sys, exitgrid, exitgrid.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    assert _fresh_python(code) == "[]"
 
 
 def test_src_never_mentions_scipy():
@@ -206,6 +220,57 @@ class TestDefaults:
             assert main(argv) == 0
             assert seen[0] == seen[1] != ExperimentConfig(experiment=name)
         assert set().union(*sides) == every
+
+
+class TestOneSubparser:
+    """A call that names its subcommand first builds that subparser alone, and parses the same."""
+
+    @staticmethod
+    def parse(parser, argv):
+        """The namespace, or the exit code and both streams of a parse that exits."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return parser.parse_args(argv)
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_OPTIONS))
+    def test_parses_as_the_full_parser(self, name):
+        one, full = cli._build_parser(name), cli._build_parser()
+        assert one is cli._build_parser(name) and one is not full
+        values = {**GOOD_VALUES, "out": "o"}
+        given = [[f"--{o}"] if o in FLAGS else [f"--{o}", values[o]]
+                 for o in sorted(EXPECTED_OPTIONS[name])]
+        valid = [[name], [name, "--config", "run.cfg"], *([name, *g] for g in given),
+                 [name, *itertools.chain(*given)]]
+        for argv in valid:
+            got = self.parse(one, argv)
+            assert isinstance(got, argparse.Namespace) and got == self.parse(full, argv)
+        # help, and usage errors after the subcommand: the same code, output and message
+        for argv, code in (([name, "--help"], 0), ([name, "--bogus"], 2), ([name, "--seed"], 2),
+                           ([name, "extra"], 2)):
+            got = self.parse(one, argv)
+            assert got[0] == code and got == self.parse(full, argv)
+
+    @pytest.mark.parametrize("argv,built,code,stream", [
+        (["fig2", "--help"], "fig2", 0, "out"),
+        (["--help"], None, 0, "out"),
+        ([], None, 2, "err"),
+        (["bogus"], None, 2, "err"),
+        (["-h", "fig2"], None, 0, "out"),
+    ])
+    def test_main_builds_the_parser_its_argv_names(self, monkeypatch, capsys, argv, built,
+                                                     code, stream):
+        build, calls = cli._build_parser, []
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda only=None: calls.append(only) or build(only))
+        assert main(argv) == code
+        assert calls == [built]
+        text = getattr(capsys.readouterr(), stream)
+        assert text == self.parse(build(), argv)[1 if stream == "out" else 2]
+        if built is None and code == 0:  # the whole command's help lists every subcommand
+            assert all(f"    {name} " in text for name in EXPECTED_OPTIONS)
 
 
 @pytest.mark.parametrize(

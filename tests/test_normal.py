@@ -126,7 +126,7 @@ class TestNdtri:
         "p,q",
         [(0.0, -np.inf), (-0.0, -np.inf), (1.0, np.inf), (-0.1, np.nan), (1.1, np.nan),
          (-5e-324, np.nan), (1.0000000000000002, np.nan), (np.nan, np.nan), (np.inf, np.nan), (-np.inf, np.nan),
-         (0.5, 0.0)],
+         (0.5, 0.0), (1e-300, NormalDist().inv_cdf(1e-300))],
     )
     def test_extremes(self, p, q):
         np.testing.assert_array_equal(_quiet(ndtri, p), q)
@@ -148,7 +148,8 @@ class TestNdtri:
 
 
 class TestMatchesElementwiseForm:
-    """Both functions map the C-level callables over the doubles; the bits are the former ones."""
+    """Both functions map C functions over the doubles; the bits are the former ones, and
+    ``ndtri``'s are ``NormalDist().inv_cdf``'s."""
 
     def test_ndtr(self):
         rng = np.random.default_rng(20242)
@@ -167,5 +168,5 @@ class TestMatchesElementwiseForm:
                             [0.0, -0.0, 1.0, 0.5, -0.1, 1.1, 5e-324, -5e-324, 1.0000000000000002,
                              np.nan, np.inf, -np.inf]))
         assert_same_bits(_quiet(ndtri, p), reference_ndtri(p))
-        for v in (0.3, 0.0, 1.0, -1.0, np.nan, np.full((2, 3), 0.25), np.zeros(0)):
+        for v in (0.3, 0.0, 1.0, -1.0, 1.5, np.nan, 1e-300, np.full((2, 3), 0.25), np.zeros(0)):
             assert_same_bits(ndtri(v), reference_ndtri(v))

@@ -39,8 +39,10 @@ from exitgrid.path_sim import (
     _exit_fractions,
     _exit_ratio,
     _extend,
+    _generators,
     _groups,
     _run_groups,
+    _seed_words,
     _stay_ratio,
 )
 
@@ -275,6 +277,42 @@ class TestGeneratePath:
             with pytest.raises(InvalidDomainError, match="not on the simulation grid"):
                 coarse.time_index(t)
         assert (coarse.t_end, coarse.t_idx) == (0.5, (1000,))
+
+
+class TestSeeding:
+    """A group's generators, seeded in one pass, are ``default_rng([seed, p])`` path by path."""
+
+    # one to six 32-bit words of seed: the entropy shorter than, as long as
+    # and longer than numpy's pool of four words, with the path index
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**69 + 12345, 2**70 - 1, 2**150 + 3]
+    PATHS = np.array([0, 1, 2**31, 2**32 - 1, 7, 999])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_are_the_seed_sequence_state(self, seed):
+        want = [np.random.SeedSequence([seed, int(p)]).generate_state(4, np.uint64)
+                for p in self.PATHS]
+        got = _seed_words(seed, self.PATHS)
+        assert got.dtype == np.uint64 and got.shape == (self.PATHS.size, 4)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70 - 1])
+    def test_generators_draw_the_default_rng_streams(self, seed):
+        gens = _generators(seed, self.PATHS)
+        assert gens.dtype == object and gens.shape == self.PATHS.shape
+        for g, p in zip(gens, self.PATHS.tolist()):
+            ref = np.random.default_rng([seed, p])
+            assert g.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+            assert g.random() == ref.random()
+            assert g.standard_exponential() == ref.standard_exponential()
+
+    def test_generate_path_is_its_default_rng_stream(self):
+        last = CFG.n_paths - 1
+        z = np.random.default_rng([CFG.seed, last]).standard_normal(CFG.n_steps)
+        want = np.concatenate(([0.0], np.cumsum(z * (CFG.sigma * math.sqrt(CFG.dt)))))
+        assert generate_path(CFG, last).tobytes() == want.tobytes()
+        for index in (-1, CFG.n_paths, 2**32):  # paths of the batch only: indices below 2**32
+            with pytest.raises(InvalidDomainError, match="path_index must be in"):
+                generate_path(CFG, index)
 
 
 @pytest.mark.parametrize("n_steps", [100000, 200000])
@@ -921,7 +959,8 @@ class TestWalkOnSpheres:
     def test_exit_fractions_follow_the_exit_law_before_the_chunk_end(self, a):
         # v * share is the unit exit time given an exit before v = 1/a^2
         n = 20000
-        share = _exit_fractions([np.random.default_rng(7)] * n, np.arange(n), np.full(n, a))
+        gens = np.full(n, np.random.default_rng(7), dtype=object)
+        share = _exit_fractions(gens, np.arange(n), np.full(n, a))
         v = 1.0 / a**2
         exit_by = 1.0 - _unit_survival(np.array([v]))[0]
         cdf = lambda t: (1.0 - _unit_survival(np.atleast_1d(t))) / exit_by  # noqa: E731
