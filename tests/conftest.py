@@ -1,6 +1,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 from exitgrid import (
@@ -21,6 +22,16 @@ DESK_T_EVAL = (
     0.002, 0.004, 0.006, 0.008, 0.01,
     0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
 )
+
+
+def simd_platform():
+    """numpy's version and the highest SIMD target its dispatch enables on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        return np.__version__, "unknown"
+    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return np.__version__, enabled[-1] if enabled else "baseline"
 
 
 @pytest.fixture(scope="session")

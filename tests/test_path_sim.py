@@ -46,7 +46,7 @@ from exitgrid.path_sim import (
     _stay_ratio,
 )
 
-from conftest import DESK_T_EVAL
+from conftest import DESK_T_EVAL, simd_platform
 
 CFG = PathConfig(sigma=1.0, etas=(0.5,), t_eval=(0.5,), n_steps=20000, n_paths=100, seed=99)
 
@@ -766,16 +766,6 @@ class TestBatch:
         var = small_batch.variance(2.0, 0.125)
         expected = 0.125 / 4.0
         assert abs(var - expected) / expected < 0.05
-
-
-def simd_platform():
-    """numpy's version and the highest SIMD target its dispatch enables on this host."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy before 2.0
-        return np.__version__, "unknown"
-    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-    return np.__version__, enabled[-1] if enabled else "baseline"
 
 
 class TestPinnedBits:
