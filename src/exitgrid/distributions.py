@@ -126,7 +126,7 @@ def triangular_cdf(z) -> float | np.ndarray:
 
 def triangular_quantile(p) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise InvalidDomainError("quantile needs p in [0, 1]")
     out = np.where(p <= 0.5, np.sqrt(2.0 * p) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - p)))
     return float(out) if out.ndim == 0 else out

@@ -29,11 +29,10 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .errors import InvalidDomainError, ToleranceNotMetError
-from .params import SWITCH_V, ModelParams, evaluate, series_terms
+from .params import MU, SWITCH_V, ModelParams, evaluate, series_terms, spectral_sum
 
 __all__ = ["FirstPassageLaw"]
 
-_MU = math.pi**2 / 8.0  # decay rate of the slowest spectral mode of the unit band
 _SQRTH = math.sqrt(0.5)
 
 
@@ -68,18 +67,8 @@ def _survival_images(v: np.ndarray) -> np.ndarray:
 
 
 def _survival_spectral(v: np.ndarray) -> np.ndarray:
-    vmin = float(np.min(v))
-
-    def bound(j: int) -> float:
-        k = 2 * j + 1
-        return (4.0 / (math.pi * k)) * math.exp(-_MU * k * k * vmin)
-
-    acc = np.zeros(v.shape)
-    # past v ~ 1.5e308 the exponent overflows to -inf, whose exp is the exact 0
-    with np.errstate(over="ignore"):
-        for j in range(series_terms(bound, f"survival spectral series at v = {vmin:.4g}")):
-            k = 2 * j + 1
-            acc += ((-1.0) ** j / k) * np.exp(-_MU * k * k * v)
+    acc = spectral_sum(np.zeros(v.shape), v, MU, lambda k, x: (-1.0) ** (k // 2) / k,
+                       lambda k, vmin: 4.0 / (math.pi * k), "survival spectral series", odd=True)
     return (4.0 / math.pi) * acc
 
 
@@ -119,17 +108,8 @@ def _density_images(v: np.ndarray) -> np.ndarray:
 
 def _density_spectral(v: np.ndarray) -> np.ndarray:
     lead = math.pi / 2.0
-    vmin = float(np.min(v))
-
-    def bound(j: int) -> float:
-        k = 2 * j + 1
-        return lead * k * math.exp(-_MU * k * k * vmin)
-
-    acc = np.zeros(v.shape)
-    with np.errstate(over="ignore"):  # as in _survival_spectral
-        for j in range(series_terms(bound, f"exit-density spectral series at v = {vmin:.4g}")):
-            k = 2 * j + 1
-            acc += ((-1.0) ** j * k) * np.exp(-_MU * k * k * v)
+    acc = spectral_sum(np.zeros(v.shape), v, MU, lambda k, x: (-1.0) ** (k // 2) * k,
+                       lambda k, vmin: lead * k, "exit-density spectral series", odd=True)
     return lead * acc
 
 
@@ -153,7 +133,7 @@ class FirstPassageLaw:
         """P(tau > t), clamped to [0, 1].  Accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):  # NaN fails too
             raise InvalidDomainError("survival needs t >= 0")
         out = _unit_survival(self.params.unit_time(np.atleast_1d(t)))
         return float(out[0]) if scalar else out.reshape(t.shape)
@@ -162,7 +142,7 @@ class FirstPassageLaw:
         """Density of tau at t > 0, clamped to >= 0."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        if np.any(t <= 0.0):
+        if not np.all(t > 0.0):
             raise InvalidDomainError("density needs t > 0")
         f1 = _unit_density(self.params.unit_time(np.atleast_1d(t)))
         out = self.params.unit_time(f1)  # f(t) = f1(v) dv/dt, and v is linear in t
@@ -200,7 +180,7 @@ class FirstPassageLaw:
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
         pp = p.ravel()
-        if np.any((pp <= 0.0) | (pp >= 1.0)):
+        if not np.all((pp > 0.0) & (pp < 1.0)):
             raise InvalidDomainError("quantile needs p in (0, 1)")
         tol = 1e-10 if tol is None else self.params.unit_time(tol)
 
@@ -215,7 +195,7 @@ class FirstPassageLaw:
             raise ToleranceNotMetError("quantile bracket did not cover p")
 
         v = 1.0 / ndtri(pp / 4.0) ** 2
-        v_spectral = -np.log(math.pi * (1.0 - pp) / 4.0) / _MU
+        v_spectral = -np.log(math.pi * (1.0 - pp) / 4.0) / MU
         v = np.where(v_spectral >= SWITCH_V, v_spectral, v)
         v = np.where((lo < v) & (v < hi), v, 0.5 * (lo + hi))
         h = 0.45 * tol

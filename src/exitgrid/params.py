@@ -1,8 +1,10 @@
-"""Process parameters and the one truncation rule shared by every series.
+"""Process parameters, the one truncation rule and the one spectral sum of every series.
 
 Every law here is a truncated theta-type series on the unit band
-(``sigma = eta = 1``) at the time ``v = sigma^2 t / eta^2``.  Three
-constants fix how all of them are cut off:
+(``sigma = eta = 1``) at the time ``v = sigma^2 t / eta^2``: a Gaussian-image
+form and a spectral form, a sum of modes ``exp(-rate k^2 v)``, which
+:func:`spectral_sum` adds up for every law.  ``MU = pi^2 / 8`` is the rate
+of the band's sine modes.  Three constants fix how all series are cut off:
 
 * ``TERM_TOL``: a series stops at the first term index ``n >= 1`` whose
   bound on every term from ``n`` on is below it;
@@ -26,6 +28,7 @@ from .errors import InvalidDomainError, NoConvergenceError
 TERM_TOL = 1e-14
 MAX_TERMS = 1000
 SWITCH_V = 0.5
+MU = math.pi**2 / 8.0  # decay rate of the slowest sine mode of the unit band
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,36 @@ def series_terms(bound, what: str) -> int:
         if bound(n) < TERM_TOL:
             return n
     raise NoConvergenceError(f"{what}: more than {MAX_TERMS} terms")
+
+
+def spectral_sum(acc, v, rate: float, coeff, amp, what: str, odd: bool = False):
+    """Add ``sum_k coeff(k, x) exp(-x)``, with ``x = rate k^2 v``, to ``acc`` in place.
+
+    The modes are ``k = 2j + 1`` from ``j = 0`` when ``odd``, and otherwise
+    ``k = j`` from ``j = 1``, whose term 0 is already in ``acc``.  The number
+    of terms is :func:`series_terms` of ``amp(k, min(v)) exp(-rate k^2 min(v))``,
+    which must bound every term from ``j`` on.  ``coeff`` gets the buffer of
+    ``x`` and may overwrite it; what it returns multiplies the buffer of
+    ``exp(-x)`` in place, so a term allocates no array beyond what ``coeff``
+    does.  Returns ``acc``.
+    """
+    vmin = float(np.min(v))
+
+    def bound(j: int) -> float:
+        k = 2 * j + 1 if odd else j
+        return amp(k, vmin) * math.exp(-rate * k * k * vmin)
+
+    n = series_terms(bound, f"{what} at v = {vmin:.4g}")
+    x, decay = np.empty(v.shape), np.empty(v.shape)
+    # past v ~ 1.5e308 x overflows to inf, whose exp(-x) is the exact 0
+    with np.errstate(over="ignore"):
+        for j in range(0 if odd else 1, n):
+            k = 2 * j + 1 if odd else j
+            np.multiply(v, rate * k * k, out=x)
+            np.exp(np.negative(x, out=decay), out=decay)
+            decay *= coeff(k, x)
+            acc += decay
+    return acc
 
 
 def evaluate(images, spectral, v: np.ndarray, *args: np.ndarray) -> np.ndarray:

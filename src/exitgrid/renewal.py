@@ -52,7 +52,7 @@ from .density import absorbed_density
 from .distributions import DensityGrid, GridLaw
 from .errors import InvalidDomainError
 from .first_passage import FirstPassageLaw
-from .params import ModelParams, evaluate, series_terms
+from .params import ModelParams, evaluate, series_terms, spectral_sum
 
 __all__ = [
     "ErrorDensity",
@@ -118,30 +118,16 @@ def _renewal_spectral(v: np.ndarray) -> np.ndarray:
 
     With ``x = 2 pi^2 k^2 v``, term ``k`` is at most ``(2 + 4 x) exp(-x)``,
     which falls in ``x`` once ``x > 1/2``: from there on, the value at
-    ``min(v)`` bounds the term everywhere and decreases in ``k``.  The terms
-    are formed in two buffers, in place.
+    ``min(v)`` bounds the term everywhere and decreases in ``k``.
     """
-    vmin = float(np.min(v))
-
-    def bound(k: int) -> float:
+    def amp(k: int, vmin: float) -> float:
         x = _TWO_PI2 * k * k * vmin
-        if x <= 0.5:
-            return math.inf
-        return (2.0 + 4.0 * x) * math.exp(-x)
+        return 2.0 + 4.0 * x if x > 0.5 else math.inf
 
-    n_terms = series_terms(bound, f"renewal spectral series at v = {vmin:.4g}")
-    out = np.ones(v.shape)
-    decay = np.empty(v.shape)
-    term = np.empty(v.shape)
-    for k in range(1, n_terms):  # term 0 is the limit 1
-        np.multiply(v, _TWO_PI2 * k * k, out=term)  # x
-        np.negative(term, out=decay)
-        np.exp(decay, out=decay)
-        term *= -4.0
-        term += 2.0
-        term *= decay
-        out += term
-    return out
+    def coeff(k: int, x: np.ndarray) -> np.ndarray:  # 2 - 4 x, in the buffer of x
+        return np.add(np.multiply(x, -4.0, out=x), 2.0, out=x)
+
+    return spectral_sum(np.ones(v.shape), v, _TWO_PI2, coeff, amp, "renewal spectral series")
 
 
 def _error_density_images(v: np.ndarray, za: np.ndarray) -> np.ndarray:
@@ -177,19 +163,15 @@ def _error_density_spectral(v: np.ndarray, za: np.ndarray) -> np.ndarray:
     ``(4 pi k v + 2) exp(-2 pi^2 k^2 v)``, which falls in both ``k`` and
     ``v``, so its value at ``min(v)`` bounds every later term.
     """
-    vmin = float(np.min(v))
-
-    def bound(k: int) -> float:
-        return (4.0 * math.pi * k * vmin + 2.0) * math.exp(-_TWO_PI2 * k * k * vmin)
-
-    n_terms = series_terms(bound, f"error-density spectral series at v = {vmin:.4g}")
     tri = 1.0 - za
-    out = tri.copy()
-    for k in range(1, n_terms):
-        angle = (2.0 * math.pi * k) * za
-        wave = (4.0 * math.pi * k) * v * np.sin(angle) + 2.0 * tri * np.cos(angle)
-        out += wave * np.exp(-_TWO_PI2 * k * k * v)
-    return out
+
+    def coeff(k: int, x: np.ndarray) -> np.ndarray:
+        angle = np.multiply(za, 2.0 * math.pi * k, out=x)
+        return (4.0 * math.pi * k) * v * np.sin(angle) + 2.0 * tri * np.cos(angle)
+
+    return spectral_sum(tri.copy(), v, _TWO_PI2, coeff,
+                        lambda k, vmin: 4.0 * math.pi * k * vmin + 2.0,
+                        "error-density spectral series")
 
 
 def solve_renewal_density(
@@ -235,7 +217,7 @@ def _error_density_and_atom(params: ModelParams, rg: RenewalGrid, t: float, z_gr
     if rg.sigma != sigma:
         raise InvalidDomainError(f"renewal grid has sigma={rg.sigma}, params have sigma={sigma}")
     z_grid = np.asarray(z_grid, dtype=float)
-    if np.any(np.abs(z_grid) > 1.0 + 1e-12):
+    if not np.all(np.abs(z_grid) <= 1.0 + 1e-12):  # NaN fails too
         raise InvalidDomainError("z grid must lie in [-1, 1]")
 
     za = np.minimum(np.abs(z_grid), 1.0)

@@ -4,7 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from exitgrid import NoConvergenceError
+from exitgrid import (
+    FirstPassageLaw,
+    InvalidDomainError,
+    ModelParams,
+    NoConvergenceError,
+    RenewalGrid,
+    absorbed_density,
+    convolution_term,
+    triangular_quantile,
+)
 from exitgrid.density import _images, _spectral
 from exitgrid.experiments import ExperimentConfig, run_density_table, run_tau_table
 from exitgrid.first_passage import (
@@ -84,6 +93,33 @@ def test_every_kernel_fails_fast_past_the_cap(kernel, args):
     with pytest.raises(NoConvergenceError, match=f"series at v = .*more than {MAX_TERMS} terms"):
         kernel(*args)
     assert time.perf_counter() - t0 < 0.1
+
+
+NAN = float("nan")
+UNIT = ModelParams(1.0, 1.0)
+LAW = FirstPassageLaw(UNIT)
+GRID = RenewalGrid(h=0.01, values=np.zeros(3), sigma=1.0)  # convolution_term reads only sigma
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: absorbed_density(UNIT, 0.3, x=NAN),
+        lambda: absorbed_density(UNIT, NAN, 0.2),
+        lambda: absorbed_density(UNIT, [0.3, NAN], 0.2),
+        lambda: convolution_term(UNIT, GRID, 0.5, [0.0, NAN]),
+        lambda: LAW.survival(NAN),
+        lambda: LAW.density([1.0, NAN]),
+        lambda: LAW.quantile(NAN),
+        lambda: triangular_quantile(NAN),
+    ],
+    ids=["density-x", "density-t", "density-t-array", "convolution-z", "survival", "exit-density",
+         "quantile", "triangular-quantile"],
+)
+def test_nan_at_an_entry_point_is_refused(call):
+    # a NaN fails every domain check, so it is refused before any series runs
+    with pytest.raises(InvalidDomainError):
+        call()
 
 
 LOW = np.geomspace(0.01, 0.45, 9)  # below SWITCH_V
