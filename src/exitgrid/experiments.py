@@ -2,10 +2,11 @@
 
 Each ``run_*`` function executes one study from an :class:`ExperimentConfig`
 and writes CSV files whose data rows are byte-reproducible for a fixed seed
-and configuration, independent of the worker count.  Every CSV starts with a
-commented metadata block (tool version, configuration echo, seed, hash of
-the configuration); SVG plots are regenerated purely from CSV
-content, never from in-memory state.
+and configuration, independent of the worker count.  Every runner returns
+through :func:`_emit`, the one writer of the package's output files.  Every
+CSV starts with a commented metadata block (tool version, configuration
+echo, seed, hash of the configuration); SVG plots are regenerated purely
+from CSV content, never from in-memory state.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ LIMIT_LADDER = (1.0, 2.0, 5.0, 10.0, 50.0)
 
 _MC_CROSSCHECK_TOL = 0.01  # analytic-vs-empirical Wasserstein gate in `limit`
 _CSV_BATCH = 1024  # CSV body rows formatted and written together
+_RUNTIME_FIELDS = ("out_dir", "emit_svg", "workers")  # ExperimentConfig fields outside the echo
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,8 @@ class ExperimentConfig:
         Runtime details (workers, output directory, SVG switch) are excluded:
         they must not change any emitted number.
         """
-        keys = (
-            "experiment", "sigma", "eta", "etas", "t", "t_eval", "paths", "steps", "seed",
-            "sample_cap",
-        )
         parts = []
-        for k in keys:
+        for k in (f.name for f in fields(self) if f.name not in _RUNTIME_FIELDS):
             v = getattr(self, k)
             if isinstance(v, tuple):
                 parts.append(f"{k}=[{','.join(format(x, '.17g') for x in v)}]")
@@ -294,6 +292,19 @@ def svg_from_csv(csv_path: Path, svg_path: Path | None = None) -> Path:
     return svg_path
 
 
+def _emit(cfg: ExperimentConfig, tables, svg: bool = False) -> list[Path]:
+    """Write each ``(file name, columns, rows)`` table into ``cfg.out_dir``.
+
+    With ``svg`` and ``cfg.emit_svg`` both set, the first table's plot is
+    then rebuilt from its CSV.  Returns the paths in the order written.
+    """
+    files = [write_csv(Path(cfg.out_dir) / name, cfg, columns, rows)
+             for name, columns, rows in tables]
+    if svg and cfg.emit_svg:
+        files.append(svg_from_csv(files[0]))
+    return files
+
+
 # ---------------------------------------------------------------------------
 # tabulation subcommands
 
@@ -317,8 +328,7 @@ def run_density_table(cfg: ExperimentConfig) -> list[Path]:
     vals = absorbed_density(params, t=ts[:, None], x=xs[None, :])
     rows = [(t, x, v) for t, row in zip(ts.tolist(), vals.tolist())
             for x, v in zip(xs.tolist(), row)]
-    out = write_csv(Path(cfg.out_dir) / "density_table.csv", cfg, ("t", "x", "p"), rows)
-    return [out]
+    return _emit(cfg, [("density_table.csv", ("t", "x", "p"), rows)])
 
 
 def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
@@ -328,13 +338,13 @@ def run_tau_table(cfg: ExperimentConfig) -> list[Path]:
     ts = np.linspace(0.0, _table_end(params, 8.0), 321)
     surv = law.survival(ts)
     dens = np.concatenate(([0.0], law.density(ts[1:])))
-    rows = list(zip(ts.tolist(), surv.tolist(), dens.tolist()))
-    p1 = write_csv(Path(cfg.out_dir) / "tau_table.csv", cfg, ("t", "survival", "density"), rows)
     ps = np.linspace(0.01, 0.99, 99)
     qs = law.quantile(ps)
-    p2 = write_csv(Path(cfg.out_dir) / "tau_quantiles.csv", cfg, ("p", "quantile"),
-                   list(zip(ps.tolist(), qs.tolist())))
-    return [p1, p2]
+    return _emit(cfg, [
+        ("tau_table.csv", ("t", "survival", "density"),
+         list(zip(ts.tolist(), surv.tolist(), dens.tolist()))),
+        ("tau_quantiles.csv", ("p", "quantile"), list(zip(ps.tolist(), qs.tolist()))),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +393,11 @@ def run_simulate(cfg: ExperimentConfig) -> list[Path]:
         counts = np.bincount(batch.renewal_counts[:, j])
         for c in np.flatnonzero(counts):
             hist_rows.append((e, int(c), float(counts[c] / cfg.paths)))
-    p1 = write_csv(
-        Path(cfg.out_dir) / "simulate_samples.csv", cfg, ("eta", "t", "z"), sample_rows
-    )
-    p2 = write_csv(
-        Path(cfg.out_dir) / "simulate_moments.csv",
-        cfg,
-        ("eta", "t", "n", "mean", "variance", "min", "max"),
-        moment_rows,
-    )
-    p3 = write_csv(
-        Path(cfg.out_dir) / "simulate_renewals.csv",
-        cfg,
-        ("eta", "count", "frequency"),
-        hist_rows,
-    )
-    return [p1, p2, p3]
+    return _emit(cfg, [
+        ("simulate_samples.csv", ("eta", "t", "z"), sample_rows),
+        ("simulate_moments.csv", ("eta", "t", "n", "mean", "variance", "min", "max"), moment_rows),
+        ("simulate_renewals.csv", ("eta", "count", "frequency"), hist_rows),
+    ])
 
 
 def run_fig1(cfg: ExperimentConfig) -> list[Path]:
@@ -413,17 +412,7 @@ def run_fig1(cfg: ExperimentConfig) -> list[Path]:
         fn = ScaledNormalLaw(cfg.sigma, cfg.t, e).pdf(z)
         for i in range(z.size):
             rows.append((e, z[i], est.grid.f[i], tri[i], fn[i]))
-    out = [
-        write_csv(
-            Path(cfg.out_dir) / "fig1.csv",
-            cfg,
-            ("eta", "z", "kde", "triangular", "fnorm"),
-            rows,
-        )
-    ]
-    if cfg.emit_svg:
-        out.append(svg_from_csv(out[0]))
-    return out
+    return _emit(cfg, [("fig1.csv", ("eta", "z", "kde", "triangular", "fnorm"), rows)], svg=True)
 
 
 def run_fig2(cfg: ExperimentConfig) -> list[Path]:
@@ -440,17 +429,7 @@ def run_fig2(cfg: ExperimentConfig) -> list[Path]:
         d_tri = wasserstein1(s, tri)
         d_norm = wasserstein1(s, ScaledNormalLaw(cfg.sigma, cfg.t, e))
         rows.append((e, d_tri, d_norm))
-    out = [
-        write_csv(
-            Path(cfg.out_dir) / "fig2.csv",
-            cfg,
-            ("eta", "d_w_triangular", "d_w_fnorm"),
-            rows,
-        )
-    ]
-    if cfg.emit_svg:
-        out.append(svg_from_csv(out[0]))
-    return out
+    return _emit(cfg, [("fig2.csv", ("eta", "d_w_triangular", "d_w_fnorm"), rows)], svg=True)
 
 
 def run_fig3(cfg: ExperimentConfig) -> list[Path]:
@@ -475,17 +454,10 @@ def run_fig3(cfg: ExperimentConfig) -> list[Path]:
                     min(t / 0.25, 1.0 / 6.0),
                 )
             )
-    out = [
-        write_csv(
-            Path(cfg.out_dir) / "fig3.csv",
-            cfg,
-            ("eta", "t", "variance", "reference_eta", "reference_printed"),
-            rows,
-        )
-    ]
-    if cfg.emit_svg:
-        out.append(svg_from_csv(out[0]))
-    return out
+    return _emit(
+        cfg, [("fig3.csv", ("eta", "t", "variance", "reference_eta", "reference_printed"), rows)],
+        svg=True,
+    )
 
 
 def _convergence_ladder(sigma: float, rg, z: np.ndarray) -> list[tuple]:
@@ -542,33 +514,16 @@ def run_limit_check(cfg: ExperimentConfig) -> list[Path]:
     d_mc = wasserstein1(sample, ed.law())
     d_mc_tri = wasserstein1(sample, tri)
 
-    files = []
-    files.append(
-        write_csv(
-            Path(cfg.out_dir) / "limit_density.csv",
-            cfg,
-            ("z", "f_analytic", "triangular"),
-            [(z[i], ed.grid.f[i], tri_vals[i]) for i in range(z.size)],
-        )
-    )
-    files.append(
-        write_csv(
-            Path(cfg.out_dir) / "limit_report.csv",
-            cfg,
-            ("t_rescaled", "sup_gap_convolution", "d_w_triangular", "atom", "atom_bound", "mass"),
-            ladder_rows,
-        )
-    )
-    files.append(
-        write_csv(
-            Path(cfg.out_dir) / "limit_crosscheck.csv",
-            cfg,
-            ("eta", "t", "paths", "d_w_analytic_mc", "d_w_mc_triangular"),
-            [(cfg.eta, cfg.t, cfg.paths, d_mc, d_mc_tri)],
-        )
-    )
-    if cfg.emit_svg:
-        files.append(svg_from_csv(files[0]))
+    # every file is written before the gate below, so a failing run leaves its evidence
+    files = _emit(cfg, [
+        ("limit_density.csv", ("z", "f_analytic", "triangular"),
+         [(z[i], ed.grid.f[i], tri_vals[i]) for i in range(z.size)]),
+        ("limit_report.csv",
+         ("t_rescaled", "sup_gap_convolution", "d_w_triangular", "atom", "atom_bound", "mass"),
+         ladder_rows),
+        ("limit_crosscheck.csv", ("eta", "t", "paths", "d_w_analytic_mc", "d_w_mc_triangular"),
+         [(cfg.eta, cfg.t, cfg.paths, d_mc, d_mc_tri)]),
+    ], svg=True)
     if d_mc >= _MC_CROSSCHECK_TOL:
         raise ToleranceNotMetError(
             f"analytic vs Monte Carlo Wasserstein distance {d_mc:.4f} >= {_MC_CROSSCHECK_TOL}"

@@ -110,7 +110,10 @@ def spectral_sum(acc, v, rate: float, coeff, amp, what: str, odd: bool = False):
 
     def bound(j: int) -> float:
         k = 2 * j + 1 if odd else j
-        return amp(k, vmin) * math.exp(-rate * k * k * vmin)
+        decay = math.exp(-rate * k * k * vmin)
+        # a finite amp times an underflowed decay is below TERM_TOL, and an amp that
+        # overflows has an x far past that, where inf * 0 would be a NaN bound
+        return amp(k, vmin) * decay if decay else 0.0
 
     n = series_terms(bound, f"{what} at v = {vmin:.4g}")
     x, decay = np.empty(v.shape), np.empty(v.shape)

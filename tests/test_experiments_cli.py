@@ -57,6 +57,20 @@ def meta_block(path):
 
 SMALL = ["--paths", "250", "--steps", "2500", "--seed", "7"]
 
+# each subcommand's options, with --svg where it takes it, and the files it writes, in order
+EMITTED = {
+    "density": ([], ["density_table.csv"]),
+    "tau": ([], ["tau_table.csv", "tau_quantiles.csv"]),
+    "simulate": (SMALL, ["simulate_samples.csv", "simulate_moments.csv", "simulate_renewals.csv"]),
+    "fig1": ([*SMALL, "--svg"], ["fig1.csv", "fig1.svg"]),
+    "fig2": ([*SMALL, "--svg"], ["fig2.csv", "fig2.svg"]),
+    "fig3": ([*SMALL, "--svg"], ["fig3.csv", "fig3.svg"]),
+    # the scale of test_limit_passes_at_moderate_scale, where the cross-check passes
+    "limit": (["--paths", "4000", "--steps", "20000", "--seed", "7", "--workers", "2", "--svg"],
+              ["limit_density.csv", "limit_report.csv", "limit_crosscheck.csv",
+               "limit_density.svg"]),
+}
+
 
 def _fresh_python(code: str) -> str:
     """The last line ``code`` prints in a new interpreter that imports this checkout."""
@@ -640,6 +654,18 @@ class TestCsvContract:
         assert "seed" in joined
         assert "config" in joined
         assert "config-hash" in joined
+        # the echo holds every field but the three that must not change a number
+        (config,) = [ln.split(" = ", 1)[1] for ln in m if ln.startswith("# config = ")]
+        runtime = ("out_dir", "emit_svg", "workers")
+        assert [part.split("=", 1)[0] for part in config.split(";")] == [
+            f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in runtime]
+
+    @pytest.mark.parametrize("name", EMITTED)
+    def test_printed_paths_are_the_files_written(self, tmp_path, capsys, name):
+        extra, names = EMITTED[name]
+        assert main([name, *extra, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / n) for n in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -896,12 +922,16 @@ class TestRunners:
         assert len(atoms) == len(LIMIT_LADDER) + 1
 
     def test_limit_failure_exits_3(self, tmp_path):
-        # far too few paths for the Monte Carlo cross-check tolerance
+        # far too few paths for the Monte Carlo cross-check tolerance; every
+        # file is written before the gate fails
         code = main(
-            ["limit", "--paths", "60", "--steps", "1500", "--seed", "7",
+            ["limit", "--paths", "60", "--steps", "1500", "--seed", "7", "--svg",
              "--out", str(tmp_path)]
         )
         assert code == 3
+        for name in ("limit_density.csv", "limit_report.csv", "limit_crosscheck.csv",
+                     "limit_density.svg"):
+            assert (tmp_path / name).is_file(), name
 
     def test_fig1_kde_distances_at_desk_scale(self, desk_batch):
         # the kernel estimates themselves, not just the raw samples, must sit

@@ -334,10 +334,6 @@ class TestQuantileAndSampling:
         with pytest.raises(InvalidDomainError, match="past the double range"):
             wide.quantile(np.array([0.5, 1.0 - 1e-16]))
 
-    def test_tolerance_cap(self, law):
-        with pytest.raises(ToleranceNotMetError):
-            law.quantile(0.5, tol=1e-300)
-
     @pytest.mark.parametrize("sigma,eta", [(1.0, 0.5), (1.7, 2.0), (1.0, 1.0), (0.3, 2.0)])
     def test_matches_bisection(self, sigma, eta):
         law = FirstPassageLaw(ModelParams(sigma, eta))

@@ -296,6 +296,16 @@ class TestErrorDensity:
         with pytest.raises(NoConvergenceError):
             _error_density_images(np.full(z.shape, 1e6), np.abs(z))
 
+    @pytest.mark.filterwarnings("error")
+    def test_exact_limits_at_the_top_of_the_double_range(self, unit_law, renewal_grid):
+        # there a spectral term's amplitude overflows while its decay underflows to
+        # 0: the term bound is 0, not inf * 0 = NaN, so each series stops at once
+        z = np.linspace(-1.0, 1.0, 1001)
+        ed = tracking_error_density(ModelParams(1.0, 1.0), renewal_grid, 1e308, z)
+        np.testing.assert_array_equal(ed.grid.f, triangular_pdf(z))
+        rg = solve_renewal_density(unit_law, h=1e307, horizon=1e308)
+        assert rg.values[0] == 0.0 and np.all(rg.values[1:] == 1.0)
+
     @pytest.mark.parametrize("sigma", [1.0, 1.7, 0.3])
     def test_images_below_switch_bit_for_bit(self, sigma):
         law = FirstPassageLaw(ModelParams(sigma, 1.0))
